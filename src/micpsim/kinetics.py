@@ -163,8 +163,11 @@ def _rate_jacobian(m, o, u, b, c, shear, params: KineticParams, rock: RockLaw):
     """Partials of (R_m, R_o, R_u, R_b, R_c) w.r.t. (m, o, u, b, c).
 
     Returns a dict keyed by ('R_x', 'var'); entries identically zero are
-    omitted. The shear norm is treated as frozen (its coupling back to the
-    pressure field is dropped from the Newton matrix, not the residual).
+    omitted. The shear norm is treated as frozen: its coupling back to the
+    pressure field and, through the permeability, to phi_b and phi_c is
+    dropped from the Newton matrix, not from the residual. The implicit
+    solver also uses these partials, taken at the clipped state, for the
+    linear extension of the rates beyond the physical bounds.
     """
     p = params
     phi = rock.phi0 - b - c

@@ -11,10 +11,23 @@ backward-Euler step solves the coupled residual
 
 with TPFA face fluxes F_w = T/mu_w (Phi_a - Phi_b), Phi = p + rho_w g z,
 first-order upwinding of the solutes, and every nonlinearity (porosity,
-permeability, reactions, upwind directions) evaluated at n+1. Newton uses
-an analytic Jacobian; the only dropped coupling is the dependence of the
-shear norm on the pressure field (the residual keeps it, so the converged
-state is fully implicit).
+permeability, reactions, upwind directions) evaluated at n+1.
+
+Reactions and permeability are defined for physical arguments only
+(c_x >= 0, phi_b, phi_c in [0, phi0], phi in [0, phi0]). Newton iterates
+may leave those bounds, so each such quantity is evaluated at the clipped
+argument and extended linearly beyond it, f(clip) + f'(clip) (x - clip).
+Within the bounds nothing changes; across them the residual is
+continuously differentiable, so Newton converges from out-of-bounds
+iterates instead of creeping along a flat clipped residual.
+
+Newton uses an analytic Jacobian. Two couplings are dropped from it, not
+from the residual, so the converged state is fully implicit: the
+dependence of the shear norm on pressure and its dependence on phi_b and
+phi_c through K. Apart from those, the columns of out-of-bounds variables
+are exact, and the columns of the in-bounds variables of the same cell
+omit only the second-order cross terms f''(clip) (x - clip) of the
+extension.
 
 Constant-pressure production boundaries are half-cell transmissibility
 faces against a hydrostatic ghost with datum potential p_bdry; inflow
@@ -49,6 +62,7 @@ IP, IM, IO, IU, IB, IC = range(6)
 NVAR = 6
 
 SPECIES = ("m", "o", "u")
+RATES = ("R_m", "R_o", "R_u", "R_b", "R_c")  # order of kinetics._rates
 _CONC_FLOOR = {"m": 1e-3, "o": 1e-3, "u": 1e-1}  # kg/m^3, convergence scales
 
 _SIDE_AXIS_SIGN = {"x-": (0, -1.0), "x+": (0, 1.0), "y-": (1, -1.0), "y+": (1, 1.0)}
@@ -162,7 +176,17 @@ class _System:
 
 def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
                  want_jacobian=True):
-    """Residual, optional Jacobian triplets and flux/rate diagnostics at x."""
+    """Residual, optional Jacobian and flux/rate diagnostics at x.
+
+    ``want_jacobian`` is a bool or a function of the residual that says
+    whether the caller will factor the Jacobian; when false, the Jacobian
+    slot of the result is None.
+
+    Rates and permeability are evaluated at the clipped (physical)
+    arguments and extended linearly beyond them, f(clip) + f'(clip) (x -
+    clip), so that the Jacobian's out-of-bounds columns are the exact
+    derivatives of this residual.
+    """
     n = sys.n
     p = x[IP::NVAR]
     m = x[IM::NVAR]
@@ -179,8 +203,8 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     phi = sys.phi0 - b - c
     phi_old = sys.phi0 - old.phi_b - old.phi_c
     phi_k = np.clip(phi, 0.0, sys.phi0)
-    K = np.asarray(permeability(sys.rock, phi_k, K0=sys.K0))
     dK = np.asarray(permeability_derivative(sys.rock, phi_k, K0=sys.K0))
+    K = permeability(sys.rock, phi_k, K0=sys.K0) + dK * (phi - phi_k)
 
     # interior face fluxes
     T = sys.f_area / (sys.f_da / K[sys.fa] + sys.f_db / K[sys.fb])
@@ -217,8 +241,17 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     uc = np.maximum(u, 0.0)
     bcl = np.clip(b, 0.0, sys.phi0)
     ccl = np.clip(c, 0.0, sys.phi0 - bcl)
-    R_m, R_o, R_u, R_b, R_c = _rates(mc, oc, uc, bcl, ccl, shear,
-                                     sys.params, sys.rock)
+    rates = dict(zip(RATES, _rates(mc, oc, uc, bcl, ccl, shear,
+                                   sys.params, sys.rock)))
+    past_clip = {"m": m - mc, "o": o - oc, "u": u - uc, "b": b - bcl, "c": c - ccl}
+    past_clip = {v: d for v, d in past_clip.items() if np.any(d)}
+    jac = None
+    if past_clip:
+        jac = _rate_jacobian(mc, oc, uc, bcl, ccl, shear, sys.params, sys.rock)
+        for (rname, v), dR in jac.items():
+            if v in past_clip:
+                rates[rname] = rates[rname] + dR * past_clip[v]
+    R_m, R_o, R_u, R_b, R_c = rates.values()
 
     q = np.zeros(n)  # volumetric source, m^3/s per cell
     if control.rate != 0.0:
@@ -252,6 +285,8 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     aux = {"F": F, "Fb": Fb, "out_mask": out_mask, "upw": upw, "shear": shear,
            "K": K, "q": q,
            "rates": {"m": R_m, "o": R_o, "u": R_u, "b": R_b, "c": R_c}}
+    if callable(want_jacobian):
+        want_jacobian = want_jacobian(resid)
     if not want_jacobian:
         return resid, None, aux
 
@@ -263,7 +298,8 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
         vals.append(np.asarray(values, dtype=float))
 
     cells = np.arange(n)
-    jac = _rate_jacobian(mc, oc, uc, bcl, ccl, shear, sys.params, sys.rock)
+    if jac is None:
+        jac = _rate_jacobian(mc, oc, uc, bcl, ccl, shear, sys.params, sys.rock)
 
     def jentry(rate, var):
         val = jac.get((rate, var))
@@ -397,11 +433,21 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
         conc_scales = sys.conc_scales(state_old, [control])
     escale = _error_scales(sys, dt, conc_scales)
 
-    x = state_old.to_vector()
-    resid, J, aux = _eval_system(sys, x, state_old, dt, control)
-    rnorm = float(np.max(np.abs(resid / escale)))
+    tol = settings.newton_rel_tol
     iters = 0
-    while rnorm >= settings.newton_rel_tol:
+
+    def residual_norm(resid):
+        return float(np.max(np.abs(resid / escale)))
+
+    def will_factor(resid):
+        # the loop below factors J only in this case; build it only then
+        rnorm = residual_norm(resid)
+        return np.isfinite(rnorm) and rnorm >= tol and iters < settings.newton_max_iter
+
+    x = state_old.to_vector()
+    resid, J, aux = _eval_system(sys, x, state_old, dt, control, will_factor)
+    rnorm = residual_norm(resid)
+    while not rnorm < tol:  # a NaN norm fails the step, it never converges
         if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
             return state_old, NewtonReport(False, iters, rnorm)
         delta = splu(J).solve(-resid)
@@ -412,8 +458,8 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
             delta *= 0.5 * float(np.min(sys.phi0)) / dmax
         x = x + delta
         iters += 1
-        resid, J, aux = _eval_system(sys, x, state_old, dt, control)
-        rnorm = float(np.max(np.abs(resid / escale)))
+        resid, J, aux = _eval_system(sys, x, state_old, dt, control, will_factor)
+        rnorm = residual_norm(resid)
 
     state = MicpState.from_vector(x)
     phi_conv = np.maximum(sys.phi0 - state.phi_b - state.phi_c, 0.0)

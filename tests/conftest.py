@@ -3,6 +3,7 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "micpsim",
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("micpsim")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from micpsim.errors import DomainError, InvariantError, OracleError
@@ -177,8 +177,13 @@ class TestReactionRates:
 
 class TestRateJacobian:
     @given(valid_states(), st.floats(0.0, 1e6))
+    @example(CellChemState(c_o=0.09375, phi_b=0.015625, phi_c=0.015625), 0.5)
     @settings(max_examples=60, deadline=None)
-    def test_matches_central_differences(self, state, shear):
+    def test_matches_complex_step(self, state, shear):
+        # Complex-step derivatives (Squire & Trapp 1998) carry no
+        # subtractive cancellation: Im f(x + ih)/h is exact to roundoff
+        # unless h*f' underflows, so derivatives are resolved down to
+        # finfo.tiny/h (2e-278), not down to a cancellation floor.
         vals = {"m": state.c_m, "o": state.c_o, "u": state.c_u,
                 "b": state.phi_b, "c": min(state.phi_c, ROCK.phi0 - state.phi_b - 1e-4)}
         vals["c"] = max(vals["c"], 0.0)
@@ -186,23 +191,17 @@ class TestRateJacobian:
         jac = _rate_jacobian(*args, shear, PARAMS, ROCK)
         names = ("R_m", "R_o", "R_u", "R_b", "R_c")
         order = ("m", "o", "u", "b", "c")
+        h = 1e-30
+        resolved = np.finfo(float).tiny / h
         for j, var in enumerate(order):
-            h = max(abs(args[j]), 1e-3) * 1e-6
-            lo = list(args)
-            hi = list(args)
-            lo[j] -= h
-            hi[j] += h
-            if lo[j] < 0:
-                continue  # one-sided region; analytic form still smooth there
-            r_lo = _rates(*lo, shear, PARAMS, ROCK)
-            r_hi = _rates(*hi, shear, PARAMS, ROCK)
+            z = [complex(a) for a in args]
+            z[j] += 1j * h
+            r = _rates(*z, shear, PARAMS, ROCK)
             for i, rate in enumerate(names):
-                fd = (r_hi[i] - r_lo[i]) / (2 * h)
+                cs = np.imag(r[i]) / h
                 analytic = jac.get((rate, var), 0.0)
-                # the 1e-10 floor keeps central-difference roundoff on
-                # near-zero derivatives from registering as disagreement
-                scale = max(abs(fd), abs(analytic), 1e-10)
-                assert abs(analytic - fd) / scale < 5e-4, (rate, var)
+                scale = max(abs(cs), abs(analytic), resolved)
+                assert abs(analytic - cs) <= 1e-10 * scale, (rate, var, analytic, cs)
 
 
 class TestUpdateImmobile:

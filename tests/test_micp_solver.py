@@ -5,8 +5,15 @@ from micpsim.errors import ConvergenceError
 from micpsim.grid import DomainSpec, LeakSpec, ReservoirSpec, build_domain
 from micpsim.kinetics import CellChemState, batch_oracle
 from micpsim.micp import (
+    IB,
+    IM,
+    IO,
+    IU,
+    NVAR,
     MicpState,
     SolverSettings,
+    _eval_system,
+    _System,
     assemble_residual,
     make_initial_state,
     permeability_field,
@@ -133,6 +140,45 @@ class TestAssembleResidual:
         assert 1.4 < errs[0] / errs[1] < 3.0
 
 
+class TestOutOfBoundsJacobian:
+    """Columns of out-of-bounds variables are derivatives of the residual."""
+
+    def test_columns_match_finite_differences(self):
+        grid = line_grid(nx=3, sides=())  # closed and hydrostatic: no flow
+        n = grid.n_active
+        p = make_initial_state(grid, PARAMS, P0).p
+        old = MicpState(p=p.copy(), c_m=np.full(n, 0.005), c_o=np.full(n, 0.02),
+                        c_u=np.full(n, 50.0), phi_b=np.full(n, 0.01),
+                        phi_c=np.full(n, 0.02))
+        x = MicpState(p=p.copy(), c_m=np.array([0.004, -1e-4, 0.003]),
+                      c_o=np.array([-2e-5, 0.01, -3e-3]),
+                      c_u=np.array([40.0, -0.5, -2.0]),
+                      phi_b=np.array([0.012, -1e-3, -4e-4]),
+                      phi_c=np.array([0.021, 0.02, 0.019])).to_vector()
+        control = WellControl(rate=0.0, p_bdry=P0)
+        sys = _System(grid, PARAMS, ROCK)
+        _, J, aux = _eval_system(sys, x, old, 600.0, control)
+        assert np.all(aux["shear"] == 0.0)
+        J = J.toarray()
+        checked = 0
+        for var in (IM, IO, IU, IB):
+            for cell in range(n):
+                col = NVAR * cell + var
+                if x[col] >= 0.0:
+                    continue
+                h = 1e-3 * abs(x[col])  # stays out of bounds on both sides
+                hi, lo = x.copy(), x.copy()
+                hi[col] += h
+                lo[col] -= h
+                r_hi, _, _ = _eval_system(sys, hi, old, 600.0, control, False)
+                r_lo, _, _ = _eval_system(sys, lo, old, 600.0, control, False)
+                fd = (r_hi - r_lo) / (2 * h)
+                err = np.max(np.abs(J[:, col] - fd))
+                assert err <= 1e-6 * np.max(np.abs(J[:, col])), (var, cell)
+                checked += 1
+        assert checked == 7
+
+
 class TestSolveTimestep:
     def test_zero_rate_zero_kinetics_identity(self):
         grid = line_grid()
@@ -169,6 +215,15 @@ class TestSolveTimestep:
         assert sum(rep.clamped.values()) == 0.0
         assert np.max(np.abs(r)) < 1e-6
 
+    def test_nan_residual_fails_the_step(self):
+        grid = line_grid()
+        state = make_initial_state(grid, PARAMS, P0)
+        state.c_u[3] = np.nan
+        _, rep = solve_timestep(grid, state, 600.0,
+                                WellControl(rate=0.0, p_bdry=P0),
+                                SolverSettings(), PARAMS, ROCK)
+        assert not rep.converged
+
     def test_nonconvergence_reported_not_raised(self):
         grid = example1_grid(nx=25)
         state = make_initial_state(grid, PARAMS, P0)
@@ -204,6 +259,9 @@ class TestSimulateMicp:
         flowing_hours = 15 + 7 + 30 + 5 + 40 + 10
         expected = 2.31e-5 * flowing_hours * 3600.0
         assert report.water_injected == pytest.approx(expected, rel=1e-12)
+        # Newton at out-of-bounds iterates converges: no dt cut, no clamping
+        assert report.dt_failures == 0
+        assert sum(report.clamped.values()) == 0.0
 
     def test_upwind_monotone_tracer(self):
         # no reactions: an injected microbe slug must stay within
