@@ -32,13 +32,10 @@ from .kinetics import (
     monod,
     permeability,
     reaction_rates,
-    update_immobile,
 )
 from .micp import (
     MicpState,
-    OutputHooks,
     RunReport,
-    SolverSettings,
     assemble_residual,
     make_initial_state,
     permeability_field,
@@ -56,6 +53,7 @@ from .schedule import (
     builtin_schedule,
     control_at,
 )
+from .stepping import OutputHooks, SolverSettings
 from .vtkio import read_snapshot_field, write_snapshot, write_timeseries
 
 __all__ = [
@@ -70,7 +68,6 @@ __all__ = [
     "monod", "parse_config", "permeability", "permeability_field",
     "porosity_field", "preset", "reaction_rates", "read_snapshot_field",
     "shear_norm_field", "simulate_co2", "simulate_micp", "solve_timestep",
-    "solve_twophase_step", "update_immobile", "write_snapshot",
-    "write_timeseries",
+    "solve_twophase_step", "write_snapshot", "write_timeseries",
 ]
 __version__ = "0.1.0"

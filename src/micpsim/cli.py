@@ -22,18 +22,17 @@ import numpy as np
 from .config import SimulationConfig, format_config, parse_config, preset
 from .co2 import simulate_co2
 from .errors import ConfigError, ConvergenceError, MicpSimError
-from .grid import build_domain, face_transmissibility
+from .grid import Grid, build_domain, face_transmissibility
 from .kinetics import CellChemState, batch_oracle, monod, permeability
 from .micp import (
     MicpState,
-    OutputHooks,
-    SolverSettings,
     permeability_field,
     porosity_field,
     simulate_micp,
     solve_timestep,
 )
 from .schedule import WellControl
+from .stepping import OutputHooks, SolverSettings
 from .vtkio import read_snapshot_field, write_snapshot, write_timeseries
 
 
@@ -41,9 +40,25 @@ def _err(kind: str, message: str) -> None:
     print(f"error: {kind}: {message}", file=sys.stderr)
 
 
-def _load_config(path: str) -> SimulationConfig:
-    text = Path(path).read_text()
-    return parse_config(text)
+def _prepare_run(args) -> tuple[SimulationConfig, Path, Grid] | int:
+    """Config, output directory and grid of a run command, or an exit code."""
+    try:
+        cfg = parse_config(Path(args.config).read_text())
+    except OSError as exc:
+        _err("io", str(exc))
+        return 2
+    except ConfigError as exc:
+        for p in exc.problems:
+            _err("config", p)
+        return 2
+    out_dir = Path(args.out or cfg.outputs.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
+    except MicpSimError as exc:
+        _err("geometry", str(exc))
+        return 2
+    return cfg, out_dir, grid
 
 
 def _state_fields(grid, rock, state: MicpState) -> dict:
@@ -63,25 +78,12 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_run_micp(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except OSError as exc:
-        _err("io", str(exc))
-        return 2
-    except ConfigError as exc:
-        for p in exc.problems:
-            _err("config", p)
-        return 2
+    prepared = _prepare_run(args)
+    if isinstance(prepared, int):
+        return prepared
+    cfg, out_dir, grid = prepared
     if args.dt_init is not None:
         cfg = replace(cfg, solver=replace(cfg.solver, dt_init=args.dt_init))
-    out_dir = Path(args.out or cfg.outputs.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
-        grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
-    except MicpSimError as exc:
-        _err("geometry", str(exc))
-        return 2
 
     diag_records = []
     want_vtk = "vtk" in cfg.outputs.formats
@@ -138,22 +140,10 @@ def _cmd_run_micp(args) -> int:
 
 
 def _cmd_run_co2(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except OSError as exc:
-        _err("io", str(exc))
-        return 2
-    except ConfigError as exc:
-        for p in exc.problems:
-            _err("config", p)
-        return 2
-    out_dir = Path(args.out or cfg.outputs.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
-    except MicpSimError as exc:
-        _err("geometry", str(exc))
-        return 2
+    prepared = _prepare_run(args)
+    if isinstance(prepared, int):
+        return prepared
+    cfg, out_dir, grid = prepared
 
     perm = grid.perm0
     poro = grid.poro0

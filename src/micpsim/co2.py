@@ -6,10 +6,11 @@ treatment left behind, or the untreated rock). Per cell the unknowns are
 (k_r = s_alpha), capillary pressure is zero so both phases share one
 pressure. Each phase is upwinded by the sign of its own potential
 difference, which keeps saturations in [0, 1] and lets gravity segregate
-the phases. Discretization and Newton machinery mirror the reactive
-solver: TPFA, backward Euler, analytic Jacobian, constant-pressure
-hydrostatic boundary (pure water beyond the boundary), pressure pin on
-closed domains.
+the phases. The discretization follows the reactive solver: TPFA,
+backward Euler, analytic Jacobian, constant-pressure hydrostatic
+boundary (pure water beyond the boundary), pressure pin on closed
+domains. Newton, Jacobian assembly and adaptive stepping are the shared
+machinery of :mod:`micpsim.stepping`.
 
 The headline diagnostic is the normalized leakage flux: the upward CO2
 volumetric flux through a horizontal plane restricted to leak-tagged
@@ -22,14 +23,21 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, DomainError, GeometryError
-from .grid import Grid, Region
-from .micp import SolverSettings
+from .errors import DomainError, GeometryError
+from .grid import Grid, Region, boundary_transmissibilities, interior_transmissibilities
 from .params import TwoPhaseParams
 from .schedule import DEFAULT_BOUNDARY_PRESSURE
+from .stepping import (
+    AssemblyData,
+    OutputHooks,
+    SolverSettings,
+    TripletMatrix,
+    jacobian_wanted,
+    march,
+    newton,
+)
 
 JP, JS = 0, 1
 NV2 = 2
@@ -51,7 +59,7 @@ def make_initial_twophase_state(grid: Grid, params: TwoPhaseParams,
     return TwoPhaseState(p=p, s=np.zeros(grid.n_active))
 
 
-class _TwoPhaseSystem:
+class _TwoPhaseSystem(AssemblyData):
     def __init__(self, grid: Grid, perm_field, poro_field, params: TwoPhaseParams):
         perm = np.asarray(perm_field, dtype=float)
         poro = np.asarray(poro_field, dtype=float)
@@ -59,42 +67,11 @@ class _TwoPhaseSystem:
             raise DomainError("perm/poro fields must have one value per active cell")
         if np.any(perm <= 0.0) or np.any(poro <= 0.0):
             raise DomainError("perm and poro must be > 0 in active cells")
-        self.grid = grid
+        super().__init__(grid)
         self.params = params
-        self.n = grid.n_active
-        self.V = grid.volumes
         self.phi = poro
-        self.fa = grid.iface_cells[:, 0]
-        self.fb = grid.iface_cells[:, 1]
-        self.f_dz = grid.centers[self.fb, 2] - grid.centers[self.fa, 2]
-        da = grid.iface_d[:, 0]
-        db = grid.iface_d[:, 1]
-        self.T = grid.iface_area / (da / perm[self.fa] + db / perm[self.fb])
-        self.bc = grid.bface_cell
-        self.Tb = grid.bface_area * perm[self.bc] / grid.bface_d
-        self.b_z = grid.bface_z
-        self.z = grid.centers[:, 2]
-        self.g = grid.gravity_accel
-        self.closed = self.bc.size == 0
-        self.well = grid.well_cells
-        self.well_frac = grid.volumes[self.well] / grid.well_volume
-
-
-def _phase_potentials(sys, p):
-    """Interior and boundary potential differences for both phases."""
-    pr = sys.params
-    dw = (p[sys.fa] - p[sys.fb]) - pr.rho_w * sys.g * sys.f_dz
-    dc = (p[sys.fa] - p[sys.fb]) - pr.rho_co2 * sys.g * sys.f_dz
-    return dw, dc
-
-
-def _boundary_potentials(sys, p, p_bdry):
-    pr = sys.params
-    # ghost water column: p_ghost(z) = p_bdry - rho_w g z
-    dw = p[sys.bc] + pr.rho_w * sys.g * sys.z[sys.bc] - p_bdry
-    dc = (p[sys.bc] + pr.rho_co2 * sys.g * sys.z[sys.bc]
-          - (p_bdry - (pr.rho_w - pr.rho_co2) * sys.g * sys.b_z))
-    return dw, dc
+        self.T = interior_transmissibilities(grid, perm)
+        self.Tb = boundary_transmissibilities(grid, perm)
 
 
 def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
@@ -106,7 +83,8 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     se = np.clip(s, 0.0, 1.0)
     V = sys.V
 
-    dw, dc = _phase_potentials(sys, p)
+    dw = (p[sys.fa] - p[sys.fb]) - pr.rho_w * sys.g * sys.f_dz
+    dc = (p[sys.fa] - p[sys.fb]) - pr.rho_co2 * sys.g * sys.f_dz
     up_w = np.where(dw >= 0.0, sys.fa, sys.fb)
     up_c = np.where(dc >= 0.0, sys.fa, sys.fb)
     lam_w = (1.0 - se[up_w]) / pr.mu_w
@@ -115,7 +93,10 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     Fc = sys.T * lam_c * dc
 
     if sys.bc.size:
-        bdw, bdc = _boundary_potentials(sys, p, p_bdry)
+        # ghost water column: p_ghost(z) = p_bdry - rho_w g z
+        bdw = p[sys.bc] + pr.rho_w * sys.g * sys.z[sys.bc] - p_bdry
+        bdc = (p[sys.bc] + pr.rho_co2 * sys.g * sys.z[sys.bc]
+               - (p_bdry - (pr.rho_w - pr.rho_co2) * sys.g * sys.b_z))
         out_w = bdw >= 0.0
         out_c = bdc >= 0.0
         blam_w = np.where(out_w, (1.0 - se[sys.bc]) / pr.mu_w, 1.0 / pr.mu_w)
@@ -146,16 +127,11 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
         resid[JP] = (p[0] - p_bdry) * pin_scale
 
     aux = {"Fc": Fc, "Fw": Fw, "Fbc": Fbc, "Fbw": Fbw}
-    if not want_jacobian:
+    if not jacobian_wanted(want_jacobian, resid):
         return resid, None, aux
 
-    rows, cols, vals = [], [], []
-
-    def add(row_cells, row_var, col_cells, col_var, values):
-        rows.append(NV2 * np.asarray(row_cells) + row_var)
-        cols.append(NV2 * np.asarray(col_cells) + col_var)
-        vals.append(np.asarray(values, dtype=float))
-
+    jmat = TripletMatrix(NV2)
+    add = jmat.add
     cells = np.arange(n)
     add(cells, JP, cells, JS, -sys.phi * V / dt)
     add(cells, JS, cells, JS, sys.phi * V / dt)
@@ -183,17 +159,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
         add(sys.bc, JS, sys.bc, JS,
             np.where(out_c & sb_in, sys.Tb / pr.mu_co2 * bdc, 0.0))
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    if sys.closed:
-        keep = rows != JP
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        rows = np.append(rows, JP)
-        cols = np.append(cols, JP)
-        vals = np.append(vals, pin_scale)
-    J = sparse.coo_matrix((vals, (rows, cols)), shape=(NV2 * n, NV2 * n)).tocsc()
-    return resid, J, aux
+    return resid, jmat.tocsc(n, pin_scale), aux
 
 
 def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
@@ -206,34 +172,20 @@ def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
         raise DomainError("dt must be > 0")
     sys = _sys if _sys is not None else _TwoPhaseSystem(
         grid, perm_field, grid.poro0 if poro_field is None else poro_field, params)
-    escale = np.repeat(sys.phi * sys.V / dt, NV2)
-    if sys.closed:
-        escale[JP] = sys.phi[0] * sys.V[0] / dt
+    escale = np.repeat(sys.phi * sys.V / dt, NV2)  # pin row: |p_0 - p_bdry| / 1e5 Pa
 
     x = np.empty(NV2 * sys.n)
     x[JP::NV2] = state_old.p
     x[JS::NV2] = state_old.s
-    resid, J, aux = _eval_twophase(sys, x, state_old, dt, rate, p_bdry)
-    rnorm = float(np.max(np.abs(resid / escale)))
-    iters = 0
-    while rnorm >= settings.newton_rel_tol:
-        if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
-            return state_old, _StepReport(False, iters, rnorm)
-        delta = splu(J).solve(-resid)
-        ds_max = float(np.max(np.abs(delta[JS::NV2]), initial=0.0))
-        if ds_max > 0.5:
-            delta *= 0.5 / ds_max
-        x = x + delta
-        iters += 1
-        resid, J, aux = _eval_twophase(sys, x, state_old, dt, rate, p_bdry)
-        rnorm = float(np.max(np.abs(resid / escale)))
-
-    s = x[JS::NV2]
-    if np.any(s < -1e-6) or np.any(s > 1.0 + 1e-6):
-        return state_old, _StepReport(False, iters, rnorm)
-    state = TwoPhaseState(p=x[JP::NV2].copy(), s=np.clip(s, 0.0, 1.0))
-    co2_out = float(np.sum(np.maximum(aux["Fbc"], 0.0))) * dt if sys.bc.size else 0.0
-    return state, _StepReport(True, iters, rnorm, co2_out=co2_out)
+    res = newton(
+        lambda x, want: _eval_twophase(sys, x, state_old, dt, rate, p_bdry, want),
+        x, escale, settings, splu, damped=(slice(JS, None, NV2),), max_step=0.5)
+    s = res.x[JS::NV2]
+    if not res.converged or np.any(s < -1e-6) or np.any(s > 1.0 + 1e-6):
+        return state_old, _StepReport(False, res.iterations, res.resid_norm)
+    state = TwoPhaseState(p=res.x[JP::NV2].copy(), s=np.clip(s, 0.0, 1.0))
+    co2_out = float(np.sum(np.maximum(res.aux["Fbc"], 0.0))) * dt if sys.bc.size else 0.0
+    return state, _StepReport(True, res.iterations, res.resid_norm, co2_out=co2_out)
 
 
 @dataclass
@@ -245,19 +197,19 @@ class _StepReport:
 
 
 def co2_face_fluxes(grid: Grid, perm_field, state: TwoPhaseState,
-                    params: TwoPhaseParams, poro_field=None) -> np.ndarray:
+                    params: TwoPhaseParams) -> np.ndarray:
     """CO2 volumetric flux (m^3/s) on every interior face, oriented a->b."""
-    sys = _TwoPhaseSystem(grid, perm_field,
-                          grid.poro0 if poro_field is None else poro_field, params)
-    _, dc = _phase_potentials(sys, state.p)
-    up_c = np.where(dc >= 0.0, sys.fa, sys.fb)
+    fa = grid.iface_cells[:, 0]
+    fb = grid.iface_cells[:, 1]
+    dz = grid.centers[fb, 2] - grid.centers[fa, 2]
+    dc = (state.p[fa] - state.p[fb]) - params.rho_co2 * grid.gravity_accel * dz
+    up_c = np.where(dc >= 0.0, fa, fb)
     lam_c = np.clip(state.s, 0.0, 1.0)[up_c] / params.mu_co2
-    return sys.T * lam_c * dc
+    return interior_transmissibilities(grid, perm_field) * lam_c * dc
 
 
 def leakage_flux(grid: Grid, state: TwoPhaseState, plane_z: float,
-                 normalize_by: float, perm_field, params: TwoPhaseParams,
-                 poro_field=None) -> float:
+                 normalize_by: float, perm_field, params: TwoPhaseParams) -> float:
     """Upward CO2 flux through plane_z inside the leak footprint, normalized.
 
     Sums the positive (upward) CO2 volumetric flux over the vertical faces
@@ -269,7 +221,7 @@ def leakage_flux(grid: Grid, state: TwoPhaseState, plane_z: float,
     if not 0.0 < plane_z < grid.domain.lz:
         raise GeometryError(f"plane z = {plane_z} m outside the domain")
     faces = _plane_leak_faces(grid, plane_z)
-    Fc = co2_face_fluxes(grid, perm_field, state, params, poro_field)
+    Fc = co2_face_fluxes(grid, perm_field, state, params)
     return float(np.sum(np.maximum(Fc[faces], 0.0))) / normalize_by
 
 
@@ -315,13 +267,12 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
                  plane_z: float | None = None,
                  p_bdry: float = DEFAULT_BOUNDARY_PRESSURE,
                  poro_field=None, initial_state: TwoPhaseState | None = None,
-                 on_snapshot=None, snapshot_cadence: float | None = None) -> Co2Report:
+                 sinks: OutputHooks | None = None) -> Co2Report:
     """Inject CO2 at the well for ``duration`` and track the leak flux.
 
     ``plane_z`` defaults to the lower-aquifer/caprock interface. Returns
     the (t, normalized flux) series sampled at every accepted step.
     """
-    settings.validate()
     t_start = time.perf_counter()
     poro = grid.poro0 if poro_field is None else np.asarray(poro_field, dtype=float)
     sys = _TwoPhaseSystem(grid, perm_field, poro, params)
@@ -345,46 +296,27 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
              else make_initial_twophase_state(grid, params, p_bdry))
     series: list[tuple[float, float]] = []
     produced = 0.0
-    t = 0.0
-    steps = 0
-    newton_total = 0
-    failures = 0
-    next_snap = snapshot_cadence
-    eps = 1e-9
-    dt_cur = min(settings.dt_init, settings.dt_max)
-    while duration - t > eps * max(1.0, duration):
-        dt = min(dt_cur, duration - t)
-        new_state, rep = solve_twophase_step(grid, perm_field, state, dt, rate,
-                                             settings, params, p_bdry, poro,
-                                             _sys=sys)
-        if not rep.converged:
-            failures += 1
-            dt_cur = dt * settings.dt_cut
-            if dt_cur < settings.dt_min:
-                raise ConvergenceError(
-                    f"two-phase Newton failed at t = {t:.6g} s",
-                    last_good_state=state, last_good_time=t)
-            continue
-        state = new_state
-        t += dt
-        steps += 1
-        newton_total += rep.iterations
-        produced += rep.co2_out
-        if rep.iterations <= settings.grow_iter_threshold:
-            dt_cur = min(dt_cur * settings.dt_grow, settings.dt_max)
-        if has_leak:
-            series.append((t, leakage_flux(grid, state, plane_z,
-                                           rate if rate > 0.0 else 1.0,
-                                           perm_field, params, poro)))
-        if (on_snapshot is not None and next_snap is not None
-                and t >= next_snap - eps):
-            on_snapshot(t, state)
-            while next_snap <= t + eps:
-                next_snap += snapshot_cadence
 
-    in_place = float(np.sum(poro * state.s * grid.volumes))
-    return Co2Report(series=series, final_state=state,
-                     injected_volume=rate * t, produced_volume=produced,
-                     in_place_volume=in_place, steps=steps,
-                     newton_iterations=newton_total, dt_failures=failures,
+    def step(st, dt, rate):
+        return solve_twophase_step(grid, perm_field, st, dt, rate, settings,
+                                   params, p_bdry, poro, _sys=sys)
+
+    def accept(t, dt, st, rep, rate):
+        nonlocal produced
+        produced += rep.co2_out
+        info = {"max_s": float(st.s.max(initial=0.0))}
+        if has_leak:
+            flux = leakage_flux(grid, st, plane_z, rate if rate > 0.0 else 1.0,
+                                perm_field, params)
+            series.append((t, flux))
+            info["leak_flux"] = flux
+        return info
+
+    run = march(state, [(duration, rate)], settings, step, accept, sinks)
+    in_place = float(np.sum(poro * run.state.s * grid.volumes))
+    return Co2Report(series=series, final_state=run.state,
+                     injected_volume=rate * run.t, produced_volume=produced,
+                     in_place_volume=in_place, steps=run.steps,
+                     newton_iterations=run.newton_iterations,
+                     dt_failures=run.dt_failures,
                      wall_time=time.perf_counter() - t_start)

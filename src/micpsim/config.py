@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError, DomainError, MicpSimError
 from .grid import SIDES, DomainSpec, LeakSpec, ReservoirSpec
-from .micp import SolverSettings
 from .params import KineticParams, RockLaw, TwoPhaseParams
 from .schedule import (
     DEFAULT_BOUNDARY_PRESSURE,
@@ -48,6 +47,7 @@ from .schedule import (
     builtin_schedule,
 )
 from .schedule import validate as validate_schedule
+from .stepping import SolverSettings
 
 
 @dataclass(frozen=True)

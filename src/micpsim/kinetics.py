@@ -209,39 +209,6 @@ def _rate_jacobian(m, o, u, b, c, shear, params: KineticParams, rock: RockLaw):
     return out
 
 
-@dataclass(frozen=True)
-class ImmobileClamp:
-    """Mass (kg per m^3 bulk) removed by clamping an explicit update."""
-
-    biofilm: float | np.ndarray = 0.0
-    calcite: float | np.ndarray = 0.0
-
-    @property
-    def total(self):
-        return self.biofilm + self.calcite
-
-
-def update_immobile(state: CellChemState, rates: ReactionRates, dt: float,
-                    params: KineticParams, rock: RockLaw):
-    """Explicit update of the immobile fractions with overshoot clamping.
-
-    Biofilm is floored at zero first, then calcite is capped so that
-    phi_b + phi_c <= phi0; the clamped mass is reported, not lost silently.
-    """
-    if not dt > 0.0:
-        raise DomainError("dt must be > 0")
-    b = np.asarray(state.phi_b, dtype=float) + dt * np.asarray(rates.R_b) / params.rho_b
-    c = np.asarray(state.phi_c, dtype=float) + dt * np.asarray(rates.R_c) / params.rho_c
-    clamp_b = (np.maximum(-b, 0.0) + np.maximum(b - rock.phi0, 0.0)) * params.rho_b
-    b = np.clip(b, 0.0, rock.phi0)
-    excess = np.maximum(b + c - rock.phi0, 0.0)
-    clamp_c = excess * params.rho_c
-    c = c - excess
-    new = CellChemState(c_m=state.c_m, c_o=state.c_o, c_u=state.c_u,
-                        phi_b=b[()], phi_c=c[()])
-    return new, ImmobileClamp(biofilm=clamp_b[()], calcite=clamp_c[()])
-
-
 def batch_oracle(initial: CellChemState, params: KineticParams, rock: RockLaw,
                  duration: float, dt_fine: float, shear_norm: float = 0.0) -> CellChemState:
     """Fine-step explicit reference for the closed-cell reaction system.

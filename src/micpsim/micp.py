@@ -48,14 +48,22 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .grid import Grid
 from .kinetics import _rate_jacobian, _rates, permeability, permeability_derivative
 from .params import KineticParams, RockLaw
 from .schedule import Schedule, WellControl, control_at
+from .stepping import (
+    AssemblyData,
+    OutputHooks,
+    SolverSettings,
+    TripletMatrix,
+    jacobian_wanted,
+    march,
+    newton,
+)
 
 # unknown ordering within one cell
 IP, IM, IO, IU, IB, IC = range(6)
@@ -66,24 +74,6 @@ RATES = ("R_m", "R_o", "R_u", "R_b", "R_c")  # order of kinetics._rates
 _CONC_FLOOR = {"m": 1e-3, "o": 1e-3, "u": 1e-1}  # kg/m^3, convergence scales
 
 _SIDE_AXIS_SIGN = {"x-": (0, -1.0), "x+": (0, 1.0), "y-": (1, -1.0), "y+": (1, 1.0)}
-
-
-@dataclass
-class SolverSettings:
-    newton_rel_tol: float = 1e-6
-    newton_max_iter: int = 15
-    dt_init: float = 600.0  # s
-    dt_min: float = 1e-2  # s
-    dt_max: float = 7200.0  # s
-    dt_grow: float = 2.0
-    dt_cut: float = 0.5
-    grow_iter_threshold: int = 5  # grow dt after converging this fast
-
-    def validate(self) -> None:
-        if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
-            raise DomainError("need 0 < dt_min <= dt_init <= dt_max")
-        if not self.newton_rel_tol > 0.0:
-            raise DomainError("newton_rel_tol must be > 0")
 
 
 @dataclass
@@ -134,36 +124,24 @@ def permeability_field(grid: Grid, rock: RockLaw, state: MicpState) -> np.ndarra
     return permeability(rock, phi, K0=grid.perm0)
 
 
-class _System:
+class _System(AssemblyData):
     """Precomputed immutable assembly data for one (grid, params, rock)."""
 
     def __init__(self, grid: Grid, params: KineticParams, rock: RockLaw):
-        self.grid = grid
+        super().__init__(grid)
         self.params = params
         self.rock = rock
-        self.n = grid.n_active
-        self.V = grid.volumes
         self.phi0 = grid.poro0
         self.K0 = grid.perm0
-        self.z = grid.centers[:, 2]
-        self.g = grid.gravity_accel
-        self.fa = grid.iface_cells[:, 0]
-        self.fb = grid.iface_cells[:, 1]
         self.f_area = grid.iface_area
         self.f_da = grid.iface_d[:, 0]
         self.f_db = grid.iface_d[:, 1]
-        self.f_dz = self.z[self.fb] - self.z[self.fa]
         self.f_axis = grid.iface_axis
-        self.bc = grid.bface_cell
         self.b_area = grid.bface_area
         self.b_d = grid.bface_d
-        self.b_z = grid.bface_z
         self.b_axis = np.array([_SIDE_AXIS_SIGN[s][0] for s in grid.bface_side],
                                dtype=np.int8)
         self.b_sign = np.array([_SIDE_AXIS_SIGN[s][1] for s in grid.bface_side])
-        self.closed = self.bc.size == 0
-        self.well = grid.well_cells
-        self.well_frac = grid.volumes[self.well] / grid.well_volume
 
     def conc_scales(self, state: MicpState, controls) -> dict[str, float]:
         scales = {}
@@ -285,18 +263,11 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     aux = {"F": F, "Fb": Fb, "out_mask": out_mask, "upw": upw, "shear": shear,
            "K": K, "q": q,
            "rates": {"m": R_m, "o": R_o, "u": R_u, "b": R_b, "c": R_c}}
-    if callable(want_jacobian):
-        want_jacobian = want_jacobian(resid)
-    if not want_jacobian:
+    if not jacobian_wanted(want_jacobian, resid):
         return resid, None, aux
 
-    rows, cols, vals = [], [], []
-
-    def add(row_cells, row_var, col_cells, col_var, values):
-        rows.append(NVAR * np.asarray(row_cells) + row_var)
-        cols.append(NVAR * np.asarray(col_cells) + col_var)
-        vals.append(np.asarray(values, dtype=float))
-
+    jmat = TripletMatrix(NVAR)
+    add = jmat.add
     cells = np.arange(n)
     if jac is None:
         jac = _rate_jacobian(mc, oc, uc, bcl, ccl, shear, sys.params, sys.rock)
@@ -356,30 +327,18 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
                 add(sys.bc, ivar, sys.bc, col_var, cb * dFb)
             add(sys.bc, ivar, sys.bc, ivar, np.where(out_mask, Fb, 0.0))
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    if sys.closed:
-        keep = rows != IP  # drop the water row of cell 0, then pin p there
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        rows = np.append(rows, IP)
-        cols = np.append(cols, IP)
-        vals = np.append(vals, pin_scale)
-    J = sparse.coo_matrix((vals, (rows, cols)), shape=(NVAR * n, NVAR * n)).tocsc()
-    return resid, J, aux
+    return resid, jmat.tocsc(n, pin_scale), aux
 
 
 def _error_scales(sys: _System, dt, conc_scales) -> np.ndarray:
     base = sys.V * sys.phi0 / dt
     e = np.empty(NVAR * sys.n)
-    e[IP::NVAR] = base
+    e[IP::NVAR] = base  # on a closed domain's pin row: |p0 - p_bdry| / 1e5 Pa
     e[IM::NVAR] = base * conc_scales["m"]
     e[IO::NVAR] = base * conc_scales["o"]
     e[IU::NVAR] = base * conc_scales["u"]
     e[IB::NVAR] = base * sys.params.rho_b
     e[IC::NVAR] = base * sys.params.rho_c
-    if sys.closed:
-        e[IP] = sys.V[0] * sys.phi0[0] / dt  # pin row: |p0 - p_bdry| / 1e5 Pa
     return e
 
 
@@ -431,36 +390,15 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
     sys = _sys if _sys is not None else _System(grid, params, rock)
     if conc_scales is None:
         conc_scales = sys.conc_scales(state_old, [control])
-    escale = _error_scales(sys, dt, conc_scales)
-
-    tol = settings.newton_rel_tol
-    iters = 0
-
-    def residual_norm(resid):
-        return float(np.max(np.abs(resid / escale)))
-
-    def will_factor(resid):
-        # the loop below factors J only in this case; build it only then
-        rnorm = residual_norm(resid)
-        return np.isfinite(rnorm) and rnorm >= tol and iters < settings.newton_max_iter
-
-    x = state_old.to_vector()
-    resid, J, aux = _eval_system(sys, x, state_old, dt, control, will_factor)
-    rnorm = residual_norm(resid)
-    while not rnorm < tol:  # a NaN norm fails the step, it never converges
-        if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
-            return state_old, NewtonReport(False, iters, rnorm)
-        delta = splu(J).solve(-resid)
+    res = newton(
+        lambda x, want: _eval_system(sys, x, state_old, dt, control, want),
+        state_old.to_vector(), _error_scales(sys, dt, conc_scales), settings, splu,
         # keep volume-fraction updates physically small per iteration
-        dmax = np.max(np.abs(np.concatenate([delta[IB::NVAR], delta[IC::NVAR]])),
-                      initial=0.0)
-        if dmax > 0.5 * float(np.min(sys.phi0)):
-            delta *= 0.5 * float(np.min(sys.phi0)) / dmax
-        x = x + delta
-        iters += 1
-        resid, J, aux = _eval_system(sys, x, state_old, dt, control, will_factor)
-        rnorm = residual_norm(resid)
-
+        damped=(slice(IB, None, NVAR), slice(IC, None, NVAR)),
+        max_step=0.5 * float(np.min(sys.phi0)))
+    if not res.converged:
+        return state_old, NewtonReport(False, res.iterations, res.resid_norm)
+    x, aux = res.x, res.aux
     state = MicpState.from_vector(x)
     phi_conv = np.maximum(sys.phi0 - state.phi_b - state.phi_c, 0.0)
 
@@ -480,7 +418,7 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
     state.phi_b[:] = b_new
     state.phi_c[:] = c_new
 
-    report = NewtonReport(True, iters, rnorm, clamped=clamped)
+    report = NewtonReport(True, res.iterations, res.resid_norm, clamped=clamped)
     Fb, out_mask = aux["Fb"], aux["out_mask"]
     conc_vectors = {"m": x[IM::NVAR], "o": x[IO::NVAR], "u": x[IU::NVAR]}
     for name in SPECIES:
@@ -515,15 +453,6 @@ class SpeciesLedger:
         scale = max(abs(self.injected), abs(self.initial_mass),
                     abs(self.final_mass), abs(self.reacted), 1e-30)
         return abs(self.closure_error) / scale
-
-
-@dataclass
-class OutputHooks:
-    """Optional sinks invoked during a run."""
-
-    snapshot_cadence: float | None = None  # s of simulated time
-    on_snapshot: object = None  # fn(t, MicpState)
-    on_diagnostics: object = None  # fn(t, dict)
 
 
 @dataclass
@@ -565,7 +494,6 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     the step is retried with dt * dt_cut until dt_min, then a
     ConvergenceError carrying the last good state is raised.
     """
-    settings.validate()
     t_start = time.perf_counter()
     sys = _System(grid, params, rock)
     state = (initial_state.copy() if initial_state is not None
@@ -579,77 +507,34 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
                for name, m in _solute_mass(sys, state).items()}
     immobile = {"b": 0.0, "c": 0.0}
     clamped = {k: 0.0 for k in ("m", "o", "u", "b", "c")}
-    water_in = 0.0
-    water_out_net = 0.0
-    steps = 0
-    newton_total = 0
-    failures = 0
+    water = {"in": 0.0, "out_net": 0.0}
 
-    t = 0.0
-    eps = 1e-9
-    if sinks and sinks.on_snapshot:
-        sinks.on_snapshot(t, state)
-    next_snap = (sinks.snapshot_cadence if sinks and sinks.snapshot_cadence
-                 else None)
+    def step(st, dt, control):
+        return solve_timestep(grid, st, dt, control, settings, params, rock,
+                              conc_scales, _sys=sys)
 
-    grow_cooldown = 0
-    for period in schedule.periods:
-        control = control_at(schedule, period.end_time)
-        dt_cur = min(settings.dt_init, settings.dt_max)
-        while period.end_time - t > eps * max(1.0, period.end_time):
-            dt = min(dt_cur, period.end_time - t)
-            new_state, rep = solve_timestep(grid, state, dt, control, settings,
-                                            params, rock, conc_scales, _sys=sys)
-            if not rep.converged:
-                failures += 1
-                grow_cooldown = 3  # hold dt a few steps, avoid cut/grow cycles
-                dt_cur = dt * settings.dt_cut
-                if dt_cur < settings.dt_min:
-                    raise ConvergenceError(
-                        f"Newton failed at t = {t:.6g} s with dt below dt_min",
-                        last_good_state=state, last_good_time=t)
-                continue
-            state = new_state
-            t += dt
-            steps += 1
-            newton_total += rep.iterations
-            for name in SPECIES:
-                ledgers[name].injected += rep.injected[name]
-                ledgers[name].produced += rep.produced[name]
-                ledgers[name].reacted += rep.reacted[name]
-            for name in ("b", "c"):
-                immobile[name] += rep.reacted[name]
-            for name, v in rep.clamped.items():
-                clamped[name] += v
-            water_in += control.rate * dt
-            water_out_net += rep.water_out - rep.water_in
-            if grow_cooldown > 0:
-                grow_cooldown -= 1
-            elif rep.iterations <= settings.grow_iter_threshold:
-                dt_cur = min(dt_cur * settings.dt_grow, settings.dt_max)
-            if sinks:
-                if sinks.on_diagnostics:
-                    sinks.on_diagnostics(t, {
-                        "dt": dt, "newton_iterations": rep.iterations,
-                        "residual": rep.resid_norm,
-                        "max_phi_c": float(state.phi_c.max(initial=0.0)),
-                        "max_phi_b": float(state.phi_b.max(initial=0.0)),
-                    })
-                if (next_snap is not None and sinks.on_snapshot
-                        and t >= next_snap - eps):
-                    sinks.on_snapshot(t, state)
-                    while next_snap <= t + eps:
-                        next_snap += sinks.snapshot_cadence
-        t = period.end_time
+    def accept(t, dt, st, rep, control):
+        for name in SPECIES:
+            ledgers[name].injected += rep.injected[name]
+            ledgers[name].produced += rep.produced[name]
+            ledgers[name].reacted += rep.reacted[name]
+        for name in ("b", "c"):
+            immobile[name] += rep.reacted[name]
+        for name, v in rep.clamped.items():
+            clamped[name] += v
+        water["in"] += control.rate * dt
+        water["out_net"] += rep.water_out - rep.water_in
+        return {"max_phi_c": float(st.phi_c.max(initial=0.0)),
+                "max_phi_b": float(st.phi_b.max(initial=0.0))}
 
-    if schedule.periods and sinks and sinks.on_snapshot:
-        sinks.on_snapshot(t, state)
-    final_mass = _solute_mass(sys, state)
+    intervals = [(p.end_time, c) for p, c in zip(schedule.periods, controls)]
+    run = march(state, intervals, settings, step, accept, sinks)
+    final_mass = _solute_mass(sys, run.state)
     for name in SPECIES:
         ledgers[name].final_mass = final_mass[name]
-    return RunReport(final_state=state, t_end=t if schedule.periods else 0.0,
-                     species=ledgers, immobile_produced=immobile,
-                     clamped=clamped, water_injected=water_in,
-                     water_produced_net=water_out_net, steps=steps,
-                     newton_iterations=newton_total, dt_failures=failures,
+    return RunReport(final_state=run.state, t_end=run.t, species=ledgers,
+                     immobile_produced=immobile, clamped=clamped,
+                     water_injected=water["in"], water_produced_net=water["out_net"],
+                     steps=run.steps, newton_iterations=run.newton_iterations,
+                     dt_failures=run.dt_failures,
                      wall_time=time.perf_counter() - t_start)

@@ -1,0 +1,225 @@
+"""Implicit time stepping shared by the reactive and the two-phase solvers.
+
+The solvers supply only their physics, as callables: residual and
+Jacobian evaluation, the finish of a converged step, and the booking of
+an accepted one. This module owns the rest: the grid data both
+assemblies read (:class:`AssemblyData`), Jacobian assembly with the
+closed-domain pressure pin (:class:`TripletMatrix`), the Newton loop
+(:func:`newton`) and adaptive stepping with snapshots and diagnostics
+(:func:`march`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+from scipy import sparse
+
+from .errors import ConvergenceError, DomainError
+
+_EPS = 1e-9  # relative slack on interval ends
+_GROW_COOLDOWN = 3  # accepted steps without dt growth after a dt cut
+
+
+@dataclass
+class SolverSettings:
+    newton_rel_tol: float = 1e-6
+    newton_max_iter: int = 15
+    dt_init: float = 600.0  # s
+    dt_min: float = 1e-2  # s
+    dt_max: float = 7200.0  # s
+    dt_grow: float = 2.0
+    dt_cut: float = 0.5
+    grow_iter_threshold: int = 5  # grow dt after converging this fast
+
+    def validate(self) -> None:
+        if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
+            raise DomainError("need 0 < dt_min <= dt_init <= dt_max")
+        if not self.newton_rel_tol > 0.0:
+            raise DomainError("newton_rel_tol must be > 0")
+
+
+@dataclass
+class OutputHooks:
+    """Optional sinks invoked during a run."""
+
+    snapshot_cadence: float | None = None  # s of simulated time
+    on_snapshot: object = None  # fn(t, state)
+    on_diagnostics: object = None  # fn(t, dict), once per accepted step
+
+
+class AssemblyData:
+    """Grid arrays read by every residual assembly."""
+
+    def __init__(self, grid):
+        self.n = grid.n_active
+        self.V = grid.volumes
+        self.z = grid.centers[:, 2]
+        self.g = grid.gravity_accel
+        self.fa = grid.iface_cells[:, 0]
+        self.fb = grid.iface_cells[:, 1]
+        self.f_dz = self.z[self.fb] - self.z[self.fa]
+        self.bc = grid.bface_cell
+        self.b_z = grid.bface_z
+        self.closed = self.bc.size == 0  # no pressure level: pin cell 0
+        self.well = grid.well_cells
+        self.well_frac = grid.volumes[self.well] / grid.well_volume
+
+
+class NewtonResult(NamedTuple):
+    converged: bool
+    x: np.ndarray  # last iterate
+    iterations: int
+    resid_norm: float
+    aux: dict  # diagnostics of the evaluation at x
+
+
+def newton(evaluate, x, escale, settings: SolverSettings, factor,
+           damped=(), max_step=np.inf) -> NewtonResult:
+    """Solve evaluate(x) = 0 from the initial iterate x.
+
+    ``evaluate(x, want_jacobian)`` returns (residual, J or None, aux) and
+    builds J only if ``want_jacobian(residual)``, that is, only for an
+    iterate that ``factor(J).solve`` will be applied to. Convergence is
+    max |residual / escale| < newton_rel_tol; a NaN norm or reaching
+    newton_max_iter fails. An update whose largest entry in the slices
+    ``damped`` exceeds ``max_step`` is scaled down to ``max_step``.
+    """
+    tol = settings.newton_rel_tol
+    iters = 0
+
+    def norm(resid):
+        return float(np.max(np.abs(resid / escale)))
+
+    def will_factor(resid):
+        rnorm = norm(resid)
+        return np.isfinite(rnorm) and rnorm >= tol and iters < settings.newton_max_iter
+
+    resid, J, aux = evaluate(x, will_factor)
+    rnorm = norm(resid)
+    while not rnorm < tol:  # a NaN norm fails the step, it never converges
+        if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
+            return NewtonResult(False, x, iters, rnorm, aux)
+        delta = factor(J).solve(-resid)
+        dmax = max((np.max(np.abs(delta[s]), initial=0.0) for s in damped),
+                   default=0.0)
+        if dmax > max_step:
+            delta *= max_step / dmax
+        x = x + delta
+        iters += 1
+        resid, J, aux = evaluate(x, will_factor)
+        rnorm = norm(resid)
+    return NewtonResult(True, x, iters, rnorm, aux)
+
+
+def jacobian_wanted(want_jacobian, resid) -> bool:
+    """Resolve an evaluator's ``want_jacobian``: a bool or fn(residual)."""
+    return want_jacobian(resid) if callable(want_jacobian) else bool(want_jacobian)
+
+
+class TripletMatrix:
+    """Jacobian with unknown ``var`` of cell ``i`` at ``nvar * i + var``.
+
+    Duplicate entries are summed in the order they were added.
+    """
+
+    def __init__(self, nvar: int):
+        self.nvar = nvar
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, row_cells, row_var, col_cells, col_var, values) -> None:
+        self.rows.append(self.nvar * np.asarray(row_cells) + row_var)
+        self.cols.append(self.nvar * np.asarray(col_cells) + col_var)
+        self.vals.append(np.asarray(values, dtype=float))
+
+    def tocsc(self, n_cells: int, pin_scale: float | None = None):
+        """CSC matrix; ``pin_scale`` replaces row 0 by a pressure pin.
+
+        A closed domain's residual replaces equation 0 of cell 0 by
+        (p_0 - p_bdry) * pin_scale, so that row is pin_scale on the diagonal.
+        Consumes the entries: each list of pieces is dropped once joined,
+        because at scale they set the peak memory of an assembly.
+        """
+        rows = np.concatenate(self.rows)
+        del self.rows
+        cols = np.concatenate(self.cols)
+        del self.cols
+        vals = np.concatenate(self.vals)
+        del self.vals
+        if pin_scale is not None:
+            keep = rows != 0
+            rows = np.append(rows[keep], 0)
+            cols = np.append(cols[keep], 0)
+            vals = np.append(vals[keep], pin_scale)
+        size = self.nvar * n_cells
+        return sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
+
+
+@dataclass
+class MarchReport:
+    state: object
+    t: float = 0.0
+    steps: int = 0
+    newton_iterations: int = 0
+    dt_failures: int = 0
+
+
+def march(state, intervals, settings: SolverSettings, step, accept,
+          sinks: OutputHooks | None = None) -> MarchReport:
+    """Advance ``state`` from t = 0 across consecutive intervals.
+
+    ``intervals`` lists (t_end, ctx) pairs, ctx being the interval's well
+    control or rate. ``step(state, dt, ctx)`` returns (new_state, report)
+    with ``converged``, ``iterations`` and ``resid_norm``. Each interval
+    starts at dt_init and ends exactly on t_end. A failed step is retried
+    with dt * dt_cut, and below dt_min a ConvergenceError carries the
+    last good state. dt grows by dt_grow after a step that converged
+    within grow_iter_threshold iterations, except in the first steps
+    after a cut. ``accept(t, dt, state, report, ctx)`` books an accepted
+    step and returns the solver's entries of its diagnostics record.
+    Snapshots are taken at t = 0, at the cadence and at the end.
+    """
+    settings.validate()
+    sinks = sinks or OutputHooks()
+    run = MarchReport(state)
+    if sinks.on_snapshot:
+        sinks.on_snapshot(run.t, state)
+    next_snap = sinks.snapshot_cadence or None
+    cooldown = 0
+    for t_end, ctx in intervals:
+        dt_cur = min(settings.dt_init, settings.dt_max)
+        while t_end - run.t > _EPS * max(1.0, t_end):
+            dt = min(dt_cur, t_end - run.t)
+            new_state, rep = step(run.state, dt, ctx)
+            if not rep.converged:
+                run.dt_failures += 1
+                cooldown = _GROW_COOLDOWN  # hold dt, avoid cut/grow cycles
+                dt_cur = dt * settings.dt_cut
+                if dt_cur < settings.dt_min:
+                    raise ConvergenceError(
+                        f"Newton failed at t = {run.t:.6g} s with dt below dt_min",
+                        last_good_state=run.state, last_good_time=run.t)
+                continue
+            run.state = new_state
+            run.t += dt
+            run.steps += 1
+            run.newton_iterations += rep.iterations
+            extra = accept(run.t, dt, new_state, rep, ctx)
+            if cooldown > 0:
+                cooldown -= 1
+            elif rep.iterations <= settings.grow_iter_threshold:
+                dt_cur = min(dt_cur * settings.dt_grow, settings.dt_max)
+            if sinks.on_diagnostics:
+                sinks.on_diagnostics(run.t, {
+                    "dt": dt, "newton_iterations": rep.iterations,
+                    "residual": rep.resid_norm, **extra})
+            if next_snap is not None and sinks.on_snapshot and run.t >= next_snap - _EPS:
+                sinks.on_snapshot(run.t, run.state)
+                while next_snap <= run.t + _EPS:
+                    next_snap += sinks.snapshot_cadence
+        run.t = t_end
+    if intervals and sinks.on_snapshot:
+        sinks.on_snapshot(run.t, run.state)
+    return run

@@ -9,10 +9,10 @@ from micpsim.co2 import (
     simulate_co2,
     solve_twophase_step,
 )
-from micpsim.errors import DomainError, GeometryError
+from micpsim.errors import ConvergenceError, DomainError, GeometryError
 from micpsim.grid import DomainSpec, LeakSpec, ReservoirSpec, build_domain
-from micpsim.micp import SolverSettings
 from micpsim.params import RockLaw, TwoPhaseParams
+from micpsim.stepping import OutputHooks, SolverSettings
 
 ROCK = RockLaw()
 TP = TwoPhaseParams()
@@ -60,6 +60,15 @@ class TestStep:
                                              p_bdry=P0)
             assert rep.converged
             assert np.all(state.s >= 0.0) and np.all(state.s <= 1.0)
+
+    def test_nan_residual_fails_the_step(self):
+        grid = line_grid(nx=20)
+        state = make_initial_twophase_state(grid, TP, P0)
+        state.s[3] = np.nan
+        new, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 0.0,
+                                       SolverSettings(), TP, p_bdry=P0)
+        assert not rep.converged
+        assert new is state
 
 
 class TestFrontPosition:
@@ -183,6 +192,31 @@ class TestSimulateCo2:
         cum_treated = _cumulative(treated.series)
         assert cum_treated <= cum_untreated
         assert untreated.peak_flux > 0.0
+
+    def test_diagnostics_once_per_accepted_step(self):
+        grid = _leaky_box()
+        records = []
+        hooks = OutputHooks(on_diagnostics=lambda t, info: records.append((t, info)))
+        rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
+                           plane_z=2.0, p_bdry=P0, sinks=hooks)
+        assert rep.steps > 1
+        assert len(records) == rep.steps
+        assert [t for t, _ in records] == [t for t, _ in rep.series]
+        assert [info["leak_flux"] for _, info in records] == [v for _, v in rep.series]
+        assert sum(info["dt"] for _, info in records) == pytest.approx(86400.0)
+        assert sum(info["newton_iterations"] for _, info in records) == rep.newton_iterations
+
+    def test_hard_failure_carries_last_good_state(self):
+        grid = line_grid(nx=20)
+        settings = SolverSettings(newton_max_iter=1, dt_init=3600.0,
+                                  dt_min=3600.0, dt_max=3600.0)
+        with pytest.raises(ConvergenceError) as exc_info:
+            simulate_co2(grid, grid.perm0, 2.31e-4, 36000.0, settings, TP,
+                         p_bdry=P0)
+        last = exc_info.value.last_good_state
+        assert isinstance(last, TwoPhaseState)
+        assert exc_info.value.last_good_time == 0.0
+        assert np.all(last.s == 0.0)
 
 
 def _leaky_box():

@@ -14,7 +14,6 @@ from micpsim.kinetics import (
     permeability,
     permeability_derivative,
     reaction_rates,
-    update_immobile,
     _rate_jacobian,
     _rates,
 )
@@ -202,33 +201,6 @@ class TestRateJacobian:
                 analytic = jac.get((rate, var), 0.0)
                 scale = max(abs(cs), abs(analytic), resolved)
                 assert abs(analytic - cs) <= 1e-10 * scale, (rate, var, analytic, cs)
-
-
-class TestUpdateImmobile:
-    def test_zero_rates_identity(self):
-        state = CellChemState(c_u=5.0, phi_b=0.01, phi_c=0.02)
-        zero = reaction_rates(CellChemState(), PARAMS, ROCK)
-        new, clamp = update_immobile(state, zero, 3600.0, PARAMS, ROCK)
-        assert new == state
-        assert clamp.total == 0.0
-
-    def test_overshoot_floors_biofilm(self):
-        state = CellChemState(phi_b=0.01)
-        dt = 10.0
-        rates = reaction_rates(CellChemState(), PARAMS, ROCK)
-        overshoot = type(rates)(R_m=0.0, R_o=0.0, R_u=0.0,
-                                R_b=-PARAMS.rho_b * state.phi_b / dt * 2.0, R_c=0.0)
-        new, clamp = update_immobile(state, overshoot, dt, PARAMS, ROCK)
-        assert new.phi_b == 0.0
-        assert clamp.biofilm == pytest.approx(PARAMS.rho_b * state.phi_b, rel=1e-14)
-
-    def test_cementation_hour_step(self):
-        state = CellChemState(c_u=300.0, phi_b=0.01)
-        rates = reaction_rates(state, PARAMS, ROCK)
-        new, _ = update_immobile(state, rates, 3600.0, PARAMS, ROCK)
-        expected = 3600.0 * rates.R_c / PARAMS.rho_c
-        assert new.phi_c == pytest.approx(expected, rel=1e-13)
-        assert new.phi_c == pytest.approx(1.17e-2, rel=5e-3)
 
 
 class TestBatchOracle:
