@@ -33,7 +33,6 @@ from .stepping import (
     AssemblyData,
     OutputHooks,
     SolverSettings,
-    TripletMatrix,
     jacobian_wanted,
     march,
     newton,
@@ -92,34 +91,26 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     Fw = sys.T * lam_w * dw
     Fc = sys.T * lam_c * dc
 
-    if sys.bc.size:
-        # ghost water column: p_ghost(z) = p_bdry - rho_w g z
-        bdw = p[sys.bc] + pr.rho_w * sys.g * sys.z[sys.bc] - p_bdry
-        bdc = (p[sys.bc] + pr.rho_co2 * sys.g * sys.z[sys.bc]
-               - (p_bdry - (pr.rho_w - pr.rho_co2) * sys.g * sys.b_z))
-        out_w = bdw >= 0.0
-        out_c = bdc >= 0.0
-        blam_w = np.where(out_w, (1.0 - se[sys.bc]) / pr.mu_w, 1.0 / pr.mu_w)
-        blam_c = np.where(out_c, se[sys.bc] / pr.mu_co2, 0.0)
-        Fbw = sys.Tb * blam_w * bdw
-        Fbc = sys.Tb * blam_c * bdc
-    else:
-        bdw = bdc = Fbw = Fbc = np.empty(0)
-        out_w = out_c = np.empty(0, dtype=bool)
+    # ghost water column: p_ghost(z) = p_bdry - rho_w g z
+    bdw = p[sys.bc] + pr.rho_w * sys.g * sys.z[sys.bc] - p_bdry
+    bdc = (p[sys.bc] + pr.rho_co2 * sys.g * sys.z[sys.bc]
+           - (p_bdry - (pr.rho_w - pr.rho_co2) * sys.g * sys.b_z))
+    out_w = bdw >= 0.0
+    out_c = bdc >= 0.0
+    blam_w = np.where(out_w, (1.0 - se[sys.bc]) / pr.mu_w, 1.0 / pr.mu_w)
+    blam_c = np.where(out_c, se[sys.bc] / pr.mu_co2, 0.0)
+    Fbw = sys.Tb * blam_w * bdw
+    Fbc = sys.Tb * blam_c * bdc
 
     q_c = np.zeros(n)
     if rate != 0.0:
         q_c[sys.well] = rate * sys.well_frac
 
+    fluxes = np.stack((Fw, Fc), axis=1)  # one column per equation: JP water, JS CO2
+    div = sys.face_sums(fluxes, fluxes, np.stack((Fbw, Fbc), axis=1))
     resid = np.zeros(NV2 * n)
-    div_w = (np.bincount(sys.fa, weights=Fw, minlength=n)
-             - np.bincount(sys.fb, weights=Fw, minlength=n)
-             + np.bincount(sys.bc, weights=Fbw, minlength=n))
-    div_c = (np.bincount(sys.fa, weights=Fc, minlength=n)
-             - np.bincount(sys.fb, weights=Fc, minlength=n)
-             + np.bincount(sys.bc, weights=Fbc, minlength=n))
-    resid[JP::NV2] = -sys.phi * (s - old.s) * V / dt + div_w
-    resid[JS::NV2] = sys.phi * (s - old.s) * V / dt + div_c - q_c
+    resid[JP::NV2] = -sys.phi * (s - old.s) * V / dt + div[:, JP]
+    resid[JS::NV2] = sys.phi * (s - old.s) * V / dt + div[:, JS] - q_c
 
     pin_scale = None
     if sys.closed:
@@ -130,36 +121,30 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     if not jacobian_wanted(want_jacobian, resid):
         return resid, None, aux
 
-    jmat = TripletMatrix(NV2)
-    add = jmat.add
-    cells = np.arange(n)
-    add(cells, JP, cells, JS, -sys.phi * V / dt)
-    add(cells, JS, cells, JS, sys.phi * V / dt)
+    cell = np.zeros((n, NV2, NV2))
+    cell[:, JP, JS] = -sys.phi * V / dt
+    cell[:, JS, JS] = sys.phi * V / dt
 
     in_bounds = (s >= 0.0) & (s <= 1.0)
-    dlam_w = np.where(in_bounds[up_w], -1.0 / pr.mu_w, 0.0)
-    dlam_c = np.where(in_bounds[up_c], 1.0 / pr.mu_co2, 0.0)
-    for row_var, F_T_lam, dpot, upwind, dlam in (
-            (JP, sys.T * lam_w, dw, up_w, dlam_w),
-            (JS, sys.T * lam_c, dc, up_c, dlam_c)):
-        add(sys.fa, row_var, sys.fa, JP, F_T_lam)
-        add(sys.fb, row_var, sys.fa, JP, -F_T_lam)
-        add(sys.fa, row_var, sys.fb, JP, -F_T_lam)
-        add(sys.fb, row_var, sys.fb, JP, F_T_lam)
-        dF_ds = sys.T * dlam * dpot
-        add(sys.fa, row_var, upwind, JS, dF_ds)
-        add(sys.fb, row_var, upwind, JS, -dF_ds)
+    face_a = np.zeros((Fw.size, NV2, NV2))
+    face_b = np.zeros((Fw.size, NV2, NV2))
+    for row, T_lam, dpot, upwind, dlam in (
+            (JP, sys.T * lam_w, dw, up_w, -1.0 / pr.mu_w),
+            (JS, sys.T * lam_c, dc, up_c, 1.0 / pr.mu_co2)):
+        face_a[:, row, JP] = T_lam
+        face_b[:, row, JP] = -T_lam
+        dF_ds = sys.T * np.where(in_bounds[upwind], dlam, 0.0) * dpot
+        face_a[:, row, JS] = np.where(dpot >= 0.0, dF_ds, 0.0)
+        face_b[:, row, JS] = np.where(dpot >= 0.0, 0.0, dF_ds)
 
-    if sys.bc.size:
-        sb_in = in_bounds[sys.bc]
-        add(sys.bc, JP, sys.bc, JP, sys.Tb * blam_w)
-        add(sys.bc, JS, sys.bc, JP, sys.Tb * blam_c)
-        add(sys.bc, JP, sys.bc, JS,
-            np.where(out_w & sb_in, -sys.Tb / pr.mu_w * bdw, 0.0))
-        add(sys.bc, JS, sys.bc, JS,
-            np.where(out_c & sb_in, sys.Tb / pr.mu_co2 * bdc, 0.0))
+    sb_in = in_bounds[sys.bc]
+    bface = np.zeros((Fbw.size, NV2, NV2))
+    bface[:, JP, JP] = sys.Tb * blam_w
+    bface[:, JS, JP] = sys.Tb * blam_c
+    bface[:, JP, JS] = np.where(out_w & sb_in, -sys.Tb / pr.mu_w * bdw, 0.0)
+    bface[:, JS, JS] = np.where(out_c & sb_in, sys.Tb / pr.mu_co2 * bdc, 0.0)
 
-    return resid, jmat.tocsc(n, pin_scale), aux
+    return resid, sys.jacobian(cell, face_a, face_b, bface, pin_scale), aux
 
 
 def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
@@ -184,7 +169,7 @@ def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
     if not res.converged or np.any(s < -1e-6) or np.any(s > 1.0 + 1e-6):
         return state_old, _StepReport(False, res.iterations, res.resid_norm)
     state = TwoPhaseState(p=res.x[JP::NV2].copy(), s=np.clip(s, 0.0, 1.0))
-    co2_out = float(np.sum(np.maximum(res.aux["Fbc"], 0.0))) * dt if sys.bc.size else 0.0
+    co2_out = float(np.sum(np.maximum(res.aux["Fbc"], 0.0))) * dt
     return state, _StepReport(True, res.iterations, res.resid_norm, co2_out=co2_out)
 
 

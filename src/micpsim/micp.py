@@ -59,7 +59,6 @@ from .stepping import (
     AssemblyData,
     OutputHooks,
     SolverSettings,
-    TripletMatrix,
     jacobian_wanted,
     march,
     newton,
@@ -71,6 +70,8 @@ NVAR = 6
 
 SPECIES = ("m", "o", "u")
 RATES = ("R_m", "R_o", "R_u", "R_b", "R_c")  # order of kinetics._rates
+_RATE_ROW = dict(zip(RATES, (IM, IO, IU, IB, IC)))  # equation of each rate
+_RATE_VAR = dict(zip("moubc", (IM, IO, IU, IB, IC)))  # unknown of each rate argument
 _CONC_FLOOR = {"m": 1e-3, "o": 1e-3, "u": 1e-1}  # kg/m^3, convergence scales
 
 _SIDE_AXIS_SIGN = {"x-": (0, -1.0), "x+": (0, 1.0), "y-": (1, -1.0), "y+": (1, 1.0)}
@@ -235,23 +236,23 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     if control.rate != 0.0:
         q[sys.well] = control.rate * sys.well_frac
 
+    # face flux vectors w F, w = (1, c_up, 0, 0): water F and solute c_up F
+    solutes = ((IM, m, old.c_m, control.c_m, R_m), (IO, o, old.c_o, control.c_o, R_o),
+               (IU, u, old.c_u, control.c_u, R_u))
+    w = np.zeros((F.size, NVAR))
+    wb = np.zeros((Fb.size, NVAR))
+    w[:, IP] = wb[:, IP] = 1.0
+    for ivar, cv, *_ in solutes:
+        w[:, ivar] = cv[upw]
+        wb[:, ivar] = np.where(out_mask, cv[sys.bc], 0.0)
+    flux = w * F[:, None]
+    div = sys.face_sums(flux, flux, wb * Fb[:, None])
+
     resid = np.zeros(NVAR * n)
-    flux_div = (np.bincount(sys.fa, weights=F, minlength=n)
-                - np.bincount(sys.fb, weights=F, minlength=n)
-                + np.bincount(sys.bc, weights=Fb, minlength=n))
-    resid[IP::NVAR] = (phi - phi_old) * V / dt + flux_div - q
-
-    conc = {"m": (m, old.c_m, control.c_m, IM, R_m),
-            "o": (o, old.c_o, control.c_o, IO, R_o),
-            "u": (u, old.c_u, control.c_u, IU, R_u)}
-    for name, (cv, cv_old, c_inj, ivar, R) in conc.items():
-        adv = (np.bincount(sys.fa, weights=cv[upw] * F, minlength=n)
-               - np.bincount(sys.fb, weights=cv[upw] * F, minlength=n)
-               + np.bincount(sys.bc, weights=np.where(out_mask, cv[sys.bc], 0.0) * Fb,
-                             minlength=n))
+    resid[IP::NVAR] = (phi - phi_old) * V / dt + div[:, IP] - q
+    for ivar, cv, cv_old, c_inj, R in solutes:
         resid[ivar::NVAR] = ((cv * phi - cv_old * phi_old) * V / dt
-                             + adv - c_inj * q - R * V)
-
+                             + div[:, ivar] - c_inj * q - R * V)
     resid[IB::NVAR] = sys.params.rho_b * (b - old.phi_b) * V / dt - R_b * V
     resid[IC::NVAR] = sys.params.rho_c * (c - old.phi_c) * V / dt - R_c * V
 
@@ -266,68 +267,40 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     if not jacobian_wanted(want_jacobian, resid):
         return resid, None, aux
 
-    jmat = TripletMatrix(NVAR)
-    add = jmat.add
-    cells = np.arange(n)
+    # storage and reaction derivatives of each cell
+    cell = np.zeros((n, NVAR, NVAR))
+    cell[:, IP, IB] = cell[:, IP, IC] = -V / dt
+    for ivar, cv, *_ in solutes:
+        cell[:, ivar, ivar] = phi * V / dt
+        cell[:, ivar, IB] = cell[:, ivar, IC] = -cv * V / dt
+    cell[:, IB, IB] = sys.params.rho_b * V / dt
+    cell[:, IC, IC] = sys.params.rho_c * V / dt
     if jac is None:
         jac = _rate_jacobian(mc, oc, uc, bcl, ccl, shear, sys.params, sys.rock)
+    for (rname, vname), dR in jac.items():
+        cell[:, _RATE_ROW[rname], _RATE_VAR[vname]] -= dR * V
 
-    def jentry(rate, var):
-        val = jac.get((rate, var))
-        return np.zeros(n) if val is None else np.broadcast_to(val, (n,))
-
-    # storage + reaction blocks
-    add(cells, IP, cells, IB, -V / dt)
-    add(cells, IP, cells, IC, -V / dt)
-    svars = ((IM, "m", m, "R_m"), (IO, "o", o, "R_o"), (IU, "u", u, "R_u"))
-    for ivar, vname, cv, rname in svars:
-        add(cells, ivar, cells, ivar, phi * V / dt - jentry(rname, vname) * V)
-        for jvar, jname in ((IM, "m"), (IO, "o"), (IU, "u")):
-            if jvar != ivar:
-                add(cells, ivar, cells, jvar, -jentry(rname, jname) * V)
-        add(cells, ivar, cells, IB, -cv * V / dt - jentry(rname, "b") * V)
-        add(cells, ivar, cells, IC, -cv * V / dt - jentry(rname, "c") * V)
-    for jvar, jname in ((IM, "m"), (IO, "o"), (IU, "u"), (IC, "c")):
-        add(cells, IB, cells, jvar, -jentry("R_b", jname) * V)
-    add(cells, IB, cells, IB, sys.params.rho_b * V / dt - jentry("R_b", "b") * V)
-    for jvar, jname in ((IU, "u"), (IB, "b")):
-        add(cells, IC, cells, jvar, -jentry("R_c", jname) * V)
-    add(cells, IC, cells, IC, np.full(n, sys.params.rho_c) * V / dt)
-
-    # interior face flux derivatives
-    dF_dpa = T / mu_w
+    # flux derivatives: w (x) dF/dx, plus F on the upwind cell's own concentration
     dT_dKa = T * T * sys.f_da / (sys.f_area * K[sys.fa] ** 2)
     dT_dKb = T * T * sys.f_db / (sys.f_area * K[sys.fb] ** 2)
-    dF_dba = dpot / mu_w * dT_dKa * (-dK[sys.fa])
-    dF_dbb = dpot / mu_w * dT_dKb * (-dK[sys.fb])
-    flux_cols = ((sys.fa, IP, dF_dpa), (sys.fb, IP, -dF_dpa),
-                 (sys.fa, IB, dF_dba), (sys.fa, IC, dF_dba),
-                 (sys.fb, IB, dF_dbb), (sys.fb, IC, dF_dbb))
-    for col_cells, col_var, dF in flux_cols:
-        add(sys.fa, IP, col_cells, col_var, dF)
-        add(sys.fb, IP, col_cells, col_var, -dF)
-    for name, (cv, _, _, ivar, _) in conc.items():
-        c_up = cv[upw]
-        for col_cells, col_var, dF in flux_cols:
-            add(sys.fa, ivar, col_cells, col_var, c_up * dF)
-            add(sys.fb, ivar, col_cells, col_var, -c_up * dF)
-        add(sys.fa, ivar, upw, ivar, F)
-        add(sys.fb, ivar, upw, ivar, -F)
+    dF_da = np.zeros((F.size, NVAR))
+    dF_db = np.zeros((F.size, NVAR))
+    dF_da[:, IP] = T / mu_w
+    dF_db[:, IP] = -T / mu_w
+    dF_da[:, IB] = dF_da[:, IC] = dpot / mu_w * dT_dKa * (-dK[sys.fa])
+    dF_db[:, IB] = dF_db[:, IC] = dpot / mu_w * dT_dKb * (-dK[sys.fb])
+    dFb = np.zeros((Fb.size, NVAR))
+    dFb[:, IP] = Tb / mu_w
+    dFb[:, IB] = dFb[:, IC] = dpot_b / mu_w * sys.b_area / sys.b_d * (-dK[sys.bc])
+    face_a = w[:, :, None] * dF_da[:, None, :]
+    face_b = w[:, :, None] * dF_db[:, None, :]
+    bface = wb[:, :, None] * dFb[:, None, :]
+    for ivar, *_ in solutes:
+        face_a[:, ivar, ivar] += np.where(up_is_a, F, 0.0)
+        face_b[:, ivar, ivar] += np.where(up_is_a, 0.0, F)
+        bface[:, ivar, ivar] += np.where(out_mask, Fb, 0.0)
 
-    # boundary face derivatives
-    if sys.bc.size:
-        dFb_dp = Tb / mu_w
-        dFb_db = dpot_b / mu_w * sys.b_area / sys.b_d * (-dK[sys.bc])
-        bcols = ((IP, dFb_dp), (IB, dFb_db), (IC, dFb_db))
-        for col_var, dFb in bcols:
-            add(sys.bc, IP, sys.bc, col_var, dFb)
-        for name, (cv, _, _, ivar, _) in conc.items():
-            cb = np.where(out_mask, cv[sys.bc], 0.0)
-            for col_var, dFb in bcols:
-                add(sys.bc, ivar, sys.bc, col_var, cb * dFb)
-            add(sys.bc, ivar, sys.bc, ivar, np.where(out_mask, Fb, 0.0))
-
-    return resid, jmat.tocsc(n, pin_scale), aux
+    return resid, sys.jacobian(cell, face_a, face_b, bface, pin_scale), aux
 
 
 def _error_scales(sys: _System, dt, conc_scales) -> np.ndarray:
@@ -422,16 +395,14 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
     Fb, out_mask = aux["Fb"], aux["out_mask"]
     conc_vectors = {"m": x[IM::NVAR], "o": x[IO::NVAR], "u": x[IU::NVAR]}
     for name in SPECIES:
-        cv = conc_vectors[name]
-        outflow = float(np.sum(np.where(out_mask, cv[sys.bc], 0.0) * Fb)) if sys.bc.size else 0.0
+        outflow = float(np.sum(np.where(out_mask, conc_vectors[name][sys.bc], 0.0) * Fb))
         report.produced[name] = outflow * dt
         report.injected[name] = getattr(control, f"c_{name}") * control.rate * dt
         report.reacted[name] = float(np.sum(aux["rates"][name] * sys.V)) * dt
     for name in ("b", "c"):
         report.reacted[name] = float(np.sum(aux["rates"][name] * sys.V)) * dt
-    if sys.bc.size:
-        report.water_out = float(np.sum(np.maximum(Fb, 0.0))) * dt
-        report.water_in = float(np.sum(np.maximum(-Fb, 0.0))) * dt
+    report.water_out = float(np.sum(np.maximum(Fb, 0.0))) * dt
+    report.water_in = float(np.sum(np.maximum(-Fb, 0.0))) * dt
     return state, report
 
 

@@ -3,10 +3,11 @@
 The solvers supply only their physics, as callables: residual and
 Jacobian evaluation, the finish of a converged step, and the booking of
 an accepted one. This module owns the rest: the grid data both
-assemblies read (:class:`AssemblyData`), Jacobian assembly with the
-closed-domain pressure pin (:class:`TripletMatrix`), the Newton loop
-(:func:`newton`) and adaptive stepping with snapshots and diagnostics
-(:func:`march`).
+assemblies read (:class:`AssemblyData`), the sums of face fluxes into
+cells and the scatter of derivative blocks into the Newton matrix with
+the closed-domain pressure pin (:meth:`AssemblyData.face_sums`,
+:meth:`AssemblyData.jacobian`), the Newton loop (:func:`newton`) and
+adaptive stepping with snapshots and diagnostics (:func:`march`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import ConvergenceError, DomainError
 
 _EPS = 1e-9  # relative slack on interval ends
 _GROW_COOLDOWN = 3  # accepted steps without dt growth after a dt cut
+_GROW_ITERS = 5  # grow dt after a step that converged within this many iterations
 
 
 @dataclass
@@ -32,13 +34,16 @@ class SolverSettings:
     dt_max: float = 7200.0  # s
     dt_grow: float = 2.0
     dt_cut: float = 0.5
-    grow_iter_threshold: int = 5  # grow dt after converging this fast
 
     def validate(self) -> None:
         if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
             raise DomainError("need 0 < dt_min <= dt_init <= dt_max")
         if not self.newton_rel_tol > 0.0:
             raise DomainError("newton_rel_tol must be > 0")
+        if not 0.0 < self.dt_cut < 1.0:
+            raise DomainError("need 0 < dt_cut < 1")
+        if not self.dt_grow >= 1.0:
+            raise DomainError("need dt_grow >= 1")
 
 
 @dataclass
@@ -66,6 +71,51 @@ class AssemblyData:
         self.closed = self.bc.size == 0  # no pressure level: pin cell 0
         self.well = grid.well_cells
         self.well_frac = grid.volumes[self.well] / grid.well_volume
+
+    def face_sums(self, on_a, on_b, on_bc):
+        """Per-cell sums of face terms, a face's flux leaving a and entering b.
+
+        Interior face f adds on_a[f] to its cell a and subtracts on_b[f]
+        from its cell b; boundary face k adds on_bc[k] to its cell. Arrays
+        of shape (faces, ...) give an array of shape (cells, ...).
+        """
+        return (_cell_sums(self.fa, on_a, self.n) - _cell_sums(self.fb, on_b, self.n)
+                + _cell_sums(self.bc, on_bc, self.n))
+
+    def jacobian(self, cell, face_a, face_b, bface, pin_scale=None):
+        """Newton matrix, unknown v of cell i at nvar * i + v, from derivative blocks.
+
+        ``cell`` (cells, nvar, nvar) holds the derivatives of each cell's
+        residual apart from its face fluxes. Interior face f carries a flux
+        vector out of its cell a into its cell b; ``face_a[f]`` and
+        ``face_b[f]`` are its derivatives by the unknowns of a and of b.
+        ``bface[k]`` is the derivative of boundary face k's outflow by the
+        unknowns of its cell. Entries that are exactly zero are not stored,
+        so LU sees only the numerically nonzero pattern. ``pin_scale``
+        replaces row 0 by the pressure pin of a closed domain, whose
+        residual replaces equation 0 of cell 0 by (p_0 - p_bdry) * pin_scale.
+        """
+        n, nvar = self.n, cell.shape[1]
+        cells = np.arange(n)
+        blocks = np.concatenate((cell + self.face_sums(face_a, face_b, bface),
+                                 face_b, -face_a))
+        brow = np.concatenate((cells, self.fa, self.fb))
+        bcol = np.concatenate((cells, self.fb, self.fa))
+        if pin_scale is not None:
+            blocks[brow == 0, 0, :] = 0.0
+            blocks[0, 0, 0] = pin_scale
+        k, i, j = np.nonzero(blocks)
+        size = nvar * n
+        return sparse.coo_matrix((blocks[k, i, j], (nvar * brow[k] + i, nvar * bcol[k] + j)),
+                                 shape=(size, size)).tocsc()
+
+
+def _cell_sums(cells, weights, n):
+    """Sum of weights[f] over the f with cells[f] == i, trailing axes kept."""
+    tail = weights.shape[1:]
+    k = int(np.prod(tail))
+    idx = (cells[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(idx, weights=weights.ravel(), minlength=n * k).reshape((n, *tail))
 
 
 class NewtonResult(NamedTuple):
@@ -119,44 +169,6 @@ def jacobian_wanted(want_jacobian, resid) -> bool:
     return want_jacobian(resid) if callable(want_jacobian) else bool(want_jacobian)
 
 
-class TripletMatrix:
-    """Jacobian with unknown ``var`` of cell ``i`` at ``nvar * i + var``.
-
-    Duplicate entries are summed in the order they were added.
-    """
-
-    def __init__(self, nvar: int):
-        self.nvar = nvar
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, row_cells, row_var, col_cells, col_var, values) -> None:
-        self.rows.append(self.nvar * np.asarray(row_cells) + row_var)
-        self.cols.append(self.nvar * np.asarray(col_cells) + col_var)
-        self.vals.append(np.asarray(values, dtype=float))
-
-    def tocsc(self, n_cells: int, pin_scale: float | None = None):
-        """CSC matrix; ``pin_scale`` replaces row 0 by a pressure pin.
-
-        A closed domain's residual replaces equation 0 of cell 0 by
-        (p_0 - p_bdry) * pin_scale, so that row is pin_scale on the diagonal.
-        Consumes the entries: each list of pieces is dropped once joined,
-        because at scale they set the peak memory of an assembly.
-        """
-        rows = np.concatenate(self.rows)
-        del self.rows
-        cols = np.concatenate(self.cols)
-        del self.cols
-        vals = np.concatenate(self.vals)
-        del self.vals
-        if pin_scale is not None:
-            keep = rows != 0
-            rows = np.append(rows[keep], 0)
-            cols = np.append(cols[keep], 0)
-            vals = np.append(vals[keep], pin_scale)
-        size = self.nvar * n_cells
-        return sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
-
-
 @dataclass
 class MarchReport:
     state: object
@@ -176,16 +188,17 @@ def march(state, intervals, settings: SolverSettings, step, accept,
     starts at dt_init and ends exactly on t_end. A failed step is retried
     with dt * dt_cut, and below dt_min a ConvergenceError carries the
     last good state. dt grows by dt_grow after a step that converged
-    within grow_iter_threshold iterations, except in the first steps
-    after a cut. ``accept(t, dt, state, report, ctx)`` books an accepted
-    step and returns the solver's entries of its diagnostics record.
-    Snapshots are taken at t = 0, at the cadence and at the end.
+    within _GROW_ITERS iterations, except in the first steps after a
+    cut. ``accept(t, dt, state, report, ctx)`` books an accepted step and
+    returns the solver's entries of its diagnostics record. Snapshots are
+    taken at t = 0, at the cadence and at the end, each time once.
     """
     settings.validate()
     sinks = sinks or OutputHooks()
     run = MarchReport(state)
     if sinks.on_snapshot:
         sinks.on_snapshot(run.t, state)
+    snapped = run.t  # time of the last snapshot
     next_snap = sinks.snapshot_cadence or None
     cooldown = 0
     for t_end, ctx in intervals:
@@ -209,7 +222,7 @@ def march(state, intervals, settings: SolverSettings, step, accept,
             extra = accept(run.t, dt, new_state, rep, ctx)
             if cooldown > 0:
                 cooldown -= 1
-            elif rep.iterations <= settings.grow_iter_threshold:
+            elif rep.iterations <= _GROW_ITERS:
                 dt_cur = min(dt_cur * settings.dt_grow, settings.dt_max)
             if sinks.on_diagnostics:
                 sinks.on_diagnostics(run.t, {
@@ -217,9 +230,10 @@ def march(state, intervals, settings: SolverSettings, step, accept,
                     "residual": rep.resid_norm, **extra})
             if next_snap is not None and sinks.on_snapshot and run.t >= next_snap - _EPS:
                 sinks.on_snapshot(run.t, run.state)
+                snapped = run.t
                 while next_snap <= run.t + _EPS:
                     next_snap += sinks.snapshot_cadence
         run.t = t_end
-    if intervals and sinks.on_snapshot:
+    if sinks.on_snapshot and run.t - snapped > _EPS * max(1.0, run.t):
         sinks.on_snapshot(run.t, run.state)
     return run

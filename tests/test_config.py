@@ -118,6 +118,14 @@ class TestParsing:
             parse_config("[rock]\nphi_crit = 0.5\n")  # above phi0 = 0.15
         assert any("phi_crit" in p for p in exc_info.value.problems)
 
+    @pytest.mark.parametrize("setting", ["dt_cut = 1.0", "dt_cut = 0.0", "dt_grow = 0.5"])
+    def test_step_factors_that_never_end_a_run_rejected(self, setting):
+        # dt_cut = 1 retries a failing step at the same dt forever; dt_grow < 1
+        # shrinks the steps so that they never reach the end of the interval
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(f"[solver]\n{setting}\n")
+        assert any(p.startswith("[solver]") for p in exc_info.value.problems)
+
     def test_syntax_error_reports_line(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config("[domain]\nnx 100\n")

@@ -1,0 +1,98 @@
+"""Every column of both assembled Jacobians against central differences
+of the residual, on a small 3D open grid with flow and in-bounds iterates.
+
+The pressure step is a tenth of the smallest face potential difference,
+so no face changes its upwind direction between the two evaluations.
+"""
+
+import numpy as np
+
+from micpsim.co2 import NV2, TwoPhaseState, _eval_twophase, _TwoPhaseSystem
+from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
+from micpsim.micp import IP, NVAR, MicpState, _eval_system, _System, make_initial_state
+from micpsim.params import KineticParams, RockLaw, TwoPhaseParams
+from micpsim.schedule import WellControl
+
+ROCK = RockLaw()
+P0 = 1.0e7
+DT = 600.0
+
+
+def open_box():
+    domain = DomainSpec(nx=3, ny=2, nz=2, dx=1.0, dy=1.0, dz=1.0)
+    res = ReservoirSpec(aquifer_height=2.0, caprock_height=0.0, well_x=0.5,
+                        outflow_sides=("x+", "y-"))
+    return build_domain(domain, None, res, ROCK)
+
+
+def perturbed_pressure(grid, rng, rho):
+    hydro = P0 - rho * grid.gravity_accel * grid.centers[:, 2]
+    return hydro + 5e3 * (3.0 - grid.centers[:, 0]) + rng.normal(0.0, 1e3, grid.n_active)
+
+
+def smallest_potential_difference(sys, p, rho, boundary_potential):
+    interior = p[sys.fa] - p[sys.fb] - rho * sys.g * sys.f_dz
+    return float(np.min(np.abs(np.concatenate((interior, boundary_potential)))))
+
+
+def assert_columns_match(evaluate, x, steps):
+    """Each column of evaluate's Jacobian at x within 1e-6 of central differences."""
+    _, J, _ = evaluate(x, True)
+    J = J.toarray()
+    for col, h in enumerate(steps):
+        hi, lo = x.copy(), x.copy()
+        hi[col] += h
+        lo[col] -= h
+        fd = (evaluate(hi, False)[0] - evaluate(lo, False)[0]) / (2.0 * h)
+        scale = np.max(np.abs(J[:, col]))
+        assert scale > 0.0, col
+        assert np.max(np.abs(J[:, col] - fd)) <= 1e-6 * scale, col
+
+
+def test_micp_jacobian_matches_central_differences():
+    # k_str = 0 removes the shear coupling the Newton matrix leaves out
+    params = KineticParams(k_str=0.0)
+    grid = open_box()
+    n = grid.n_active
+    rng = np.random.default_rng(7)
+    sys = _System(grid, params, ROCK)
+    p = perturbed_pressure(grid, rng, params.rho_w)
+    old = make_initial_state(grid, params, P0)
+    old.c_u[:] = 40.0
+    old.phi_b[:] = 0.01
+    x = MicpState(p=p, c_m=rng.uniform(2e-3, 1e-2, n), c_o=rng.uniform(5e-3, 3e-2, n),
+                  c_u=rng.uniform(10.0, 60.0, n), phi_b=rng.uniform(5e-3, 2e-2, n),
+                  phi_c=rng.uniform(5e-3, 3e-2, n)).to_vector()
+    control = WellControl(rate=1e-5, c_m=0.01, c_u=30.0, p_bdry=P0)
+    dpot = smallest_potential_difference(
+        sys, p, params.rho_w, p[sys.bc] + params.rho_w * sys.g * sys.b_z - P0)
+    steps = 1e-5 * np.abs(x)
+    steps[IP::NVAR] = 0.1 * dpot
+    assert_columns_match(
+        lambda y, want: _eval_system(sys, y, old, DT, control, want), x, steps)
+
+
+def test_co2_jacobian_matches_central_differences():
+    params = TwoPhaseParams()
+    grid = open_box()
+    n = grid.n_active
+    rng = np.random.default_rng(11)
+    sys = _TwoPhaseSystem(grid, grid.perm0 * rng.uniform(0.5, 2.0, n), grid.poro0, params)
+    p = perturbed_pressure(grid, rng, params.rho_w)
+    s = rng.uniform(0.05, 0.95, n)
+    old = TwoPhaseState(p=p.copy(), s=0.9 * s)
+    x = np.empty(NV2 * n)
+    x[0::NV2] = p
+    x[1::NV2] = s
+    g, z_cell = sys.g, sys.z[sys.bc]
+    dpot = min(
+        smallest_potential_difference(
+            sys, p, params.rho_w, p[sys.bc] + params.rho_w * g * z_cell - P0),
+        smallest_potential_difference(
+            sys, p, params.rho_co2,
+            p[sys.bc] + params.rho_co2 * g * z_cell
+            - (P0 - (params.rho_w - params.rho_co2) * g * sys.b_z)))
+    steps = np.full(NV2 * n, 1e-6)
+    steps[0::NV2] = 0.1 * dpot
+    assert_columns_match(
+        lambda y, want: _eval_twophase(sys, y, old, DT, 1e-5, P0, want), x, steps)

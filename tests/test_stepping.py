@@ -2,10 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from micpsim.errors import ConvergenceError
-from micpsim.stepping import OutputHooks, SolverSettings, TripletMatrix, march, newton
+from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
+from micpsim.params import RockLaw
+from micpsim.stepping import AssemblyData, OutputHooks, SolverSettings, march, newton
 
 
 def _quadratic(target):
@@ -15,9 +18,7 @@ def _quadratic(target):
         resid = x * x - target
         if not want_jacobian(resid):
             return resid, None, {"x": x}
-        J = TripletMatrix(1)
-        J.add(np.arange(x.size), 0, np.arange(x.size), 0, 2.0 * x)
-        return resid, J.tocsc(x.size), {"x": x}
+        return resid, sparse.diags(2.0 * x, format="csc"), {"x": x}
 
     return evaluate
 
@@ -56,22 +57,65 @@ class TestNewton:
         assert res.x == pytest.approx([1.5, 1.5])
 
 
-class TestTripletMatrix:
-    @staticmethod
-    def _matrix(pin_scale=None):
-        m = TripletMatrix(2)
-        m.add([0, 0, 1], 0, [0, 1, 1], 1, [1.0, 2.0, 3.0])
-        m.add([0], 1, [0], 1, [4.0])
-        m.add([0], 1, [0], 1, [5.0])
-        return m.tocsc(2, pin_scale).toarray()
+def _line(sides):
+    """Three cells in a row: faces (0, 1) and (1, 2), boundary faces on ``sides``."""
+    domain = DomainSpec(nx=3, ny=1, nz=1, dx=1.0, dy=1.0, dz=1.0)
+    res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=0.5,
+                        outflow_sides=sides)
+    return AssemblyData(build_domain(domain, None, res, RockLaw()))
 
-    def test_duplicates_summed_and_pin_replaces_row_zero(self):
-        J = self._matrix()
-        assert J[0, 1] == 1.0 and J[0, 3] == 2.0 and J[2, 3] == 3.0
-        assert J[1, 1] == 9.0
-        pinned = self._matrix(pin_scale=7.0)
-        assert list(pinned[0]) == [7.0, 0.0, 0.0, 0.0]
-        assert np.array_equal(pinned[1:], J[1:])
+
+class TestBlockJacobian:
+    CELL = np.array([[[1.0, 0.0], [0.0, 2.0]]] * 3)
+    FACE_A = np.array([[[10.0, 0.0], [0.0, 0.0]], [[20.0, 0.0], [0.0, 0.5]]])
+    FACE_B = np.array([[[0.0, 3.0], [0.0, 0.0]], [[0.0, 0.0], [4.0, 0.0]]])
+
+    @staticmethod
+    def block(J, row_cell, col_cell):
+        return J[2 * row_cell:2 * row_cell + 2, 2 * col_cell:2 * col_cell + 2]
+
+    def test_faces_scatter_out_of_a_into_b(self):
+        data = _line(("x+",))
+        assert data.fa.tolist() == [0, 1] and data.fb.tolist() == [1, 2]
+        assert data.bc.tolist() == [2]
+        bface = np.array([[[0.0, 0.0], [0.0, 7.0]]])
+        J = data.jacobian(self.CELL, self.FACE_A, self.FACE_B, bface).toarray()
+        # flux leaves a: + face_a at (a, a), + face_b at (a, b)
+        assert self.block(J, 0, 0).tolist() == [[11.0, 0.0], [0.0, 2.0]]
+        assert self.block(J, 0, 1).tolist() == [[0.0, 3.0], [0.0, 0.0]]
+        # and enters b: - face_a at (b, a), - face_b at (b, b)
+        assert self.block(J, 1, 0).tolist() == [[-10.0, 0.0], [0.0, 0.0]]
+        assert self.block(J, 1, 1).tolist() == [[21.0, -3.0], [0.0, 2.5]]
+        assert self.block(J, 1, 2).tolist() == [[0.0, 0.0], [4.0, 0.0]]
+        assert self.block(J, 2, 1).tolist() == [[-20.0, 0.0], [0.0, -0.5]]
+        assert self.block(J, 2, 2).tolist() == [[1.0, 0.0], [-4.0, 9.0]]
+        assert not J[0:2, 4:6].any() and not J[4:6, 0:2].any()
+
+    def test_exact_zeros_not_stored(self):
+        data = _line(("x+",))
+        cell = self.CELL.copy()
+        cell[0, 0, 0] = -10.0  # cancels face_a of face 0 exactly
+        J = data.jacobian(cell, self.FACE_A, self.FACE_B, np.zeros((1, 2, 2)))
+        assert J.nnz == np.count_nonzero(J.toarray()) == 12
+        assert J[0, 0] == 0.0
+
+    def test_pin_replaces_row_zero(self):
+        data = _line(())
+        assert data.closed
+        J = data.jacobian(self.CELL, self.FACE_A, self.FACE_B, np.zeros((0, 2, 2)))
+        pinned = data.jacobian(self.CELL, self.FACE_A, self.FACE_B,
+                               np.zeros((0, 2, 2)), pin_scale=7.0)
+        assert pinned.toarray()[0].tolist() == [7.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(pinned.toarray()[1:], J.toarray()[1:])
+        assert pinned.nnz == J.nnz - 1
+
+    def test_face_sums_keep_trailing_axes(self):
+        data = _line(("x+",))
+        sums = data.face_sums(np.array([1.0, 2.0]), np.array([4.0, 8.0]), np.array([16.0]))
+        assert sums.tolist() == [1.0, -2.0, 8.0]
+        blocks = data.face_sums(self.FACE_A, self.FACE_B, np.zeros((1, 2, 2)))
+        assert blocks.shape == (3, 2, 2)
+        assert blocks[1].tolist() == [[20.0, -3.0], [0.0, 0.5]]
 
 
 def _scripted_step(fails_at=()):
@@ -122,6 +166,6 @@ class TestMarch:
                             on_diagnostics=lambda t, d: diags.append(d))
         march(0.0, [(10.0, None)], self.SETTINGS, step,
               lambda t, dt, s, rep, ctx: {"state": s}, hooks)
-        assert snaps == [0.0, 7.0, 10.0, 10.0]
+        assert snaps == [0.0, 7.0, 10.0]
         assert [d["dt"] for d in diags] == calls
         assert diags[-1]["state"] == pytest.approx(10.0)
