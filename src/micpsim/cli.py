@@ -160,10 +160,13 @@ def _cmd_run_co2(args) -> int:
             return 2
         label = "treated"
 
+    diag_records = []
+    hooks = OutputHooks(on_diagnostics=lambda t, info: diag_records.append((t, info)))
     try:
         report = simulate_co2(grid, perm, cfg.co2.rate, cfg.co2.duration,
                               cfg.solver, cfg.twophase, plane_z=cfg.co2.plane_z,
-                              p_bdry=cfg.schedule.p_bdry, poro_field=poro)
+                              p_bdry=cfg.schedule.p_bdry, poro_field=poro,
+                              sinks=hooks)
     except ConvergenceError as exc:
         if exc.last_good_state is not None and "vtk" in cfg.outputs.formats:
             st = exc.last_good_state
@@ -178,6 +181,8 @@ def _cmd_run_co2(args) -> int:
     if "csv" in cfg.outputs.formats:
         write_timeseries(out_dir / f"co2_leakage_{label}.csv",
                          [(t, {"normalized_flux": v}) for t, v in report.series])
+        if diag_records:
+            write_timeseries(out_dir / f"co2_diagnostics_{label}.csv", diag_records)
     if "vtk" in cfg.outputs.formats:
         st = report.final_state
         write_snapshot(grid, {"s_co2": st.s, "p": st.p, "K": perm, "phi": poro},

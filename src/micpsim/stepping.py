@@ -36,14 +36,16 @@ class SolverSettings:
     dt_cut: float = 0.5
 
     def validate(self) -> None:
-        if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
-            raise DomainError("need 0 < dt_min <= dt_init <= dt_max")
-        if not self.newton_rel_tol > 0.0:
-            raise DomainError("newton_rel_tol must be > 0")
-        if not 0.0 < self.dt_cut < 1.0:
-            raise DomainError("need 0 < dt_cut < 1")
-        if not self.dt_grow >= 1.0:
-            raise DomainError("need dt_grow >= 1")
+        """Raise one DomainError that names every condition the settings fail."""
+        failed = [message for holds, message in (
+            (0.0 < self.dt_min <= self.dt_init <= self.dt_max,
+             "need 0 < dt_min <= dt_init <= dt_max"),
+            (self.newton_rel_tol > 0.0, "newton_rel_tol must be > 0"),
+            (0.0 < self.dt_cut < 1.0, "need 0 < dt_cut < 1"),
+            (self.dt_grow >= 1.0, "need dt_grow >= 1"),
+        ) if not holds]
+        if failed:
+            raise DomainError("; ".join(failed))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestRunCo2:
         grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
         K = read_snapshot_field(snap, "K", grid)
         assert np.any(K < grid.perm0)
+
+    def test_diagnostics_csv(self, tiny_config, capsys, tmp_path):
+        path, cfg = tiny_config
+        assert main(["run-co2", str(path)]) == 0
+        steps = int(re.search(r"\((\d+) steps", capsys.readouterr().out).group(1))
+        t, cols = read_timeseries(tmp_path / "out" / "co2_diagnostics_untreated.csv")
+        assert t.size == steps
+        assert {"dt", "newton_iterations", "residual", "max_s"} <= set(cols)
+        assert cols["dt"].sum() == pytest.approx(cfg.co2.duration)
+        assert t[-1] == pytest.approx(cfg.co2.duration)
+        assert np.all(cols["max_s"] > 0.0)
 
 
 class TestVerify:

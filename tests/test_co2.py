@@ -1,8 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from micpsim.co2 import (
+    NV2,
     TwoPhaseState,
+    _eval_twophase,
+    _TwoPhaseSystem,
     co2_face_fluxes,
     leakage_flux,
     make_initial_twophase_state,
@@ -217,6 +224,61 @@ class TestSimulateCo2:
         assert isinstance(last, TwoPhaseState)
         assert exc_info.value.last_good_time == 0.0
         assert np.all(last.s == 0.0)
+
+
+class TestFactor:
+    """The Newton matrix factored in the system's fill-reducing order."""
+
+    def test_freed_by_reference_counting_alone(self):
+        grid = _leaky_box()
+        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        state = make_initial_twophase_state(grid, TP, P0)
+        J = _newton_matrix(sys, state, state)
+        gc.disable()
+        try:
+            lu = sys.factor(J)
+            freed = weakref.ref(lu)
+            del lu
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_solves_a_leaky_system_with_co2_in_place(self):
+        grid = _leaky_box()
+        rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
+                           plane_z=2.0, p_bdry=P0)
+        assert rep.final_state.s.max() > 0.1
+        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        old = make_initial_twophase_state(grid, TP, P0)
+        J = _newton_matrix(sys, rep.final_state, old)
+        b = -_eval_twophase(sys, _vector(rep.final_state), old, 3600.0, 1e-5, P0,
+                            False)[0]
+        x = sys.factor(J).solve(b)
+        assert np.linalg.norm(J @ x - b) < 1e-12 * np.linalg.norm(b)
+
+    def test_less_fill_than_colamd_at_scale(self):
+        domain = DomainSpec(nx=40, ny=4, nz=24, dx=0.5, dy=0.25, dz=0.25)
+        leak = LeakSpec(aperture=2.0, width=1.0, tilt_deg=90.0, perm=2e-14,
+                        anchor_x=9.0)
+        res = ReservoirSpec(aquifer_height=2.0, caprock_height=2.0, well_x=1.0)
+        grid = build_domain(domain, leak, res, ROCK)
+        rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
+                           plane_z=2.0, p_bdry=P0)
+        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        J = _newton_matrix(sys, rep.final_state,
+                           make_initial_twophase_state(grid, TP, P0))
+        assert sys.factor(J).lu.nnz < splu(J).nnz
+
+
+def _vector(state):
+    x = np.empty(NV2 * state.p.size)
+    x[0::NV2] = state.p
+    x[1::NV2] = state.s
+    return x
+
+
+def _newton_matrix(sys, state, old):
+    return _eval_twophase(sys, _vector(state), old, 3600.0, 1e-5, P0, True)[1]
 
 
 def _leaky_box():

@@ -126,6 +126,13 @@ class TestParsing:
             parse_config(f"[solver]\n{setting}\n")
         assert any(p.startswith("[solver]") for p in exc_info.value.problems)
 
+    def test_every_failed_solver_condition_reported(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("[solver]\ndt_cut = 1.0\ndt_grow = 0.5\n")
+        joined = "\n".join(exc_info.value.problems)
+        assert "need 0 < dt_cut < 1" in joined
+        assert "need dt_grow >= 1" in joined
+
     def test_syntax_error_reports_line(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config("[domain]\nnx 100\n")

@@ -1,4 +1,4 @@
-"""Every column of both assembled Jacobians against central differences
+"""Every entry of both assembled Jacobians against central differences
 of the residual, on a small 3D open grid with flow and in-bounds iterates.
 
 The pressure step is a tenth of the smallest face potential difference,
@@ -35,10 +35,17 @@ def smallest_potential_difference(sys, p, rho, boundary_potential):
     return float(np.min(np.abs(np.concatenate((interior, boundary_potential)))))
 
 
-def assert_columns_match(evaluate, x, steps):
-    """Each column of evaluate's Jacobian at x within 1e-6 of central differences."""
+def assert_entries_match(evaluate, x, steps):
+    """Each entry of evaluate's Jacobian at x within 1e-6 of central differences.
+
+    Entry (i, j) may differ from the difference quotient by 1e-6 of itself
+    plus the quotient's rounding error, eps * sum_k |J_ik x_k| / h_j (row i
+    of the residual sums terms of about that size, each rounded), and by
+    no more than 1e-6 of the largest entry of its column.
+    """
     _, J, _ = evaluate(x, True)
     J = J.toarray()
+    rounding = np.finfo(float).eps * (np.abs(J) @ np.abs(x))
     for col, h in enumerate(steps):
         hi, lo = x.copy(), x.copy()
         hi[col] += h
@@ -46,7 +53,9 @@ def assert_columns_match(evaluate, x, steps):
         fd = (evaluate(hi, False)[0] - evaluate(lo, False)[0]) / (2.0 * h)
         scale = np.max(np.abs(J[:, col]))
         assert scale > 0.0, col
-        assert np.max(np.abs(J[:, col] - fd)) <= 1e-6 * scale, col
+        bound = np.minimum(1e-6 * np.abs(J[:, col]) + rounding / h, 1e-6 * scale)
+        rows = np.flatnonzero(np.abs(J[:, col] - fd) > bound)
+        assert rows.size == 0, (col, rows)
 
 
 def test_micp_jacobian_matches_central_differences():
@@ -68,7 +77,7 @@ def test_micp_jacobian_matches_central_differences():
         sys, p, params.rho_w, p[sys.bc] + params.rho_w * sys.g * sys.b_z - P0)
     steps = 1e-5 * np.abs(x)
     steps[IP::NVAR] = 0.1 * dpot
-    assert_columns_match(
+    assert_entries_match(
         lambda y, want: _eval_system(sys, y, old, DT, control, want), x, steps)
 
 
@@ -94,5 +103,5 @@ def test_co2_jacobian_matches_central_differences():
             - (P0 - (params.rho_w - params.rho_co2) * g * sys.b_z)))
     steps = np.full(NV2 * n, 1e-6)
     steps[0::NV2] = 0.1 * dpot
-    assert_columns_match(
+    assert_entries_match(
         lambda y, want: _eval_twophase(sys, y, old, DT, 1e-5, P0, want), x, steps)
