@@ -3,6 +3,9 @@
     micpsim preset ex1|ex2|ex3          print a preset configuration
     micpsim run-micp CONFIG [...]       run the sealing treatment
     micpsim run-co2 CONFIG [...]        run the CO2 leakage assessment
+    micpsim study CONFIG [--out DIR]    treatment, then CO2 on the untreated
+                                        and treated fields; prints the
+                                        treated/untreated peak leakage ratio
     micpsim verify [--seed N]           run the built-in check suite
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments or
@@ -14,18 +17,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import SimulationConfig, format_config, parse_config, preset
-from .co2 import simulate_co2
+from .co2 import Co2Report, simulate_co2
 from .errors import ConfigError, ConvergenceError, MicpSimError
 from .grid import Grid, build_domain, face_transmissibility
 from .kinetics import CellChemState, batch_oracle, monod, permeability
 from .micp import (
     MicpState,
+    RunReport,
     permeability_field,
     porosity_field,
     simulate_micp,
@@ -51,13 +54,13 @@ def _prepare_run(args) -> tuple[SimulationConfig, Path, Grid] | int:
         for p in exc.problems:
             _err("config", p)
         return 2
-    out_dir = Path(args.out or cfg.outputs.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
     except MicpSimError as exc:
         _err("geometry", str(exc))
         return 2
+    out_dir = Path(args.out or cfg.outputs.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir, grid
 
 
@@ -77,14 +80,11 @@ def _cmd_preset(args) -> int:
     return 0
 
 
-def _cmd_run_micp(args) -> int:
-    prepared = _prepare_run(args)
-    if isinstance(prepared, int):
-        return prepared
-    cfg, out_dir, grid = prepared
-    if args.dt_init is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, dt_init=args.dt_init))
+def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport | int:
+    """Run the sealing treatment, write its outputs and print its ledger.
 
+    Returns the run's report, or the exit code when the run failed.
+    """
     diag_records = []
     want_vtk = "vtk" in cfg.outputs.formats
     want_csv = "csv" in cfg.outputs.formats
@@ -136,30 +136,16 @@ def _cmd_run_micp(args) -> int:
     print(f"ledger closure worst: {worst:.3e} relative; "
           f"clamped mass total: {clamp_total:.3e} kg")
     print(f"min K/K0 in leak: {report.min_perm_ratio(grid, cfg.rock):.4f}")
-    return 0
+    return report
 
 
-def _cmd_run_co2(args) -> int:
-    prepared = _prepare_run(args)
-    if isinstance(prepared, int):
-        return prepared
-    cfg, out_dir, grid = prepared
+def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
+            label: str) -> Co2Report | int:
+    """Run the CO2 leakage assessment on one K/phi field and write its outputs.
 
-    perm = grid.perm0
-    poro = grid.poro0
-    label = "untreated"
-    if args.perm_from:
-        try:
-            perm = read_snapshot_field(args.perm_from, "K", grid)
-            poro = read_snapshot_field(args.perm_from, "phi", grid)
-        except OSError as exc:
-            _err("io", str(exc))
-            return 2
-        except MicpSimError as exc:
-            _err("snapshot", str(exc))
-            return 2
-        label = "treated"
-
+    ``label`` names the output files. Returns the run's report, or the
+    exit code when the run failed.
+    """
     diag_records = []
     hooks = OutputHooks(on_diagnostics=lambda t, info: diag_records.append((t, info)))
     try:
@@ -193,6 +179,61 @@ def _cmd_run_co2(args) -> int:
           f"closure={report.volume_closure_error:.3e}")
     print(f"peak normalized leakage flux: {report.peak_flux:.6g} "
           f"({report.steps} steps, wall time {report.wall_time:.2f} s)")
+    return report
+
+
+def _cmd_run_micp(args) -> int:
+    prepared = _prepare_run(args)
+    if isinstance(prepared, int):
+        return prepared
+    cfg, out_dir, grid = prepared
+    report = _treat(cfg, grid, out_dir)
+    return report if isinstance(report, int) else 0
+
+
+def _cmd_run_co2(args) -> int:
+    prepared = _prepare_run(args)
+    if isinstance(prepared, int):
+        return prepared
+    cfg, out_dir, grid = prepared
+    perm, poro, label = grid.perm0, grid.poro0, "untreated"
+    if args.perm_from:
+        try:
+            perm = read_snapshot_field(args.perm_from, "K", grid)
+            poro = read_snapshot_field(args.perm_from, "phi", grid)
+        except OSError as exc:
+            _err("io", str(exc))
+            return 2
+        except MicpSimError as exc:
+            _err("snapshot", str(exc))
+            return 2
+        label = "treated"
+    report = _assess(cfg, grid, out_dir, perm, poro, label)
+    return report if isinstance(report, int) else 0
+
+
+def _cmd_study(args) -> int:
+    prepared = _prepare_run(args)
+    if isinstance(prepared, int):
+        return prepared
+    cfg, out_dir, grid = prepared
+    treatment = _treat(cfg, grid, out_dir)
+    if isinstance(treatment, int):
+        return treatment
+    untreated = _assess(cfg, grid, out_dir, grid.perm0, grid.poro0, "untreated")
+    if isinstance(untreated, int):
+        return untreated
+    final = treatment.final_state
+    treated = _assess(cfg, grid, out_dir, permeability_field(grid, cfg.rock, final),
+                      porosity_field(grid, final), "treated")
+    if isinstance(treated, int):
+        return treated
+    peak_u, peak_t = untreated.peak_flux, treated.peak_flux
+    ratio = peak_t / peak_u if peak_u > 0 else math.nan
+    print(f"treated/untreated peak leakage ratio: {ratio:.3e}")
+    if "csv" in cfg.outputs.formats:
+        write_timeseries(out_dir / "study_summary.csv", [(cfg.co2.duration, {
+            "peak_untreated": peak_u, "peak_treated": peak_t, "peak_ratio": ratio})])
     return 0
 
 
@@ -323,13 +364,18 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run-micp", help="run the sealing treatment")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--dt-init", type=float, default=None)
 
     p_co2 = sub.add_parser("run-co2", help="run the CO2 leakage assessment")
     p_co2.add_argument("config")
     p_co2.add_argument("--perm-from", default=None,
                        help="snapshot file providing the treated K and phi fields")
     p_co2.add_argument("--out", default=None)
+
+    p_study = sub.add_parser(
+        "study", help="run the treatment, then the CO2 assessment on the "
+                      "untreated and the treated field")
+    p_study.add_argument("config")
+    p_study.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run the built-in check suite")
     p_ver.add_argument("--seed", type=int, default=0)
@@ -346,7 +392,8 @@ def main(argv=None) -> int:
         return 2
 
     handlers = {"run-micp": _cmd_run_micp, "run-co2": _cmd_run_co2,
-                "verify": _cmd_verify, "preset": _cmd_preset}
+                "study": _cmd_study, "verify": _cmd_verify,
+                "preset": _cmd_preset}
     return handlers[args.command](args)
 
 

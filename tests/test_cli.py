@@ -33,6 +33,45 @@ def tiny_config(tmp_path):
     return path, cfg
 
 
+@pytest.fixture
+def leaky_config(tmp_path):
+    """A seconds-scale ex2 slice whose untreated leak carries CO2 upward."""
+    cfg = preset("ex2")
+    short = tuple(dataclasses.replace(p, end_time=p.end_time / 100.0)
+                  for p in cfg.schedule.periods)
+    cfg = dataclasses.replace(
+        cfg,
+        domain=dataclasses.replace(cfg.domain, nx=40, nz=12, dx=2.5, dz=2.5),
+        leak=dataclasses.replace(cfg.leak, aperture=4.0),
+        schedule=dataclasses.replace(cfg.schedule, periods=short),
+        co2=dataclasses.replace(cfg.co2, duration=172800.0, plane_z=5.0),
+        outputs=dataclasses.replace(cfg.outputs, out_dir=str(tmp_path / "out")),
+    )
+    path = tmp_path / "leaky.cfg"
+    path.write_text(format_config(cfg))
+    return path, cfg
+
+
+@pytest.fixture
+def failing_config(tmp_path):
+    """A treatment whose first step fails: one Newton iteration, no dt cut."""
+    cfg = preset("ex1")
+    cfg = dataclasses.replace(
+        cfg,
+        domain=dataclasses.replace(cfg.domain, nx=10, dx=10.0),
+        reservoir=dataclasses.replace(cfg.reservoir, well_x=5.0),
+        leak=None,
+        solver=dataclasses.replace(cfg.solver, newton_max_iter=1,
+                                   dt_init=3600.0, dt_min=3600.0,
+                                   dt_max=3600.0),
+        outputs=dataclasses.replace(cfg.outputs,
+                                    out_dir=str(tmp_path / "out")),
+    )
+    path = tmp_path / "fail.cfg"
+    path.write_text(format_config(cfg))
+    return path
+
+
 class TestPresetCommand:
     def test_preset_round_trips(self, capsys):
         assert main(["preset", "ex1"]) == 0
@@ -61,27 +100,25 @@ class TestRunMicp:
     def test_missing_config_file(self, capsys):
         assert main(["run-micp", "/does/not/exist.cfg"]) == 2
 
+    def test_geometry_error_leaves_no_directory(self, tmp_path, capsys):
+        cfg = preset("ex2")
+        cfg = dataclasses.replace(cfg, leak=dataclasses.replace(cfg.leak,
+                                                                anchor_x=2.0))
+        path = tmp_path / "offside.cfg"
+        path.write_text(format_config(cfg))
+        out_dir = tmp_path / "never"
+        assert main(["run-micp", str(path), "--out", str(out_dir)]) == 2
+        assert "error: geometry" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[kinetics]\nrho_b = frog\n")
         assert main(["run-micp", str(path)]) == 2
         assert "error: config" in capsys.readouterr().err
 
-    def test_solver_failure_exit_code(self, tmp_path, capsys):
-        cfg = preset("ex1")
-        cfg = dataclasses.replace(
-            cfg,
-            domain=dataclasses.replace(cfg.domain, nx=10, dx=10.0),
-            reservoir=dataclasses.replace(cfg.reservoir, well_x=5.0),
-            leak=None,
-            solver=dataclasses.replace(cfg.solver, newton_max_iter=1,
-                                       dt_init=3600.0, dt_min=3600.0,
-                                       dt_max=3600.0),
-            outputs=dataclasses.replace(cfg.outputs,
-                                        out_dir=str(tmp_path / "out")),
-        )
-        path = tmp_path / "fail.cfg"
-        path.write_text(format_config(cfg))
+    def test_solver_failure_exit_code(self, failing_config, tmp_path, capsys):
+        path = failing_config
         assert main(["run-micp", str(path)]) == 3
         assert "solver-failure" in capsys.readouterr().err
         assert (tmp_path / "out" / "micp_last_good.vtk").exists()
@@ -118,6 +155,84 @@ class TestRunCo2:
         assert cols["dt"].sum() == pytest.approx(cfg.co2.duration)
         assert t[-1] == pytest.approx(cfg.co2.duration)
         assert np.all(cols["max_s"] > 0.0)
+
+
+def _files(directory):
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+def _without_wall_times(text):
+    return re.sub(r"wall time [0-9.]+ s", "wall time - s", text)
+
+
+class TestStudy:
+    def test_matches_the_three_command_chain(self, leaky_config, tmp_path,
+                                              capsys):
+        path, _ = leaky_config
+        study_dir, chain_dir = tmp_path / "study", tmp_path / "chain"
+        assert main(["study", str(path), "--out", str(study_dir)]) == 0
+        study_out = capsys.readouterr().out
+        chain = ["--out", str(chain_dir)]
+        assert main(["run-micp", str(path)] + chain) == 0
+        assert main(["run-co2", str(path)] + chain) == 0
+        assert main(["run-co2", str(path), "--perm-from",
+                     str(chain_dir / "micp_final.vtk")] + chain) == 0
+        chain_out = capsys.readouterr().out
+
+        study_files = _files(study_dir)
+        del study_files["study_summary.csv"]
+        assert study_files == _files(chain_dir)
+        assert {"co2_final_treated.vtk", "co2_leakage_untreated.csv",
+                "micp_final.vtk"} <= set(study_files)
+
+        # the study prints what the chain prints, then the ratio of the peaks
+        ratio_line = study_out.splitlines()[-1]
+        assert (_without_wall_times(study_out)
+                == _without_wall_times(chain_out) + ratio_line + "\n")
+        peak_u, peak_t = (float(v) for v in re.findall(
+            r"peak normalized leakage flux: (\S+)", study_out))
+        assert peak_u > 0.0
+        label, ratio = ratio_line.split(": ")
+        assert label == "treated/untreated peak leakage ratio"
+        assert float(ratio) == pytest.approx(peak_t / peak_u, rel=1e-3)
+
+        _, cols = read_timeseries(study_dir / "study_summary.csv")
+        peaks = {label: read_timeseries(study_dir / f"co2_leakage_{label}.csv")[1]
+                 ["normalized_flux"].max() for label in ("untreated", "treated")}
+        assert cols["peak_untreated"][0] == peaks["untreated"]
+        assert cols["peak_treated"][0] == peaks["treated"]
+        assert cols["peak_ratio"][0] == peaks["treated"] / peaks["untreated"]
+
+    def test_failed_treatment_skips_assessment(self, failing_config, tmp_path,
+                                               capsys):
+        path = failing_config
+        assert main(["study", str(path)]) == 3
+        assert "solver-failure" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        assert (out_dir / "micp_last_good.vtk").exists()
+        assert not list(out_dir.glob("co2_*"))
+        assert not (out_dir / "study_summary.csv").exists()
+
+    def test_csv_only_still_assesses_treated_field(self, leaky_config,
+                                                    tmp_path, capsys):
+        path, cfg = leaky_config
+        csv_only = dataclasses.replace(
+            cfg, outputs=dataclasses.replace(cfg.outputs, formats=("csv",)))
+        csv_path = tmp_path / "csv_only.cfg"
+        csv_path.write_text(format_config(csv_only))
+        assert main(["study", str(csv_path), "--out", str(tmp_path / "csv")]) == 0
+        assert main(["study", str(path), "--out", str(tmp_path / "both")]) == 0
+        csv_files = _files(tmp_path / "csv")
+        assert sorted(csv_files) == [
+            "co2_diagnostics_treated.csv", "co2_diagnostics_untreated.csv",
+            "co2_leakage_treated.csv", "co2_leakage_untreated.csv",
+            "micp_diagnostics.csv", "study_summary.csv"]
+        both = _files(tmp_path / "both")
+        assert all(both[name] == data for name, data in csv_files.items())
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["study", str(tmp_path / "missing.cfg")]) == 2
+        assert "error: io" in capsys.readouterr().err
 
 
 class TestVerify:
