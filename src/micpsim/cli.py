@@ -135,7 +135,7 @@ def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport | int:
     clamp_total = sum(report.clamped.values())
     print(f"ledger closure worst: {worst:.3e} relative; "
           f"clamped mass total: {clamp_total:.3e} kg")
-    print(f"min K/K0 in leak: {report.min_perm_ratio(grid, cfg.rock):.4f}")
+    print(f"min K/K0 in leak: {report.min_perm_ratio(grid, cfg.rock):.4g}")
     return report
 
 

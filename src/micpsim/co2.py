@@ -146,9 +146,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     Fbw = sys.Tb * blam_w * bdw
     Fbc = sys.Tb * blam_c * bdc
 
-    q_c = np.zeros(n)
-    if rate != 0.0:
-        q_c[sys.well] = rate * sys.well_frac
+    q_c = sys.well_source(rate)
 
     fluxes = np.stack((Fw, Fc), axis=1)  # one column per equation: JP water, JS CO2
     div = sys.face_sums(fluxes, fluxes, np.stack((Fbw, Fbc), axis=1))
@@ -156,10 +154,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     resid[JP::NV2] = -sys.phi * (s - old.s) * V / dt + div[:, JP]
     resid[JS::NV2] = sys.phi * (s - old.s) * V / dt + div[:, JS] - q_c
 
-    pin_scale = None
-    if sys.closed:
-        pin_scale = sys.phi[0] * V[0] / (dt * 1e5)
-        resid[JP] = (p[0] - p_bdry) * pin_scale
+    pin_scale = sys.pin_pressure(resid, p[0], p_bdry, sys.phi, dt)
 
     aux = {"Fc": Fc, "Fw": Fw, "Fbc": Fbc, "Fbw": Fbw}
     if not jacobian_wanted(want_jacobian, resid):

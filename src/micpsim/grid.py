@@ -343,6 +343,11 @@ def _boundary_faces(domain, reservoir, active_index, region, centers):
 
 
 def _well_cells(domain, reservoir, active_index, h_cap):
+    for name, pos, length in (("well_x", reservoir.well_x, domain.lx),
+                              ("well_y", reservoir.well_y, domain.ly)):
+        if pos is not None and not 0.0 <= pos <= length:
+            raise GeometryError(f"{name} = {pos:g} m lies outside the domain "
+                                f"[0, {length:g}] m")
     i = min(int(reservoir.well_x / domain.dx), domain.nx - 1)
     if reservoir.well_y is None:
         j_list = range(domain.ny)

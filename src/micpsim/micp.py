@@ -232,9 +232,7 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
                 rates[rname] = rates[rname] + dR * past_clip[v]
     R_m, R_o, R_u, R_b, R_c = rates.values()
 
-    q = np.zeros(n)  # volumetric source, m^3/s per cell
-    if control.rate != 0.0:
-        q[sys.well] = control.rate * sys.well_frac
+    q = sys.well_source(control.rate)  # volumetric source, m^3/s per cell
 
     # face flux vectors w F, w = (1, c_up, 0, 0): water F and solute c_up F
     solutes = ((IM, m, old.c_m, control.c_m, R_m), (IO, o, old.c_o, control.c_o, R_o),
@@ -256,10 +254,7 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     resid[IB::NVAR] = sys.params.rho_b * (b - old.phi_b) * V / dt - R_b * V
     resid[IC::NVAR] = sys.params.rho_c * (c - old.phi_c) * V / dt - R_c * V
 
-    pin_scale = None
-    if sys.closed:
-        pin_scale = V[0] * sys.phi0[0] / (dt * 1e5)
-        resid[IP] = (p[0] - control.p_bdry) * pin_scale
+    pin_scale = sys.pin_pressure(resid, p[0], control.p_bdry, sys.phi0, dt)
 
     aux = {"F": F, "Fb": Fb, "out_mask": out_mask, "upw": upw, "shear": shear,
            "K": K, "q": q,

@@ -3,11 +3,13 @@
 The solvers supply only their physics, as callables: residual and
 Jacobian evaluation, the finish of a converged step, and the booking of
 an accepted one. This module owns the rest: the grid data both
-assemblies read (:class:`AssemblyData`), the sums of face fluxes into
-cells and the scatter of derivative blocks into the Newton matrix with
-the closed-domain pressure pin (:meth:`AssemblyData.face_sums`,
-:meth:`AssemblyData.jacobian`), the Newton loop (:func:`newton`) and
-adaptive stepping with snapshots and diagnostics (:func:`march`).
+assemblies read (:class:`AssemblyData`), the well source and the
+closed-domain pressure pin (:meth:`AssemblyData.well_source`,
+:meth:`AssemblyData.pin_pressure`), the sums of face fluxes into cells
+and the scatter of derivative blocks into the Newton matrix
+(:meth:`AssemblyData.face_sums`, :meth:`AssemblyData.jacobian`), the
+Newton loop (:func:`newton`) and adaptive stepping with snapshots and
+diagnostics (:func:`march`).
 """
 
 from __future__ import annotations
@@ -74,6 +76,26 @@ class AssemblyData:
         self.well = grid.well_cells
         self.well_frac = grid.volumes[self.well] / grid.well_volume
 
+    def well_source(self, rate):
+        """Per-cell injection, rate split over the well cells by volume."""
+        q = np.zeros(self.n)
+        if rate != 0.0:
+            q[self.well] = rate * self.well_frac
+        return q
+
+    def pin_pressure(self, resid, p0, p_bdry, phi, dt):
+        """On a closed domain, replace equation 0 of cell 0 by the pressure pin.
+
+        The pin residual is (p0 - p_bdry) * pin_scale with pin_scale =
+        V_0 phi_0 / (dt 1e5 Pa), the storage scale of cell 0 per bar.
+        Returns pin_scale for :meth:`jacobian`, or None on an open domain.
+        """
+        if not self.closed:
+            return None
+        pin_scale = self.V[0] * phi[0] / (dt * 1e5)
+        resid[0] = (p0 - p_bdry) * pin_scale
+        return pin_scale
+
     def face_sums(self, on_a, on_b, on_bc):
         """Per-cell sums of face terms, a face's flux leaving a and entering b.
 
@@ -94,8 +116,8 @@ class AssemblyData:
         ``bface[k]`` is the derivative of boundary face k's outflow by the
         unknowns of its cell. Entries that are exactly zero are not stored,
         so LU sees only the numerically nonzero pattern. ``pin_scale``
-        replaces row 0 by the pressure pin of a closed domain, whose
-        residual replaces equation 0 of cell 0 by (p_0 - p_bdry) * pin_scale.
+        replaces row 0 by the pressure pin of a closed domain
+        (:meth:`pin_pressure`).
         """
         n, nvar = self.n, cell.shape[1]
         cells = np.arange(n)

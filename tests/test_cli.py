@@ -117,6 +117,14 @@ class TestRunMicp:
         assert main(["run-micp", str(path)]) == 2
         assert "error: config" in capsys.readouterr().err
 
+    def test_bad_period_number_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[schedule]\nperiod.x = 10 no_flow 0 0 0 0\n")
+        out_dir = tmp_path / "never"
+        assert main(["run-micp", str(path), "--out", str(out_dir)]) == 2
+        assert "error: config: [schedule] period.x" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_solver_failure_exit_code(self, failing_config, tmp_path, capsys):
         path = failing_config
         assert main(["run-micp", str(path)]) == 3

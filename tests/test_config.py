@@ -2,9 +2,74 @@ import dataclasses
 
 import pytest
 
+from micpsim import config
 from micpsim.config import format_config, parse_config, preset
 from micpsim.errors import ConfigError
-from micpsim.schedule import HOUR, SlugType
+from micpsim.schedule import HOUR, SlugType, builtin_schedule
+
+# The keys of the file format, written out independently of config._KEYS.
+FILE_FORMAT_KEYS = {
+    "experiment": {"preset"},
+    "domain": {"nx", "ny", "nz", "dx", "dy", "dz", "gz"},
+    "reservoir": {"K_A", "H", "h", "well_x", "well_y", "outflow"},
+    "leak": {"enabled", "a", "w", "theta", "K_L", "g_l", "g_u", "l", "anchor_x"},
+    "rock": {"phi0", "phi_crit", "eta", "K0", "K_min"},
+    "kinetics": {"rho_b", "rho_c", "rho_w", "mu_w", "k_str", "k_o", "k_u",
+                 "mu", "mu_u", "k_a", "k_d", "F", "Y", "Y_uc"},
+    "twophase": {"rho_co2", "mu_co2", "rho_w", "mu_w", "co2_rate",
+                 "co2_duration", "plane_z"},
+    "schedule": {"builtin", "rate", "c_m", "c_o", "c_u", "p_bdry", "phases"},
+    "solver": {"newton_rel_tol", "newton_max_iter", "dt_init", "dt_min",
+               "dt_max", "dt_grow", "dt_cut"},
+    "outputs": {"out_dir", "snapshot_cadence", "formats"},
+}
+
+# What each key changes in SimulationConfig, as "part" (whether it is there)
+# or "part.field"; a key absent here sets the field [section] key.
+CHANGES = {
+    ("domain", "gz"): {"domain.gravity"},
+    ("reservoir", "K_A"): {"reservoir.perm_aquifer"},
+    ("reservoir", "H"): {"reservoir.aquifer_height"},
+    ("reservoir", "h"): {"reservoir.caprock_height"},
+    ("reservoir", "outflow"): {"reservoir.outflow_sides"},
+    ("leak", "enabled"): {"leak"},
+    ("leak", "a"): {"leak.aperture"},
+    ("leak", "w"): {"leak.width"},
+    ("leak", "theta"): {"leak.tilt_deg"},
+    ("leak", "K_L"): {"leak.perm"},
+    ("leak", "g_l"): {"leak.gap_lower"},
+    ("leak", "g_u"): {"leak.gap_upper"},
+    ("leak", "l"): {"leak.gap_leak"},
+    ("twophase", "co2_rate"): {"co2.rate"},
+    ("twophase", "co2_duration"): {"co2.duration"},
+    ("twophase", "plane_z"): {"co2.plane_z"},
+    ("schedule", "builtin"): {"schedule.periods", "schedule.phase_starts"},
+    ("schedule", "rate"): {"schedule.periods"},
+    ("schedule", "c_m"): {"schedule.periods"},
+    ("schedule", "c_o"): {"schedule.periods"},
+    ("schedule", "c_u"): {"schedule.periods"},
+}
+
+# Valid non-default values of the keys whose value is not a plain number.
+NEW_TEXT = {
+    ("domain", "gz"): "-9.0", ("reservoir", "outflow"): "x-",
+    ("leak", "enabled"): "false", ("schedule", "builtin"): "ex2",
+    ("schedule", "rate"): "1e-3", ("schedule", "c_m"): "0.02",
+    ("schedule", "c_o"): "0.03", ("schedule", "c_u"): "200",
+    ("outputs", "out_dir"): "elsewhere", ("outputs", "formats"): "csv",
+}
+
+
+def _leaves(cfg):
+    """{"part": present, "part.field": value} of a SimulationConfig."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        part = getattr(cfg, f.name)
+        out[f.name] = part is not None
+        if part is not None:
+            out.update({f"{f.name}.{g.name}": getattr(part, g.name)
+                        for g in dataclasses.fields(part)})
+    return out
 
 
 class TestPresets:
@@ -174,3 +239,65 @@ period.9 = 1080000 no_flow 0 0 0 0
         with pytest.raises(ConfigError) as exc_info:
             parse_config(text)
         assert any("nine sub-periods" in p for p in exc_info.value.problems)
+
+    def test_schedule_keys_without_builtin_use_the_presets_strategy(self):
+        cfg = parse_config("[experiment]\npreset = ex2\n[schedule]\nrate = 1e-5\n")
+        assert cfg.schedule == builtin_schedule("ex2", rate=1e-5)
+        cfg = parse_config("[experiment]\npreset = ex3\n[schedule]\np_bdry = 2e7\n")
+        assert cfg.schedule == builtin_schedule("ex3", p_bdry=2e7)
+
+    def test_bad_period_number_named(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("[schedule]\nperiod.x = 10 no_flow 0 0 0 0\n")
+        assert any(p.startswith("[schedule] period.x:") for p in exc_info.value.problems)
+
+    @pytest.mark.parametrize("section, line", [
+        ("kinetics", "k_str = nan"), ("domain", "dx = nan"),
+        ("twophase", "co2_duration = nan"), ("solver", "dt_max = inf"),
+        ("schedule", "period.1 = nan no_flow 0 0 0 0"),
+    ])
+    def test_non_finite_number_rejected(self, section, line):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(f"[{section}]\n{line}\n")
+        key = line.split(" = ")[0]
+        assert any(p.startswith(f"[{section}] {key}:") and "not a finite number" in p
+                   for p in exc_info.value.problems)
+
+
+class TestKeyTable:
+    def test_keys_are_the_file_formats(self):
+        keys = {}
+        for row in config._KEYS:
+            keys.setdefault(row.section, set()).add(row.key)
+        assert keys == FILE_FORMAT_KEYS
+
+    @pytest.mark.parametrize(
+        "row", [r for r in config._KEYS
+                if (r.section, r.key) not in {("experiment", "preset"),
+                                              ("schedule", "phases")}],
+        ids=lambda r: f"{r.section}.{r.key}")
+    def test_each_key_sets_only_its_own_field(self, row):
+        # phases needs period lines, and preset sets everything
+        base = _leaves(preset("ex3"))
+        expected = CHANGES.get((row.section, row.key), {f"{row.section}.{row.key}"})
+        text = NEW_TEXT.get((row.section, row.key))
+        if text is None:
+            (old,) = (base[name] for name in expected)
+            text = str(old + 1) if type(old) is int else repr(0.9 * old) if old else "1.0"
+        new = _leaves(parse_config(f"[experiment]\npreset = ex3\n"
+                                   f"[{row.section}]\n{row.key} = {text}\n"))
+        changed = {name for name in base.keys() & new.keys() if base[name] != new[name]}
+        assert changed == expected
+
+    def test_module_docstring_lists_every_key(self):
+        listed, section = {}, None
+        for line in config.__doc__.splitlines():
+            words = line.split()
+            if words and words[0].startswith("[") and words[0].endswith("]"):
+                section = words.pop(0)[1:-1]
+            elif not line.startswith("    "):
+                section = None
+            if section is not None:
+                listed.setdefault(section, set()).update(words)
+        for row in config._KEYS:
+            assert row.key in listed.get(row.section, set()), (row.section, row.key)

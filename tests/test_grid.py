@@ -116,6 +116,17 @@ class TestBuildDomain:
         with pytest.raises(GeometryError):
             build_domain(domain, None, reservoir, ROCK)
 
+    @pytest.mark.parametrize("well", [{"well_x": -3.0}, {"well_x": 10.5},
+                                      {"well_y": -1.0}, {"well_y": 20.5}],
+                             ids=["x_below", "x_above", "y_below", "y_above"])
+    def test_well_outside_domain_raises(self, well):
+        # a negative cell index would wrap the well to the far side
+        domain = DomainSpec(nx=10, ny=4, nz=1, dx=1.0, dy=5.0, dz=1.0)
+        reservoir = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0,
+                                  **{"well_x": 0.5, **well})
+        with pytest.raises(GeometryError, match=next(iter(well))):
+            build_domain(domain, None, reservoir, ROCK)
+
     def test_well_completed_across_lower_aquifer(self):
         g = table2_3d_grid(dx=2.5, dz=2.5)
         ijk = g.cell_ijk[g.well_cells]
