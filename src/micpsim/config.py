@@ -22,9 +22,12 @@ sections or keys are rejected; all problems are reported at once.
 
 ``[schedule]`` without ``period.N`` lines builds the ``builtin`` strategy
 (by default the preset's) at the given ``rate`` and injected ``c_m``,
-``c_o``, ``c_u``. ``format_config`` writes a fully resolved, canonical
-file (schedules as explicit ``period.N = end_s label rate c_m c_o c_u``
-lines) that parses back to an identical configuration.
+``c_o``, ``c_u``; with ``period.N`` lines those keys are errors, and so
+is ``phases`` without them. ``[leak] enabled = false`` drops the leak
+after checking the other ``[leak]`` keys given. ``format_config`` writes
+a fully resolved, canonical file (schedules as explicit ``period.N =
+end_s label rate c_m c_o c_u`` lines) that parses back to an identical
+configuration.
 
 The three presets reproduce the published experiment setups exactly
 (domain sizes, rates, times, Table-1/Table-2 parameters). ex2 is the 2D
@@ -295,8 +298,9 @@ def parse_config(text: str, default_preset: str = "ex1") -> SimulationConfig:
     except ConfigError as exc:
         raise ConfigError(problems + exc.problems) from exc
 
-    if not given.get("leak", {}).pop(None, True):  # enabled = false
-        del given["leak"]
+    leak_on = given.get("leak", {}).pop(None, True)
+    if not leak_on and not given.get("leak"):  # enabled = false alone
+        given.pop("leak", None)
         cfg = replace(cfg, leak=None)
     schedule = given.pop("schedule", {})
     if cp.has_section("schedule"):
@@ -310,7 +314,8 @@ def parse_config(text: str, default_preset: str = "ex1") -> SimulationConfig:
     _validate_config(cfg, problems)
     if problems:
         raise ConfigError(problems)
-    return cfg
+    # enabled = false with other [leak] keys: they are checked, then dropped
+    return cfg if leak_on else replace(cfg, leak=None)
 
 
 _LABELS = {t.value: t for t in SlugType}
@@ -331,6 +336,9 @@ def _parse_schedule(cp, given: dict, preset_name: str, current: Schedule,
         problems.append("[schedule] give either builtin or period.* lines, not both")
         return current
     if not numbered:
+        if cp.has_option("schedule", "phases"):
+            problems.append("[schedule] phases: used only with period.* lines; "
+                            "the built-in strategy sets its own phases")
         conc = (given.get("c_m", INJECTED_MICROBES), given.get("c_o", INJECTED_OXYGEN),
                 given.get("c_u", INJECTED_UREA))
         try:
@@ -339,6 +347,9 @@ def _parse_schedule(cp, given: dict, preset_name: str, current: Schedule,
         except DomainError as exc:
             problems.append(f"[schedule] builtin: {exc}")
             return current
+    problems += [f"[schedule] {key}: not used with period.* lines, "
+                 "which give their own rate and concentrations"
+                 for key in ("rate", "c_m", "c_o", "c_u") if cp.has_option("schedule", key)]
     periods = []
     for _, key in sorted(numbered):
         words = cp.get("schedule", key).split()

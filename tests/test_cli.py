@@ -164,6 +164,19 @@ class TestRunCo2:
         assert t[-1] == pytest.approx(cfg.co2.duration)
         assert np.all(cols["max_s"] > 0.0)
 
+    def test_summary_shows_the_work(self, tiny_config, capsys, tmp_path):
+        path, _ = tiny_config
+        assert main(["run-co2", str(path)]) == 0
+        done = re.search(r"peak normalized leakage flux: \S+ \((\d+) steps, "
+                         r"(\d+) Newton iterations, (\d+) dt cuts, "
+                         r"wall time [0-9.]+ s\)$", capsys.readouterr().out, re.M)
+        assert done
+        steps, iters, cuts = (int(v) for v in done.groups())
+        t, cols = read_timeseries(tmp_path / "out" / "co2_diagnostics_untreated.csv")
+        assert steps == t.size
+        assert iters == cols["newton_iterations"].sum() > 0
+        assert cuts == 0
+
 
 def _files(directory):
     return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}

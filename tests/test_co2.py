@@ -9,6 +9,7 @@ from micpsim.co2 import (
     NV2,
     TwoPhaseState,
     _eval_twophase,
+    _extrapolate,
     _TwoPhaseSystem,
     co2_face_fluxes,
     leakage_flux,
@@ -19,7 +20,7 @@ from micpsim.co2 import (
 from micpsim.errors import ConvergenceError, DomainError, GeometryError
 from micpsim.grid import DomainSpec, LeakSpec, ReservoirSpec, build_domain
 from micpsim.params import RockLaw, TwoPhaseParams
-from micpsim.stepping import OutputHooks, SolverSettings
+from micpsim.stepping import OutputHooks, SolverSettings, march
 
 ROCK = RockLaw()
 TP = TwoPhaseParams()
@@ -76,6 +77,66 @@ class TestStep:
                                        SolverSettings(), TP, p_bdry=P0)
         assert not rep.converged
         assert new is state
+
+
+class TestPredictor:
+    """Newton started from the linear extrapolation of the last two states."""
+
+    def test_same_state_in_fewer_iterations(self):
+        grid = _leaky_box()
+        tol = 1e-8
+        settings = SolverSettings(newton_rel_tol=tol)
+        states = [make_initial_twophase_state(grid, TP, P0)]
+        for _ in range(6):  # a CO2 plume spreading from the well
+            new, rep = solve_twophase_step(grid, grid.perm0, states[-1], 3600.0,
+                                           1e-5, settings, TP, p_bdry=P0)
+            assert rep.converged
+            states.append(new)
+        plain, rep_plain = solve_twophase_step(grid, grid.perm0, states[-1], 3600.0,
+                                               1e-5, settings, TP, p_bdry=P0)
+        guess = _extrapolate(states[-2], states[-1], 1.0)
+        guessed, rep_guessed = solve_twophase_step(
+            grid, grid.perm0, states[-1], 3600.0, 1e-5, settings, TP, p_bdry=P0,
+            guess=guess)
+        assert plain.s.max() > 0.1
+        assert rep_plain.converged and rep_guessed.converged
+        assert rep_guessed.iterations < rep_plain.iterations
+        assert np.max(np.abs(guessed.s - plain.s)) < tol
+        assert np.max(np.abs(guessed.p - plain.p)) < tol * 1e5  # pin scale: 1 bar
+
+    def test_equilibrium_takes_no_iteration(self):
+        grid = _leaky_box()
+        state = make_initial_twophase_state(grid, TP, P0)
+        for guess in (None, state):
+            new, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 0.0,
+                                           SolverSettings(), TP, p_bdry=P0,
+                                           guess=guess)
+            assert rep.converged and rep.iterations == 0
+            assert np.array_equal(new.p, state.p) and np.array_equal(new.s, state.s)
+
+    def test_extrapolation_clips_saturation(self):
+        prev = TwoPhaseState(p=np.array([1.0, 2.0]), s=np.array([0.5, 0.9]))
+        last = TwoPhaseState(p=np.array([2.0, 2.0]), s=np.array([0.3, 0.95]))
+        guess = _extrapolate(prev, last, 2.0)
+        assert np.array_equal(guess.p, [4.0, 2.0])
+        assert np.array_equal(guess.s, [0.0, 1.0])
+
+    def test_run_needs_fewer_iterations_than_without_guess(self):
+        grid = _leaky_box()
+        settings = SolverSettings(newton_rel_tol=1e-8)
+        rate, T = 1e-5, 5 * 86400.0
+        rep = simulate_co2(grid, grid.perm0, rate, T, settings, TP, plane_z=2.0,
+                           p_bdry=P0)
+        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        plain = march(make_initial_twophase_state(grid, TP, P0), [(T, rate)],
+                      settings,
+                      lambda st, dt, q: solve_twophase_step(
+                          grid, grid.perm0, st, dt, q, settings, TP, p_bdry=P0,
+                          _sys=sys),
+                      lambda *args: {})
+        assert rep.steps == plain.steps and rep.dt_failures == plain.dt_failures == 0
+        assert rep.newton_iterations < plain.newton_iterations
+        assert np.max(np.abs(rep.final_state.s - plain.state.s)) < 1e-6
 
 
 class TestFrontPosition:
@@ -256,18 +317,31 @@ class TestFactor:
         x = sys.factor(J).solve(b)
         assert np.linalg.norm(J @ x - b) < 1e-12 * np.linalg.norm(b)
 
-    def test_less_fill_than_colamd_at_scale(self):
-        domain = DomainSpec(nx=40, ny=4, nz=24, dx=0.5, dy=0.25, dz=0.25)
-        leak = LeakSpec(aperture=2.0, width=1.0, tilt_deg=90.0, perm=2e-14,
-                        anchor_x=9.0)
-        res = ReservoirSpec(aquifer_height=2.0, caprock_height=2.0, well_x=1.0)
-        grid = build_domain(domain, leak, res, ROCK)
-        rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
-                           plane_z=2.0, p_bdry=P0)
-        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
-        J = _newton_matrix(sys, rep.final_state,
-                           make_initial_twophase_state(grid, TP, P0))
+    def test_less_fill_than_colamd_at_scale(self, system_at_scale):
+        sys, J = system_at_scale
         assert sys.factor(J).lu.nnz < splu(J).nnz
+
+    def test_less_fill_than_with_relaxed_supernodes(self, system_at_scale):
+        sys, J = system_at_scale
+        p = sys.order
+        relaxed = splu(J[p][:, p], permc_spec="NATURAL",
+                       options={"SymmetricMode": True})  # default relax, panel_size
+        assert sys.factor(J).lu.nnz < relaxed.nnz
+
+
+@pytest.fixture(scope="module")
+def system_at_scale():
+    """A 40 x 4 x 24 leaky system and its Newton matrix with CO2 in place."""
+    domain = DomainSpec(nx=40, ny=4, nz=24, dx=0.5, dy=0.25, dz=0.25)
+    leak = LeakSpec(aperture=2.0, width=1.0, tilt_deg=90.0, perm=2e-14,
+                    anchor_x=9.0)
+    res = ReservoirSpec(aquifer_height=2.0, caprock_height=2.0, well_x=1.0)
+    grid = build_domain(domain, leak, res, ROCK)
+    rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
+                       plane_z=2.0, p_bdry=P0)
+    sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+    return sys, _newton_matrix(sys, rep.final_state,
+                               make_initial_twophase_state(grid, TP, P0))
 
 
 def _vector(state):

@@ -246,6 +246,33 @@ period.9 = 1080000 no_flow 0 0 0 0
         cfg = parse_config("[experiment]\npreset = ex3\n[schedule]\np_bdry = 2e7\n")
         assert cfg.schedule == builtin_schedule("ex3", p_bdry=2e7)
 
+    @pytest.mark.parametrize("key", ["rate", "c_m", "c_o", "c_u"])
+    def test_builtin_keys_with_period_lines_rejected(self, key):
+        text = f"[schedule]\n{key} = 1e-3\nperiod.1 = 10 no_flow 0 0 0 0\n"
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert any(p.startswith(f"[schedule] {key}: not used with period")
+                   for p in exc_info.value.problems)
+
+    def test_phases_without_period_lines_rejected(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("[schedule]\nbuiltin = ex3\nphases = 0,9\n")
+        assert any(p.startswith("[schedule] phases: used only with period")
+                   for p in exc_info.value.problems)
+
+    def test_disabled_leak_keys_still_checked(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("[leak]\nenabled = false\na = -3\n")
+        assert exc_info.value.problems == ["[leak] leak aperture must be > 0"]
+        cfg = parse_config("[leak]\nenabled = false\na = 3\n")
+        assert cfg.leak is None
+
+    def test_disabled_leak_alone_ignores_the_presets_leak(self):
+        # the preset's 6 m wide leak does not fit a 1 m wide domain
+        cfg = parse_config("[experiment]\npreset = ex3\n[domain]\nny = 1\n"
+                           "dy = 1.0\n[leak]\nenabled = false\n")
+        assert cfg.leak is None
+
     def test_bad_period_number_named(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config("[schedule]\nperiod.x = 10 no_flow 0 0 0 0\n")
