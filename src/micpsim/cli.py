@@ -179,7 +179,8 @@ def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
           f"closure={report.volume_closure_error:.3e}")
     print(f"peak normalized leakage flux: {report.peak_flux:.6g} "
           f"({report.steps} steps, {report.newton_iterations} Newton iterations, "
-          f"{report.dt_failures} dt cuts, wall time {report.wall_time:.2f} s)")
+          f"{report.factorizations} factorizations, {report.dt_failures} dt cuts, "
+          f"wall time {report.wall_time:.2f} s)")
     return report
 
 

@@ -25,6 +25,7 @@ from .errors import ConvergenceError, DomainError
 _EPS = 1e-9  # relative slack on interval ends
 _GROW_COOLDOWN = 3  # accepted steps without dt growth after a dt cut
 _GROW_ITERS = 5  # grow dt after a step that converged within this many iterations
+_CONTRACTION = 0.1  # keep a carried factorization while updates cut the norm this much
 
 
 @dataclass
@@ -148,10 +149,12 @@ class NewtonResult(NamedTuple):
     iterations: int
     resid_norm: float
     aux: dict  # diagnostics of the evaluation at x
+    lu: object  # last factorization Newton updated with
+    factorizations: int  # calls of ``factor``
 
 
 def newton(evaluate, x, escale, settings: SolverSettings, factor,
-           damped=(), max_step=np.inf) -> NewtonResult:
+           damped=(), max_step=np.inf, lu=None) -> NewtonResult:
     """Solve evaluate(x) = 0 from the initial iterate x.
 
     ``evaluate(x, want_jacobian)`` returns (residual, J or None, aux) and
@@ -160,23 +163,47 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
     max |residual / escale| < newton_rel_tol; a NaN norm or reaching
     newton_max_iter fails. An update whose largest entry in the slices
     ``damped`` exceeds ``max_step`` is scaled down to ``max_step``.
+
+    ``lu`` is a factorization carried over from an earlier solve, as
+    implicit integrators reuse their iteration matrix (Hairer & Wanner,
+    Solving ODEs II, IV.8; Brown, Hindmarsh & Petzold 1994). Newton
+    updates with it and builds no Jacobian as long as each update cuts
+    the residual norm to at most _CONTRACTION times its previous value.
+    At the first iterate where an update falls short it drops ``lu``,
+    before the Jacobian is assembled, and goes on as a solve started
+    without one: a fresh Jacobian factored at every iterate. Without
+    ``lu`` nothing is reused. Updates made with ``lu`` count as
+    iterations, toward newton_max_iter too. The result carries the last
+    factorization used and the number of ``factor`` calls.
     """
     tol = settings.newton_rel_tol
-    iters = 0
+    iters = factorizations = 0
+    reuse = lu is not None
+    rnorm = np.inf
 
     def norm(resid):
         return float(np.max(np.abs(resid / escale)))
 
     def will_factor(resid):
-        rnorm = norm(resid)
-        return np.isfinite(rnorm) and rnorm >= tol and iters < settings.newton_max_iter
+        nonlocal lu, reuse
+        new = norm(resid)
+        if not (np.isfinite(new) and new >= tol and iters < settings.newton_max_iter):
+            return False
+        if reuse and new <= _CONTRACTION * rnorm:
+            return False
+        reuse = False
+        lu = None  # free the old factorization before the Jacobian is built
+        return True
 
     resid, J, aux = evaluate(x, will_factor)
     rnorm = norm(resid)
     while not rnorm < tol:  # a NaN norm fails the step, it never converges
         if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
-            return NewtonResult(False, x, iters, rnorm, aux)
-        delta = factor(J).solve(-resid)
+            return NewtonResult(False, x, iters, rnorm, aux, lu, factorizations)
+        if J is not None:
+            lu, J = factor(J), None  # J is not kept through the next assembly
+            factorizations += 1
+        delta = lu.solve(-resid)
         dmax = max((np.max(np.abs(delta[s]), initial=0.0) for s in damped),
                    default=0.0)
         if dmax > max_step:
@@ -185,7 +212,7 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
         iters += 1
         resid, J, aux = evaluate(x, will_factor)
         rnorm = norm(resid)
-    return NewtonResult(True, x, iters, rnorm, aux)
+    return NewtonResult(True, x, iters, rnorm, aux, lu, factorizations)
 
 
 def jacobian_wanted(want_jacobian, resid) -> bool:

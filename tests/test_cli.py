@@ -168,13 +168,16 @@ class TestRunCo2:
         path, _ = tiny_config
         assert main(["run-co2", str(path)]) == 0
         done = re.search(r"peak normalized leakage flux: \S+ \((\d+) steps, "
-                         r"(\d+) Newton iterations, (\d+) dt cuts, "
-                         r"wall time [0-9.]+ s\)$", capsys.readouterr().out, re.M)
+                         r"(\d+) Newton iterations, (\d+) factorizations, "
+                         r"(\d+) dt cuts, wall time [0-9.]+ s\)$",
+                         capsys.readouterr().out, re.M)
         assert done
-        steps, iters, cuts = (int(v) for v in done.groups())
+        steps, iters, factors, cuts = (int(v) for v in done.groups())
         t, cols = read_timeseries(tmp_path / "out" / "co2_diagnostics_untreated.csv")
-        assert steps == t.size
+        assert steps == t.size > 1
         assert iters == cols["newton_iterations"].sum() > 0
+        # later steps update with the factorization an earlier step left
+        assert factors == cols["factorizations"].sum() < iters
         assert cuts == 0
 
 

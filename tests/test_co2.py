@@ -10,6 +10,7 @@ from micpsim.co2 import (
     TwoPhaseState,
     _eval_twophase,
     _extrapolate,
+    _leak_plane,
     _TwoPhaseSystem,
     co2_face_fluxes,
     leakage_flux,
@@ -139,6 +140,55 @@ class TestPredictor:
         assert np.max(np.abs(rep.final_state.s - plain.state.s)) < 1e-6
 
 
+class TestCarriedFactorization:
+    """A run hands each converged step's factorization to the next step."""
+
+    def test_failed_step_leaves_no_factorization(self):
+        grid = _leaky_box()
+        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        state = make_initial_twophase_state(grid, TP, P0)
+        _, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 1e-5,
+                                     SolverSettings(), TP, p_bdry=P0, _sys=sys)
+        assert rep.converged and rep.factorizations > 0 and sys.lu is not None
+        state.s[3] = np.nan
+        new, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 1e-5,
+                                       SolverSettings(), TP, p_bdry=P0, _sys=sys)
+        assert not rep.converged and new is state
+        assert rep.factorizations == 0
+        assert sys.lu is None
+
+    def test_run_factors_less_than_cold_started_solves(self):
+        grid = _leaky_box()
+        settings = SolverSettings(newton_rel_tol=1e-8)
+        rate, T = 1e-5, 5 * 86400.0
+        times = []
+        rep = simulate_co2(grid, grid.perm0, rate, T, settings, TP, plane_z=2.0,
+                           p_bdry=P0, sinks=OutputHooks(
+                               on_diagnostics=lambda t, info: times.append(t)))
+        # the same predictor, but no system kept from step to step
+        start = make_initial_twophase_state(grid, TP, P0)
+        prev, last, dt_last = None, start, 0.0
+        cold_times, cold_factors = [], []
+
+        def step(st, dt, q):
+            guess = None if prev is None else _extrapolate(prev, last, dt / dt_last)
+            return solve_twophase_step(grid, grid.perm0, st, dt, q, settings, TP,
+                                       p_bdry=P0, guess=guess)
+
+        def accept(t, dt, st, r, q):
+            nonlocal prev, last, dt_last
+            prev, last, dt_last = last, st, dt
+            cold_times.append(t)
+            cold_factors.append(r.factorizations)
+            return {}
+
+        cold = march(start, [(T, rate)], settings, step, accept)
+        assert times == cold_times
+        assert rep.dt_failures == cold.dt_failures == 0
+        assert 0 < rep.factorizations < sum(cold_factors)
+        assert np.max(np.abs(rep.final_state.s - cold.state.s)) < 1e-6
+
+
 class TestFrontPosition:
     def test_volume_balance_front(self):
         # unit mobility ratio: linear kr with equal viscosities makes the
@@ -209,6 +259,23 @@ class TestLeakageFlux:
         # the same flux crosses the mid-caprock plane
         flux2 = leakage_flux(grid, state, 2.0, Q, grid.perm0, TP)
         assert flux2 == pytest.approx(1.0, rel=1e-12)
+
+    def test_run_plane_gives_the_same_bits(self):
+        grid = _leaky_box()
+        rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
+                           plane_z=2.0, p_bdry=P0)
+        state = rep.final_state
+        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        plane = _leak_plane(grid, 2.0, sys.T)
+        faces = plane[0]
+        every_face = np.sum(np.maximum(
+            co2_face_fluxes(grid, grid.perm0, state, TP)[faces], 0.0)) / 1e-5
+        alone = leakage_flux(grid, state, 2.0, 1e-5, grid.perm0, TP)
+        assert alone > 0.0
+        assert alone == every_face
+        assert leakage_flux(grid, state, 2.0, 1e-5, grid.perm0, TP,
+                            _plane=plane) == alone
+        assert rep.series[-1][1] == alone
 
     def test_plane_outside_domain_raises(self):
         grid = conduit_grid()

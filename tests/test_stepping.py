@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +57,63 @@ class TestNewton:
                      SolverSettings(newton_max_iter=1), splu,
                      damped=(slice(1, None, 2),), max_step=0.5)
         assert res.x == pytest.approx([1.5, 1.5])
+
+
+class _LU:
+    """A factorization that can be watched for being freed."""
+
+    def __init__(self, J):
+        self.lu = splu(J)
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+class TestCarriedFactorization:
+    TARGET = np.array([4.0, 9.0])
+    ROOT_JACOBIAN = sparse.diags([4.0, 6.0], format="csc")  # 2 x at x = (2, 3)
+    START = np.array([2.2, 3.3])
+    SETTINGS = SolverSettings(newton_rel_tol=1e-12)
+
+    def test_root_factorization_needs_no_factor_call(self):
+        factored = []
+        carried = splu(self.ROOT_JACOBIAN)
+        res = newton(_quadratic(self.TARGET), self.START, np.ones(2), self.SETTINGS,
+                     lambda J: factored.append(J) or splu(J), lu=carried)
+        assert res.converged
+        assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
+        assert res.iterations > 0
+        assert factored == [] and res.factorizations == 0
+        assert res.lu is carried
+
+    def test_poor_factorization_dropped_after_one_update(self):
+        built = []  # Jacobians built, with whether the carried LU was alive
+        evaluate = _quadratic(self.TARGET)
+
+        def watched(x, want_jacobian):
+            resid, J, aux = evaluate(x, want_jacobian)
+            if J is not None:
+                built.append(alive() is not None)
+            return resid, J, aux
+
+        def carried():  # updates 10x too short; newton holds the only reference
+            nonlocal alive
+            lu = _LU(10.0 * self.ROOT_JACOBIAN)
+            alive = weakref.ref(lu)
+            return lu
+
+        alive = None
+        gc.disable()
+        try:
+            res = newton(watched, self.START, np.ones(2), self.SETTINGS, _LU,
+                         lu=carried())
+        finally:
+            gc.enable()
+        assert res.converged
+        assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
+        assert built == [False] * (res.iterations - 1)  # freed before the first
+        assert res.factorizations == res.iterations - 1 > 0
+        assert res.lu is not None and alive() is None
 
 
 def _line(sides):
