@@ -34,14 +34,15 @@ A run also carries the Newton factorization from step to step: the
 system keeps the last factorization of each converged step, and the
 next step updates with it, building no Jacobian, as long as every update
 cuts the scaled residual norm by at least the factor
-``stepping._CONTRACTION`` (0.1). After the first update that falls short,
-the step builds and factors a fresh Jacobian at every iterate, as a step
-without a carried factorization does. A failed step carries nothing on,
-so its retry starts afresh. The Newton iterations a run reports include
-the updates made with a carried factorization. On the published ex3
-grid the same 52 steps take 46 factorizations instead of 124, and 253
-Newton iterations (at most 7 in a step) instead of 124: a residual and
-a triangular solve cost about 6 ms there, a factorization about 75 ms.
+``stepping._CONTRACTION`` (0.1). At the first update that falls short,
+the step factors a fresh Jacobian and keeps that one under the same rule
+(:func:`micpsim.stepping.newton`). A failed step carries nothing on, so
+its retry starts afresh. The Newton iterations a run reports include
+the updates made with a kept factorization, and dt grows on the count of
+factorizations, not of iterations (:func:`micpsim.stepping.march`). On
+the published ex3 grid the same 52 steps take 26 factorizations and 285
+Newton iterations (at most 10 in a step); keeping only the carried
+factorization took 46 and 253, carrying nothing 124 and 124.
 
 The headline diagnostic is the normalized leakage flux: the upward CO2
 volumetric flux through a horizontal plane restricted to leak-tagged
@@ -380,7 +381,6 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
              else make_initial_twophase_state(grid, params, p_bdry))
     series: list[tuple[float, float]] = []
     produced = 0.0
-    factorizations = 0
     # the last two states of the run and the step between them
     prev, last, dt_last = None, state, 0.0
 
@@ -390,12 +390,10 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
                                    params, p_bdry, poro, guess=guess, _sys=sys)
 
     def accept(t, dt, st, rep, rate):
-        nonlocal produced, factorizations, prev, last, dt_last
+        nonlocal produced, prev, last, dt_last
         prev, last, dt_last = last, st, dt
         produced += rep.co2_out
-        factorizations += rep.factorizations
-        info = {"factorizations": rep.factorizations,
-                "max_s": float(st.s.max(initial=0.0))}
+        info = {"max_s": float(st.s.max(initial=0.0))}
         if plane is not None:
             flux = leakage_flux(grid, st, plane_z, rate if rate > 0.0 else 1.0,
                                 perm_field, params, _plane=plane)
@@ -409,5 +407,5 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
                      injected_volume=rate * run.t, produced_volume=produced,
                      in_place_volume=in_place, steps=run.steps,
                      newton_iterations=run.newton_iterations,
-                     factorizations=factorizations, dt_failures=run.dt_failures,
+                     factorizations=run.factorizations, dt_failures=run.dt_failures,
                      wall_time=time.perf_counter() - t_start)

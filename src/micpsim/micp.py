@@ -137,12 +137,20 @@ class _System(AssemblyData):
         self.f_area = grid.iface_area
         self.f_da = grid.iface_d[:, 0]
         self.f_db = grid.iface_d[:, 1]
-        self.f_axis = grid.iface_axis
         self.b_area = grid.bface_area
         self.b_d = grid.bface_d
-        self.b_axis = np.array([_SIDE_AXIS_SIGN[s][0] for s in grid.bface_side],
-                               dtype=np.int8)
-        self.b_sign = np.array([_SIDE_AXIS_SIGN[s][1] for s in grid.bface_side])
+        b_axis = np.array([_SIDE_AXIS_SIGN[s][0] for s in grid.bface_side], dtype=np.int8)
+        b_sign = np.array([_SIDE_AXIS_SIGN[s][1] for s in grid.bface_side])
+        # per axis: its interior faces and the boundary faces normal to it
+        # with their outward signs (None when it has none)
+        self.axis_faces = []
+        for axis in range(3):
+            faces = np.flatnonzero(grid.iface_axis == axis)
+            bfaces = np.flatnonzero(b_axis == axis)
+            self.axis_faces.append((
+                faces, self.fa[faces], self.fb[faces], self.f_area[faces],
+                (bfaces, self.bc[bfaces], b_sign[bfaces], self.b_area[bfaces])
+                if bfaces.size else None))
 
     def conc_scales(self, state: MicpState, controls) -> dict[str, float]:
         scales = {}
@@ -200,17 +208,14 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
 
     # cell-average Darcy velocity -> shear norm ||grad p - rho g|| = |v| mu / K
     v2 = np.zeros(n)
-    for axis in range(3):
-        fmask = sys.f_axis == axis
+    for faces, fa, fb, area, bound in sys.axis_faces:
         vel = np.zeros(n)
-        fluxa = F[fmask] / sys.f_area[fmask]
-        vel += np.bincount(sys.fa[fmask], weights=fluxa, minlength=n)
-        vel += np.bincount(sys.fb[fmask], weights=fluxa, minlength=n)
-        bmask = sys.b_axis == axis
-        if np.any(bmask):
-            vel += np.bincount(sys.bc[bmask],
-                               weights=(sys.b_sign[bmask] * Fb[bmask]
-                                        / sys.b_area[bmask]), minlength=n)
+        fluxa = F[faces] / area
+        vel += np.bincount(fa, weights=fluxa, minlength=n)
+        vel += np.bincount(fb, weights=fluxa, minlength=n)
+        if bound is not None:
+            bfaces, bc, sign, b_area = bound
+            vel += np.bincount(bc, weights=sign * Fb[bfaces] / b_area, minlength=n)
         v2 += (0.5 * vel) ** 2
     shear = np.sqrt(v2) * mu_w / K
 
@@ -315,6 +320,7 @@ class NewtonReport:
     converged: bool
     iterations: int
     resid_norm: float
+    factorizations: int
     clamped: dict = field(default_factory=dict)
     injected: dict = field(default_factory=dict)
     produced: dict = field(default_factory=dict)
@@ -365,7 +371,8 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
         damped=(slice(IB, None, NVAR), slice(IC, None, NVAR)),
         max_step=0.5 * float(np.min(sys.phi0)))
     if not res.converged:
-        return state_old, NewtonReport(False, res.iterations, res.resid_norm)
+        return state_old, NewtonReport(False, res.iterations, res.resid_norm,
+                                       res.factorizations)
     x, aux = res.x, res.aux
     state = MicpState.from_vector(x)
     phi_conv = np.maximum(sys.phi0 - state.phi_b - state.phi_c, 0.0)
@@ -386,7 +393,8 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
     state.phi_b[:] = b_new
     state.phi_c[:] = c_new
 
-    report = NewtonReport(True, res.iterations, res.resid_norm, clamped=clamped)
+    report = NewtonReport(True, res.iterations, res.resid_norm, res.factorizations,
+                          clamped=clamped)
     Fb, out_mask = aux["Fb"], aux["out_mask"]
     conc_vectors = {"m": x[IM::NVAR], "o": x[IO::NVAR], "u": x[IU::NVAR]}
     for name in SPECIES:
@@ -432,6 +440,7 @@ class RunReport:
     water_produced_net: float
     steps: int
     newton_iterations: int
+    factorizations: int
     dt_failures: int
     wall_time: float
 
@@ -502,5 +511,5 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
                      immobile_produced=immobile, clamped=clamped,
                      water_injected=water["in"], water_produced_net=water["out_net"],
                      steps=run.steps, newton_iterations=run.newton_iterations,
-                     dt_failures=run.dt_failures,
+                     factorizations=run.factorizations, dt_failures=run.dt_failures,
                      wall_time=time.perf_counter() - t_start)

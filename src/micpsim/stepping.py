@@ -24,8 +24,8 @@ from .errors import ConvergenceError, DomainError
 
 _EPS = 1e-9  # relative slack on interval ends
 _GROW_COOLDOWN = 3  # accepted steps without dt growth after a dt cut
-_GROW_ITERS = 5  # grow dt after a step that converged within this many iterations
-_CONTRACTION = 0.1  # keep a carried factorization while updates cut the norm this much
+_GROW_FACTORIZATIONS = 5  # grow dt after a step converged with at most this many LUs
+_CONTRACTION = 0.1  # a carried solve keeps an LU while updates cut the norm this much
 
 
 @dataclass
@@ -76,6 +76,12 @@ class AssemblyData:
         self.closed = self.bc.size == 0  # no pressure level: pin cell 0
         self.well = grid.well_cells
         self.well_frac = grid.volumes[self.well] / grid.well_volume
+        # cell-by-face 0/1 matrices of the face sums
+        self._incidence = tuple(
+            sparse.csr_matrix((np.ones(cells.size), (cells, np.arange(cells.size))),
+                              shape=(self.n, cells.size))
+            for cells in (self.fa, self.fb, self.bc))
+        self._structure = {}  # nvar -> see _block_structure
 
     def well_source(self, rate):
         """Per-cell injection, rate split over the well cells by volume."""
@@ -102,10 +108,18 @@ class AssemblyData:
 
         Interior face f adds on_a[f] to its cell a and subtracts on_b[f]
         from its cell b; boundary face k adds on_bc[k] to its cell. Arrays
-        of shape (faces, ...) give an array of shape (cells, ...).
+        of shape (faces, ...) give an array of shape (cells, ...). Each
+        sum adds its faces in face order, as ``np.bincount`` would.
         """
-        return (_cell_sums(self.fa, on_a, self.n) - _cell_sums(self.fb, on_b, self.n)
-                + _cell_sums(self.bc, on_bc, self.n))
+        inc_a, inc_b, inc_bc = self._incidence
+        tail = on_a.shape[1:]
+        k = int(np.prod(tail))
+
+        def sums(inc, on):
+            return inc @ on.reshape(on.shape[0], k)
+
+        total = sums(inc_a, on_a) - sums(inc_b, on_b) + sums(inc_bc, on_bc)
+        return total.reshape((self.n, *tail))
 
     def jacobian(self, cell, face_a, face_b, bface, pin_scale=None):
         """Newton matrix, unknown v of cell i at nvar * i + v, from derivative blocks.
@@ -120,27 +134,40 @@ class AssemblyData:
         replaces row 0 by the pressure pin of a closed domain
         (:meth:`pin_pressure`).
         """
-        n, nvar = self.n, cell.shape[1]
-        cells = np.arange(n)
+        nvar = cell.shape[1]
+        gather, indices, indptr = self._block_structure(nvar)
         blocks = np.concatenate((cell + self.face_sums(face_a, face_b, bface),
                                  face_b, -face_a))
-        brow = np.concatenate((cells, self.fa, self.fb))
-        bcol = np.concatenate((cells, self.fb, self.fa))
+        data = blocks.ravel()[gather]
         if pin_scale is not None:
-            blocks[brow == 0, 0, :] = 0.0
-            blocks[0, 0, 0] = pin_scale
-        k, i, j = np.nonzero(blocks)
-        size = nvar * n
-        return sparse.coo_matrix((blocks[k, i, j], (nvar * brow[k] + i, nvar * bcol[k] + j)),
-                                 shape=(size, size)).tocsc()
+            data[indices == 0] = 0.0
+            data[0] = pin_scale  # column 0 starts with row 0, the diagonal
+        size = nvar * self.n
+        J = sparse.csc_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
+        J.eliminate_zeros()
+        return J
 
+    def _block_structure(self, nvar):
+        """CSC structure of every entry of every block that :meth:`jacobian` fills.
 
-def _cell_sums(cells, weights, n):
-    """Sum of weights[f] over the f with cells[f] == i, trailing axes kept."""
-    tail = weights.shape[1:]
-    k = int(np.prod(tail))
-    idx = (cells[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(idx, weights=weights.ravel(), minlength=n * k).reshape((n, *tail))
+        Blocks are cell i at (i, i), then interior face f at (a, b) and at
+        (b, a). Returns (gather, indices, indptr): the CSC entry k is
+        entry gather[k] of the flattened blocks, in row indices[k]. Built
+        once per nvar; no two blocks share a position.
+        """
+        if nvar not in self._structure:
+            cells = np.arange(self.n)
+            brow = np.concatenate((cells, self.fa, self.fb))
+            bcol = np.concatenate((cells, self.fb, self.fa))
+            var = np.arange(nvar)
+            row = (nvar * brow[:, None, None] + var[:, None]).repeat(nvar, axis=2).ravel()
+            col = (nvar * bcol[:, None, None] + var).repeat(nvar, axis=1).ravel()
+            gather = np.lexsort((row, col))
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=nvar * self.n))))
+            itype = np.int32 if row.size < 2**31 else np.int64
+            self._structure[nvar] = (gather.astype(itype), row[gather].astype(itype),
+                                     indptr.astype(itype))
+        return self._structure[nvar]
 
 
 class NewtonResult(NamedTuple):
@@ -169,12 +196,14 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
     Solving ODEs II, IV.8; Brown, Hindmarsh & Petzold 1994). Newton
     updates with it and builds no Jacobian as long as each update cuts
     the residual norm to at most _CONTRACTION times its previous value.
-    At the first iterate where an update falls short it drops ``lu``,
-    before the Jacobian is assembled, and goes on as a solve started
-    without one: a fresh Jacobian factored at every iterate. Without
-    ``lu`` nothing is reused. Updates made with ``lu`` count as
-    iterations, toward newton_max_iter too. The result carries the last
-    factorization used and the number of ``factor`` calls.
+    At the first iterate where an update falls short it drops the
+    factorization, before the Jacobian is assembled, factors a fresh
+    Jacobian there and keeps that one under the same rule. Without
+    ``lu`` nothing is reused: a fresh Jacobian is factored at every
+    iterate, so ``factorizations == iterations``. Updates made with a
+    kept factorization count as iterations, toward newton_max_iter too.
+    The result carries the last factorization used and the number of
+    ``factor`` calls.
     """
     tol = settings.newton_rel_tol
     iters = factorizations = 0
@@ -185,13 +214,12 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
         return float(np.max(np.abs(resid / escale)))
 
     def will_factor(resid):
-        nonlocal lu, reuse
+        nonlocal lu
         new = norm(resid)
         if not (np.isfinite(new) and new >= tol and iters < settings.newton_max_iter):
             return False
         if reuse and new <= _CONTRACTION * rnorm:
             return False
-        reuse = False
         lu = None  # free the old factorization before the Jacobian is built
         return True
 
@@ -226,6 +254,7 @@ class MarchReport:
     t: float = 0.0
     steps: int = 0
     newton_iterations: int = 0
+    factorizations: int = 0
     dt_failures: int = 0
 
 
@@ -235,14 +264,20 @@ def march(state, intervals, settings: SolverSettings, step, accept,
 
     ``intervals`` lists (t_end, ctx) pairs, ctx being the interval's well
     control or rate. ``step(state, dt, ctx)`` returns (new_state, report)
-    with ``converged``, ``iterations`` and ``resid_norm``. Each interval
-    starts at dt_init and ends exactly on t_end. A failed step is retried
-    with dt * dt_cut, and below dt_min a ConvergenceError carries the
-    last good state. dt grows by dt_grow after a step that converged
-    within _GROW_ITERS iterations, except in the first steps after a
-    cut. ``accept(t, dt, state, report, ctx)`` books an accepted step and
-    returns the solver's entries of its diagnostics record. Snapshots are
-    taken at t = 0, at the cadence and at the end, each time once.
+    with ``converged``, ``iterations``, ``factorizations`` and
+    ``resid_norm``. Each interval starts at dt_init and ends exactly on
+    t_end. A failed step is retried with dt * dt_cut, and below dt_min a
+    ConvergenceError carries the last good state. dt grows by dt_grow
+    after a step that converged with at most _GROW_FACTORIZATIONS
+    factorizations, except in the first steps after a cut: the count of
+    factorizations, not of iterations, so that cheap updates with a kept
+    factorization do not hold dt back. A solve that factors at every
+    iterate has as many factorizations as iterations. The run counts the
+    iterations and factorizations of accepted steps. ``accept(t, dt,
+    state, report, ctx)`` books an accepted step and returns the solver's
+    entries of its diagnostics record, which follow dt, newton_iterations,
+    residual and factorizations. Snapshots are taken at t = 0, at the
+    cadence and at the end, each time once.
     """
     settings.validate()
     sinks = sinks or OutputHooks()
@@ -270,15 +305,17 @@ def march(state, intervals, settings: SolverSettings, step, accept,
             run.t += dt
             run.steps += 1
             run.newton_iterations += rep.iterations
+            run.factorizations += rep.factorizations
             extra = accept(run.t, dt, new_state, rep, ctx)
             if cooldown > 0:
                 cooldown -= 1
-            elif rep.iterations <= _GROW_ITERS:
+            elif rep.factorizations <= _GROW_FACTORIZATIONS:
                 dt_cur = min(dt_cur * settings.dt_grow, settings.dt_max)
             if sinks.on_diagnostics:
                 sinks.on_diagnostics(run.t, {
                     "dt": dt, "newton_iterations": rep.iterations,
-                    "residual": rep.resid_norm, **extra})
+                    "residual": rep.resid_norm, "factorizations": rep.factorizations,
+                    **extra})
             if next_snap is not None and sinks.on_snapshot and run.t >= next_snap - _EPS:
                 sinks.on_snapshot(run.t, run.state)
                 snapped = run.t

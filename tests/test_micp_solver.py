@@ -10,6 +10,7 @@ from micpsim.micp import (
     IO,
     IU,
     NVAR,
+    _SIDE_AXIS_SIGN,
     MicpState,
     SolverSettings,
     _eval_system,
@@ -94,6 +95,36 @@ class TestShearNorm:
         s2 = shear_norm_field(grid, steady_flow_state(grid, 2e-5), INERT, ROCK,
                               p_bdry=P0)
         assert s2[1:] == pytest.approx(2.0 * s1[1:], rel=1e-6)
+
+    def test_per_axis_sums_match_masked_reference(self):
+        domain = DomainSpec(nx=4, ny=3, nz=2, dx=1.1, dy=0.7, dz=0.3)
+        res = ReservoirSpec(aquifer_height=0.6, caprock_height=0.0, well_x=0.55,
+                            outflow_sides=("x+", "y-"))
+        grid = build_domain(domain, None, res, ROCK)
+        sys = _System(grid, PARAMS, ROCK)
+        state = make_initial_state(grid, PARAMS, P0)
+        state.p += np.random.default_rng(0).uniform(0.0, 1e4, grid.n_active)
+        _, _, aux = _eval_system(sys, state.to_vector(), state, 600.0,
+                                 WellControl(rate=1e-5, p_bdry=P0), want_jacobian=False)
+        # the shear norm summed over boolean masks of each axis's faces
+        F, Fb, n = aux["F"], aux["Fb"], grid.n_active
+        b_axis = np.array([_SIDE_AXIS_SIGN[s][0] for s in grid.bface_side])
+        b_sign = np.array([_SIDE_AXIS_SIGN[s][1] for s in grid.bface_side])
+        v2 = np.zeros(n)
+        for axis in range(3):
+            fmask = grid.iface_axis == axis
+            vel = np.zeros(n)
+            fluxa = F[fmask] / grid.iface_area[fmask]
+            vel += np.bincount(sys.fa[fmask], weights=fluxa, minlength=n)
+            vel += np.bincount(sys.fb[fmask], weights=fluxa, minlength=n)
+            bmask = b_axis == axis
+            if np.any(bmask):
+                vel += np.bincount(sys.bc[bmask], weights=(b_sign[bmask] * Fb[bmask]
+                                                           / grid.bface_area[bmask]),
+                                   minlength=n)
+            v2 += (0.5 * vel) ** 2
+        assert sorted(set(b_axis)) == [0, 1]
+        assert aux["shear"].tobytes() == (np.sqrt(v2) * PARAMS.mu_w / aux["K"]).tobytes()
 
 
 class TestAssembleResidual:
@@ -214,6 +245,15 @@ class TestSolveTimestep:
         # most by the clamped mass, which is zero here
         assert sum(rep.clamped.values()) == 0.0
         assert np.max(np.abs(r)) < 1e-6
+
+    def test_factors_at_every_iterate(self):
+        grid = example1_grid(nx=25)
+        state = make_initial_state(grid, PARAMS, P0)
+        control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
+        _, rep = solve_timestep(grid, state, 1800.0, control, SolverSettings(),
+                                PARAMS, ROCK)
+        assert rep.converged
+        assert rep.factorizations == rep.iterations > 0
 
     def test_nan_residual_fails_the_step(self):
         grid = line_grid()

@@ -10,7 +10,14 @@ from scipy.sparse.linalg import splu
 from micpsim.errors import ConvergenceError
 from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
 from micpsim.params import RockLaw
-from micpsim.stepping import AssemblyData, OutputHooks, SolverSettings, march, newton
+from micpsim.stepping import (
+    _CONTRACTION,
+    AssemblyData,
+    OutputHooks,
+    SolverSettings,
+    march,
+    newton,
+)
 
 
 def _quadratic(target):
@@ -73,6 +80,7 @@ class TestCarriedFactorization:
     TARGET = np.array([4.0, 9.0])
     ROOT_JACOBIAN = sparse.diags([4.0, 6.0], format="csc")  # 2 x at x = (2, 3)
     START = np.array([2.2, 3.3])
+    FAR = np.array([8.0, 12.0])
     SETTINGS = SolverSettings(newton_rel_tol=1e-12)
 
     def test_root_factorization_needs_no_factor_call(self):
@@ -111,9 +119,56 @@ class TestCarriedFactorization:
             gc.enable()
         assert res.converged
         assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
-        assert built == [False] * (res.iterations - 1)  # freed before the first
-        assert res.factorizations == res.iterations - 1 > 0
+        assert built and not any(built)  # freed before the first
+        assert res.factorizations == len(built) > 0
         assert res.lu is not None and alive() is None
+
+    def test_fresh_factorization_kept_while_it_contracts(self):
+        solves = []  # updates made with each factorization, the carried one first
+        refs = []  # weak references to the factorizations, in the same order
+        trace = []  # per iterate: scaled norm, Jacobian built, factorizations alive
+
+        class Counted(_LU):
+            def __init__(self, J):
+                super().__init__(J)
+                self.index = len(solves)
+                solves.append(0)
+                refs.append(weakref.ref(self))
+
+            def solve(self, b):
+                solves[self.index] += 1
+                return super().solve(b)
+
+        evaluate = _quadratic(self.TARGET)
+
+        def watched(x, want_jacobian):
+            resid, J, aux = evaluate(x, want_jacobian)
+            trace.append((float(np.max(np.abs(resid))), J is not None,
+                          [i for i, ref in enumerate(refs) if ref() is not None]))
+            return resid, J, aux
+
+        gc.disable()
+        try:
+            res = newton(watched, self.FAR, np.ones(2), self.SETTINGS, Counted,
+                         lu=Counted(10.0 * self.ROOT_JACOBIAN))
+        finally:
+            gc.enable()
+        assert res.converged
+        assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
+        assert res.factorizations == len(solves) - 1 == sum(b for _, b, _ in trace)
+        assert sum(solves) == res.iterations
+        assert solves[0] == 1  # the carried one falls short at once
+        assert max(solves[1:-1]) > 1  # a fresh one kept, then dropped
+        assert not trace[0][1]
+        for (before, _, _), (now, built, alive) in zip(trace, trace[1:-1]):
+            assert built == (now > _CONTRACTION * before)
+            if built:  # the factorization in use is freed before the build
+                assert alive == []
+
+    def test_solve_without_lu_factors_at_every_iterate(self):
+        res = newton(_quadratic(self.TARGET), self.FAR, np.ones(2), self.SETTINGS, splu)
+        assert res.converged
+        assert res.factorizations == res.iterations > 1
 
 
 def _line(sides):
@@ -177,14 +232,111 @@ class TestBlockJacobian:
         assert blocks[1].tolist() == [[20.0, -3.0], [0.0, 0.5]]
 
 
-def _scripted_step(fails_at=()):
+def _box(sides):
+    """3 x 2 x 2 cells, 20 interior faces, boundary faces on ``sides``."""
+    domain = DomainSpec(nx=3, ny=2, nz=2, dx=1.0, dy=1.0, dz=0.5)
+    res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=0.5,
+                        outflow_sides=sides)
+    return AssemblyData(build_domain(domain, None, res, RockLaw()))
+
+
+def _reference_face_sums(data, on_a, on_b, on_bc):
+    """face_sums by one bincount per face set."""
+
+    def sums(cells, weights):
+        tail = weights.shape[1:]
+        k = int(np.prod(tail))
+        idx = (cells[:, None] * k + np.arange(k)).ravel()
+        return np.bincount(idx, weights=weights.ravel(),
+                           minlength=data.n * k).reshape((data.n, *tail))
+
+    return sums(data.fa, on_a) - sums(data.fb, on_b) + sums(data.bc, on_bc)
+
+
+def _reference_jacobian(data, cell, face_a, face_b, bface, pin_scale=None):
+    """jacobian by COO triplets of the nonzero block entries, summed into CSC."""
+    n, nvar = data.n, cell.shape[1]
+    cells = np.arange(n)
+    blocks = np.concatenate((cell + _reference_face_sums(data, face_a, face_b, bface),
+                             face_b, -face_a))
+    brow = np.concatenate((cells, data.fa, data.fb))
+    bcol = np.concatenate((cells, data.fb, data.fa))
+    if pin_scale is not None:
+        blocks[brow == 0, 0, :] = 0.0
+        blocks[0, 0, 0] = pin_scale
+    k, i, j = np.nonzero(blocks)
+    size = nvar * n
+    return sparse.coo_matrix((blocks[k, i, j], (nvar * brow[k] + i, nvar * bcol[k] + j)),
+                             shape=(size, size)).tocsc()
+
+
+def _bits(a):
+    return a.dtype, a.view(np.uint8).tobytes()
+
+
+class TestAssemblyOracle:
+    """face_sums and jacobian against the bincount and COO assembly, bit for bit."""
+
+    @staticmethod
+    def blocks(data, nvar, seed):
+        rng = np.random.default_rng(seed)
+
+        def sparse_normal(count):  # about half the entries exactly zero
+            shape = (count, nvar, nvar)
+            return rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+
+        cell = sparse_normal(data.n)
+        face_a = sparse_normal(data.fa.size)
+        face_b = sparse_normal(data.fa.size)
+        bface = sparse_normal(data.bc.size)
+        face_b[2, 1, 0] = -0.0  # an off-diagonal entry not stored, as an exact zero
+        face_b[3, 0, 1] = np.nan
+        # cell 1's (0, 0) entry cancels its face sums exactly
+        face_a[data.fa == 1, 0, 0] += 1.0
+        flux = _reference_face_sums(data, face_a, face_b, bface)[1, 0, 0]
+        assert flux != 0.0
+        cell[1, 0, 0] = -flux
+        return cell, face_a, face_b, bface
+
+    @pytest.mark.parametrize("sides", [("x+", "y-"), ()])
+    @pytest.mark.parametrize("nvar", [2, 6])
+    @pytest.mark.parametrize("pin_scale", [None, 7.0])
+    def test_jacobian_matches_coo_reference(self, sides, nvar, pin_scale):
+        data = _box(sides)
+        assert data.fa.size == 20 and data.closed == (sides == ())
+        for seed in range(3):
+            blocks = self.blocks(data, nvar, seed)
+            J = data.jacobian(*blocks, pin_scale=pin_scale)
+            ref = _reference_jacobian(data, *blocks, pin_scale=pin_scale)
+            assert J.shape == ref.shape and J.format == "csc"
+            for name in ("data", "indices", "indptr"):
+                assert _bits(getattr(J, name)) == _bits(getattr(ref, name)), name
+            assert np.isnan(J.data).sum() == 2  # the NaN's two blocks
+            assert J[nvar, nvar] == 0.0
+            assert J.nnz == np.count_nonzero(J.toarray())  # no zero stored
+
+    @pytest.mark.parametrize("sides", [("x+", "y-"), ()])
+    def test_face_sums_match_bincount(self, sides):
+        data = _box(sides)
+        rng = np.random.default_rng(1)
+        for tail in ((), (2,), (6, 6)):
+            on = [rng.standard_normal((count, *tail))
+                  for count in (data.fa.size, data.fa.size, data.bc.size)]
+            on[0][0] = np.nan
+            got = data.face_sums(*on)
+            assert _bits(got) == _bits(_reference_face_sums(data, *on))
+            assert got.shape == (data.n, *tail)
+
+
+def _scripted_step(fails_at=(), iterations=1, factorizations=1):
     """Step that adds dt to the state; fails at the listed call numbers."""
     calls = []
 
     def step(state, dt, ctx):
         calls.append(dt)
         ok = len(calls) not in fails_at
-        rep = SimpleNamespace(converged=ok, iterations=1, resid_norm=0.0)
+        rep = SimpleNamespace(converged=ok, iterations=iterations,
+                              factorizations=factorizations, resid_norm=0.0)
         return (state + dt if ok else state), rep
 
     return step, calls
@@ -209,6 +361,18 @@ class TestMarch:
                     lambda *args: {})
         assert calls[:7] == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0]
         assert run.dt_failures == 1
+
+    @pytest.mark.parametrize("factorizations, grows", [(5, True), (6, False)])
+    def test_dt_grows_on_factorizations_not_iterations(self, factorizations, grows):
+        step, calls = _scripted_step(iterations=12, factorizations=factorizations)
+        diags = []
+        run = march(0.0, [(7.0, None)], self.SETTINGS, step, lambda *args: {"x": 0},
+                    OutputHooks(on_diagnostics=lambda t, d: diags.append(d)))
+        assert calls == ([1.0, 2.0, 4.0] if grows else [1.0] * 7)
+        assert run.newton_iterations == 12 * len(calls)
+        assert run.factorizations == factorizations * len(calls)
+        assert list(diags[0]) == ["dt", "newton_iterations", "residual", "factorizations", "x"]
+        assert diags[0]["factorizations"] == factorizations
 
     def test_failure_below_dt_min_carries_last_good_state(self):
         step, _ = _scripted_step(fails_at=range(2, 100))
