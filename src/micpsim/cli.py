@@ -80,47 +80,59 @@ def _cmd_preset(args) -> int:
     return 0
 
 
-def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport | int:
-    """Run the sealing treatment, write its outputs and print its ledger.
+def _run_solver(cfg: SimulationConfig, grid: Grid, solve, fields, last_good_path: Path,
+                diagnostics_path: Path):
+    """Report of ``solve(on_diagnostics)``, or the exit code when it failed.
 
-    Returns the run's report, or the exit code when the run failed.
+    A hard failure writes ``fields(state)`` of the last good state to
+    ``last_good_path`` and gives 3; any other run error gives 2. A finished
+    run writes its per-step records to ``diagnostics_path``.
     """
-    diag_records = []
-    want_vtk = "vtk" in cfg.outputs.formats
-    want_csv = "csv" in cfg.outputs.formats
-
-    def on_snapshot(t, state):
-        if want_vtk:
-            write_snapshot(grid, _state_fields(grid, cfg.rock, state), t,
-                           out_dir / f"micp_{int(round(t)):010d}s.vtk")
-
-    def on_diag(t, info):
-        diag_records.append((t, info))
-
-    hooks = OutputHooks(
-        snapshot_cadence=(cfg.outputs.snapshot_cadence
-                          if cfg.outputs.snapshot_cadence > 0 else None),
-        on_snapshot=(on_snapshot if cfg.outputs.snapshot_cadence > 0 else None),
-        on_diagnostics=on_diag)
-
+    records = []
     try:
-        report = simulate_micp(grid, cfg.schedule, cfg.kinetics, cfg.rock,
-                               cfg.solver, sinks=hooks)
+        report = solve(lambda t, info: records.append((t, info)))
     except ConvergenceError as exc:
-        if exc.last_good_state is not None and want_vtk:
-            write_snapshot(grid, _state_fields(grid, cfg.rock, exc.last_good_state),
-                           exc.last_good_time or 0.0, out_dir / "micp_last_good.vtk")
+        if exc.last_good_state is not None and "vtk" in cfg.outputs.formats:
+            write_snapshot(grid, fields(exc.last_good_state), exc.last_good_time or 0.0,
+                           last_good_path)
         _err("solver-failure", str(exc))
         return 3
     except MicpSimError as exc:
         _err("run", str(exc))
         return 2
+    if "csv" in cfg.outputs.formats and records:
+        write_timeseries(diagnostics_path, records)
+    return report
 
-    if want_vtk:
-        write_snapshot(grid, _state_fields(grid, cfg.rock, report.final_state),
-                       report.t_end, out_dir / "micp_final.vtk")
-    if want_csv and diag_records:
-        write_timeseries(out_dir / "micp_diagnostics.csv", diag_records)
+
+def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport | int:
+    """Run the sealing treatment, write its outputs and print its ledger.
+
+    Returns the run's report, or the exit code when the run failed.
+    """
+    snapshots = cfg.outputs.snapshot_cadence > 0 and "vtk" in cfg.outputs.formats
+
+    def fields(state):
+        return _state_fields(grid, cfg.rock, state)
+
+    def on_snapshot(t, state):
+        write_snapshot(grid, fields(state), t,
+                       out_dir / f"micp_{int(round(t)):010d}s.vtk")
+
+    def solve(on_diagnostics):
+        hooks = OutputHooks(snapshot_cadence=cfg.outputs.snapshot_cadence,
+                            on_snapshot=on_snapshot if snapshots else None,
+                            on_diagnostics=on_diagnostics)
+        return simulate_micp(grid, cfg.schedule, cfg.kinetics, cfg.rock, cfg.solver,
+                             sinks=hooks)
+
+    report = _run_solver(cfg, grid, solve, fields, out_dir / "micp_last_good.vtk",
+                         out_dir / "micp_diagnostics.csv")
+    if isinstance(report, int):
+        return report
+    if "vtk" in cfg.outputs.formats:
+        write_snapshot(grid, fields(report.final_state), report.t_end,
+                       out_dir / "micp_final.vtk")
 
     print(f"treatment finished: t = {report.t_end / 3600.0:.6g} h in "
           f"{report.steps} steps ({report.newton_iterations} Newton iterations, "
@@ -146,33 +158,25 @@ def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
     ``label`` names the output files. Returns the run's report, or the
     exit code when the run failed.
     """
-    diag_records = []
-    hooks = OutputHooks(on_diagnostics=lambda t, info: diag_records.append((t, info)))
-    try:
-        report = simulate_co2(grid, perm, cfg.co2.rate, cfg.co2.duration,
-                              cfg.solver, cfg.twophase, plane_z=cfg.co2.plane_z,
-                              p_bdry=cfg.schedule.p_bdry, poro_field=poro,
-                              sinks=hooks)
-    except ConvergenceError as exc:
-        if exc.last_good_state is not None and "vtk" in cfg.outputs.formats:
-            st = exc.last_good_state
-            write_snapshot(grid, {"s_co2": st.s, "p": st.p, "K": perm, "phi": poro},
-                           exc.last_good_time or 0.0, out_dir / "co2_last_good.vtk")
-        _err("solver-failure", str(exc))
-        return 3
-    except MicpSimError as exc:
-        _err("run", str(exc))
-        return 2
+    def fields(state):
+        return {"s_co2": state.s, "p": state.p, "K": perm, "phi": poro}
 
+    def solve(on_diagnostics):
+        return simulate_co2(grid, perm, cfg.co2.rate, cfg.co2.duration,
+                            cfg.solver, cfg.twophase, plane_z=cfg.co2.plane_z,
+                            p_bdry=cfg.schedule.p_bdry, poro_field=poro,
+                            sinks=OutputHooks(on_diagnostics=on_diagnostics))
+
+    report = _run_solver(cfg, grid, solve, fields, out_dir / "co2_last_good.vtk",
+                         out_dir / f"co2_diagnostics_{label}.csv")
+    if isinstance(report, int):
+        return report
     if "csv" in cfg.outputs.formats:
         write_timeseries(out_dir / f"co2_leakage_{label}.csv",
                          [(t, {"normalized_flux": v}) for t, v in report.series])
-        if diag_records:
-            write_timeseries(out_dir / f"co2_diagnostics_{label}.csv", diag_records)
     if "vtk" in cfg.outputs.formats:
-        st = report.final_state
-        write_snapshot(grid, {"s_co2": st.s, "p": st.p, "K": perm, "phi": poro},
-                       cfg.co2.duration, out_dir / f"co2_final_{label}.vtk")
+        write_snapshot(grid, fields(report.final_state), cfg.co2.duration,
+                       out_dir / f"co2_final_{label}.vtk")
     print(f"co2 assessment ({label}): injected={report.injected_volume:.6e} m^3 "
           f"produced={report.produced_volume:.6e} m^3 "
           f"in-place={report.in_place_volume:.6e} m^3 "

@@ -23,6 +23,7 @@ from enum import IntEnum
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, EmptyDomainError, GeometryError
@@ -417,38 +418,25 @@ def min_degree_cell_order(grid: Grid) -> np.ndarray:
 def leak_connects_aquifers(grid: Grid) -> bool:
     """True if leak cells form a face-connected bridge between the aquifers.
 
-    Flood-fills the leak-cell subgraph from every leak cell that touches
-    the lower aquifer and checks whether any reached cell touches the
-    upper one. Useful as a sanity check before running flow on coarse
-    grids, where a thin tilted slab can rasterize into diagonal stripes
-    that share no faces.
+    Labels the connected components of the leak cells' face graph
+    (``scipy.sparse.csgraph.connected_components``) and checks whether
+    one component holds both a leak cell with a face on the lower aquifer
+    and one with a face on the upper aquifer. Useful as a sanity check
+    before running flow on coarse grids, where a thin tilted slab can
+    rasterize into diagonal stripes that share no faces.
     """
-    leak_set = set(grid.leak_cells.tolist())
-    if not leak_set:
-        return False
-    neighbors: dict[int, list[int]] = {c: [] for c in leak_set}
-    touches_lower = set()
-    touches_upper = set()
-    for a, b in grid.iface_cells:
-        a, b = int(a), int(b)
-        a_leak, b_leak = a in leak_set, b in leak_set
-        if a_leak and b_leak:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        elif a_leak or b_leak:
-            leak_c, other = (a, b) if a_leak else (b, a)
-            if grid.region[other] == Region.LOWER_AQUIFER:
-                touches_lower.add(leak_c)
-            elif grid.region[other] == Region.UPPER_AQUIFER:
-                touches_upper.add(leak_c)
-    stack = list(touches_lower)
-    seen = set(stack)
-    while stack:
-        c = stack.pop()
-        if c in touches_upper:
-            return True
-        for nb in neighbors[c]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return False
+    leak = grid.region == Region.LEAK
+    fa, fb = grid.iface_cells[:, 0], grid.iface_cells[:, 1]
+    inside = leak[fa] & leak[fb]
+    n = grid.n_active
+    graph = sparse.coo_matrix(
+        (np.ones(np.count_nonzero(inside)), (fa[inside], fb[inside])), shape=(n, n))
+    _, label = csgraph.connected_components(graph, directed=False)
+    # faces between a leak cell and another region: the leak cell's
+    # component and the other cell's region
+    edge = leak[fa] != leak[fb]
+    leak_cell = np.where(leak[fa], fa, fb)[edge]
+    other = np.where(leak[fa], fb, fa)[edge]
+    lower = label[leak_cell[grid.region[other] == Region.LOWER_AQUIFER]]
+    upper = label[leak_cell[grid.region[other] == Region.UPPER_AQUIFER]]
+    return bool(np.intersect1d(lower, upper).size)

@@ -139,18 +139,15 @@ class _System(AssemblyData):
         self.f_db = grid.iface_d[:, 1]
         self.b_area = grid.bface_area
         self.b_d = grid.bface_d
-        b_axis = np.array([_SIDE_AXIS_SIGN[s][0] for s in grid.bface_side], dtype=np.int8)
-        b_sign = np.array([_SIDE_AXIS_SIGN[s][1] for s in grid.bface_side])
-        # per axis: its interior faces and the boundary faces normal to it
-        # with their outward signs (None when it has none)
-        self.axis_faces = []
-        for axis in range(3):
-            faces = np.flatnonzero(grid.iface_axis == axis)
-            bfaces = np.flatnonzero(b_axis == axis)
-            self.axis_faces.append((
-                faces, self.fa[faces], self.fb[faces], self.f_area[faces],
-                (bfaces, self.bc[bfaces], b_sign[bfaces], self.b_area[bfaces])
-                if bfaces.size else None))
+        # each face's area in the column of its axis, outward-signed on the
+        # boundary, and inf in the other two: flux / axis_area puts a face's
+        # Darcy velocity in its axis's column and zero in the others
+        self.axis_area = np.full((grid.n_ifaces, 3), np.inf)
+        self.axis_area[np.arange(grid.n_ifaces), grid.iface_axis] = self.f_area
+        self.b_axis_area = np.full((self.bc.size, 3), np.inf)
+        for side, (axis, sign) in _SIDE_AXIS_SIGN.items():
+            on_side = grid.bface_side == side
+            self.b_axis_area[on_side, axis] = sign * self.b_area[on_side]
 
     def conc_scales(self, state: MicpState, controls) -> dict[str, float]:
         scales = {}
@@ -206,17 +203,12 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     Fb = Tb / mu_w * dpot_b
     out_mask = Fb >= 0.0
 
-    # cell-average Darcy velocity -> shear norm ||grad p - rho g|| = |v| mu / K
-    v2 = np.zeros(n)
-    for faces, fa, fb, area, bound in sys.axis_faces:
-        vel = np.zeros(n)
-        fluxa = F[faces] / area
-        vel += np.bincount(fa, weights=fluxa, minlength=n)
-        vel += np.bincount(fb, weights=fluxa, minlength=n)
-        if bound is not None:
-            bfaces, bc, sign, b_area = bound
-            vel += np.bincount(bc, weights=sign * Fb[bfaces] / b_area, minlength=n)
-        v2 += (0.5 * vel) ** 2
+    # cell-average Darcy velocity v: per axis, half the sum of the velocities
+    # of the cell's faces on that axis (face_sums subtracts a face's b side,
+    # hence -face_vel) -> shear norm ||grad p - rho g|| = |v| mu / K
+    face_vel = F[:, None] / sys.axis_area
+    half_v = 0.5 * sys.face_sums(face_vel, -face_vel, Fb[:, None] / sys.b_axis_area)
+    v2 = half_v[:, 0] ** 2 + half_v[:, 1] ** 2 + half_v[:, 2] ** 2
     shear = np.sqrt(v2) * mu_w / K
 
     # reactions at the clipped (physical) state

@@ -14,6 +14,7 @@ diagnostics (:func:`march`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -113,7 +114,7 @@ class AssemblyData:
         """
         inc_a, inc_b, inc_bc = self._incidence
         tail = on_a.shape[1:]
-        k = int(np.prod(tail))
+        k = math.prod(tail)
 
         def sums(inc, on):
             return inc @ on.reshape(on.shape[0], k)

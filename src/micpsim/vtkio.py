@@ -2,8 +2,11 @@
 
 Snapshots use DATASET STRUCTURED_GRID over the full lattice so any stock
 scientific viewer opens them; inactive (caprock) cells are padded with
-zeros and flagged by the ``active`` cell field. Output is byte-identical
-for identical input: floats are always written with repr-precision %.17g.
+zeros and flagged by the ``active`` cell field. Points and cells are
+listed in VTK order, x fastest, then y, then z: a cell field is the
+(nx, ny, nz) lattice array flattened with ``order="F"``, and it is read
+back with ``reshape(..., order="F")``. Output is byte-identical for
+identical input: floats are always written with repr-precision %.17g.
 """
 
 from __future__ import annotations
@@ -36,20 +39,16 @@ def write_snapshot(grid: Grid, fields: dict, t: float, path) -> None:
         f"DIMENSIONS {nx + 1} {ny + 1} {nz + 1}",
         f"POINTS {(nx + 1) * (ny + 1) * (nz + 1)} double",
     ]
-    dx, dy, dz = grid.domain.dx, grid.domain.dy, grid.domain.dz
-    for k in range(nz + 1):
-        for j in range(ny + 1):
-            for i in range(nx + 1):
-                lines.append(f"{_f(i * dx)} {_f(j * dy)} {_f(k * dz)}")
+    xs = [_f(i * grid.domain.dx) for i in range(nx + 1)]
+    ys = [_f(j * grid.domain.dy) for j in range(ny + 1)]
+    zs = [_f(k * grid.domain.dz) for k in range(nz + 1)]
+    lines.extend(f"{x} {y} {z}" for z in zs for y in ys for x in xs)
     lines.append(f"CELL_DATA {nx * ny * nz}")
 
     def emit(name, full):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        # VTK cell order: x fastest, then y, then z
-        for k in range(nz):
-            for j in range(ny):
-                lines.extend(_f(v) for v in full[:, j, k])
+        lines.extend(_f(v) for v in full.ravel(order="F"))
 
     emit("active", (grid.active_index >= 0).astype(float))
     emit("region", grid.shape_region.astype(float))
@@ -63,7 +62,10 @@ def read_snapshot_field(path, name: str, grid: Grid) -> np.ndarray:
     """Read one cell field back from a snapshot written by write_snapshot.
 
     Returns the array restricted to the active cells of ``grid``; the file
-    must match the grid's lattice dimensions.
+    must match the grid's lattice dimensions. A field with fewer numeric
+    values than lattice cells (a truncated file, or a word among the
+    numbers) raises MicpSimError with the count found and the count
+    expected.
     """
     nx, ny, nz = grid.domain.nx, grid.domain.ny, grid.domain.nz
     with open(path) as fh:
@@ -83,13 +85,16 @@ def read_snapshot_field(path, name: str, grid: Grid) -> np.ndarray:
     except ValueError:
         raise MicpSimError(f"{path}: no cell field named {name!r}") from None
     n_cells = nx * ny * nz
-    values = np.array([float(v) for v in lines[start:start + n_cells]])
-    full = np.empty((nx, ny, nz))
-    idx = 0
-    for k in range(nz):
-        for j in range(ny):
-            full[:, j, k] = values[idx:idx + nx]
-            idx += nx
+    values = []
+    for v in lines[start:start + n_cells]:
+        try:
+            values.append(float(v))
+        except ValueError:
+            break
+    if len(values) != n_cells:
+        raise MicpSimError(f"{path}: cell field {name!r} has {len(values)} numeric "
+                           f"values, expected {n_cells}")
+    full = np.reshape(values, (nx, ny, nz), order="F")
     # active cells are numbered in C order of the lattice mask, which is
     # exactly the order boolean indexing yields
     return full[grid.active_index >= 0]

@@ -7,7 +7,7 @@ import pytest
 from micpsim.cli import main
 from micpsim.config import format_config, parse_config, preset
 from micpsim.grid import build_domain
-from micpsim.vtkio import read_snapshot_field, read_timeseries
+from micpsim.vtkio import read_snapshot_field, read_timeseries, write_snapshot
 
 
 @pytest.fixture
@@ -136,6 +136,33 @@ class TestRunCo2:
     def test_missing_snapshot_path(self, tiny_config, capsys):
         path, _ = tiny_config
         assert main(["run-co2", str(path), "--perm-from", "/nope.vtk"]) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "non_numeric"])
+    def test_damaged_snapshot_is_reported(self, tiny_config, tmp_path, capsys, damage):
+        path, cfg = tiny_config
+        grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
+        snap = tmp_path / "treated.vtk"
+        write_snapshot(grid, {"phi": grid.poro0, "K": grid.perm0}, 0.0, snap)
+        lines = snap.read_text().splitlines()
+        at = lines.index("SCALARS K double 1") + 2
+        if damage == "truncated":
+            lines = lines[:at + 5]
+        else:
+            lines[at + 5] = "abc"
+        snap.write_text("\n".join(lines) + "\n")
+        assert main(["run-co2", str(path), "--perm-from", str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot: ")
+        assert str(snap) in err and "'K'" in err
+        assert "has 5 numeric values, expected 20" in err
+
+    def test_solver_failure_writes_last_good_state(self, failing_config, tmp_path,
+                                                   capsys):
+        assert main(["run-co2", str(failing_config)]) == 3
+        assert "error: solver-failure: " in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        assert (out_dir / "co2_last_good.vtk").exists()
+        assert not list(out_dir.glob("co2_final_*"))
 
     def test_untreated_then_treated(self, tiny_config, capsys, tmp_path):
         path, cfg = tiny_config

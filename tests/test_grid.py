@@ -222,3 +222,79 @@ class TestMinDegreeCellOrder:
                         options={"SymmetricMode": True}).nnz
 
         assert fill(order) < 0.75 * fill(np.arange(grid.n_active))
+
+
+def flood_fill_connects(grid):
+    """Reference for leak_connects_aquifers: a flood fill over the leak cells.
+
+    Starts from every leak cell with a face on the lower aquifer and
+    reports whether it reaches one with a face on the upper aquifer.
+    """
+    leak_set = set(grid.leak_cells.tolist())
+    neighbors = {c: [] for c in leak_set}
+    touches_lower, touches_upper = set(), set()
+    for a, b in grid.iface_cells.tolist():
+        if a in leak_set and b in leak_set:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        elif a in leak_set or b in leak_set:
+            leak_c, other = (a, b) if a in leak_set else (b, a)
+            if grid.region[other] == Region.LOWER_AQUIFER:
+                touches_lower.add(leak_c)
+            elif grid.region[other] == Region.UPPER_AQUIFER:
+                touches_upper.add(leak_c)
+    stack = list(touches_lower)
+    seen = set(stack)
+    while stack:
+        c = stack.pop()
+        if c in touches_upper:
+            return True
+        for nb in neighbors[c]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return False
+
+
+class TestLeakConnectivity:
+    def test_no_leak_does_not_connect(self, caplog):
+        domain = DomainSpec(nx=10, ny=2, nz=6, dx=1.0, dy=1.0, dz=1.0)
+        reservoir = ReservoirSpec(aquifer_height=1.0, caprock_height=4.0,
+                                  well_x=0.5)
+        with caplog.at_level("WARNING", logger="micpsim.grid"):
+            g = build_domain(domain, None, reservoir, ROCK)
+        assert g.leak_cells.size == 0
+        assert not leak_connects_aquifers(g)
+        assert not caplog.records  # nothing to warn about without a leak
+
+    def test_coarse_tilted_leak_breaks_into_stripes(self, caplog):
+        # a 1 m aperture at 135 deg on 2 m cells: the rasterized slab is
+        # diagonal steps that share no x or z faces
+        with caplog.at_level("WARNING", logger="micpsim.grid"):
+            g = table2_3d_grid(dx=2.0, dz=2.0)
+        assert g.leak_cells.size > 0
+        assert not leak_connects_aquifers(g)
+        assert not flood_fill_connects(g)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "does not form a face-connected path" in caplog.records[0].getMessage()
+
+    def test_fine_tilted_leak_connects_without_warning(self, caplog):
+        with caplog.at_level("WARNING", logger="micpsim.grid"):
+            g = table2_3d_grid(dx=1.0, dz=1.0)
+        assert leak_connects_aquifers(g)
+        assert not caplog.records
+
+    @given(dx=st.sampled_from([0.5, 1.0, 1.5, 2.0]), dz=st.sampled_from([0.5, 1.0, 2.0]),
+           ny=st.integers(1, 3), width_frac=st.floats(0.6, 1.0),
+           aperture=st.floats(0.5, 3.0),
+           tilt=st.one_of(st.just(90.0), st.floats(91.0, 145.0)),
+           anchor_x=st.floats(12.0, 21.0))
+    @settings(max_examples=60)
+    def test_matches_flood_fill(self, dx, dz, ny, width_frac, aperture, tilt, anchor_x):
+        domain = DomainSpec(nx=int(round(24.0 / dx)), ny=ny, nz=int(round(10.0 / dz)),
+                            dx=dx, dy=1.0, dz=dz)
+        leak = LeakSpec(aperture=aperture, width=width_frac * ny, tilt_deg=tilt,
+                        perm=2e-14, anchor_x=anchor_x)
+        reservoir = ReservoirSpec(aquifer_height=2.0, caprock_height=6.0, well_x=0.5)
+        g = build_domain(domain, leak, reservoir, ROCK)
+        assert leak_connects_aquifers(g) == flood_fill_connects(g)

@@ -5,6 +5,7 @@ from micpsim.errors import DomainError, MicpSimError
 from micpsim.grid import DomainSpec, LeakSpec, ReservoirSpec, build_domain
 from micpsim.params import RockLaw
 from micpsim.vtkio import (
+    _f,
     read_snapshot_field,
     read_timeseries,
     write_snapshot,
@@ -26,6 +27,46 @@ def caprock_grid():
                     anchor_x=2.0)
     res = ReservoirSpec(aquifer_height=1.0, caprock_height=2.0, well_x=0.5)
     return build_domain(domain, leak, res, ROCK)
+
+
+def loop_snapshot_text(grid, fields, t):
+    """Reference writer: the lattice walked in explicit k, j, i loops."""
+    nx, ny, nz = grid.domain.nx, grid.domain.ny, grid.domain.nz
+    dx, dy, dz = grid.domain.dx, grid.domain.dy, grid.domain.dz
+    lines = ["# vtk DataFile Version 3.0", f"micpsim snapshot t={_f(t)} s", "ASCII",
+             "DATASET STRUCTURED_GRID", f"DIMENSIONS {nx + 1} {ny + 1} {nz + 1}",
+             f"POINTS {(nx + 1) * (ny + 1) * (nz + 1)} double"]
+    for k in range(nz + 1):
+        for j in range(ny + 1):
+            for i in range(nx + 1):
+                lines.append(f"{_f(i * dx)} {_f(j * dy)} {_f(k * dz)}")
+    lines.append(f"CELL_DATA {nx * ny * nz}")
+    full_fields = {"active": (grid.active_index >= 0).astype(float),
+                   "region": grid.shape_region.astype(float)}
+    full_fields.update((name, grid.full_field(arr)) for name, arr in fields.items())
+    for name, full in full_fields.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        for k in range(nz):
+            for j in range(ny):
+                for i in range(nx):
+                    lines.append(_f(full[i, j, k]))
+    return "\n".join(lines) + "\n"
+
+
+def damaged_snapshot(tmp_path, damage):
+    """A caprock_grid snapshot whose K field is cut short or holds a word."""
+    grid = caprock_grid()
+    path = tmp_path / "damaged.vtk"
+    write_snapshot(grid, {"phi": np.full(grid.n_active, 0.15),
+                          "K": np.full(grid.n_active, 1e-14)}, 0.0, path)
+    lines = path.read_text().splitlines()
+    at = lines.index("SCALARS K double 1") + 2
+    if damage == "truncated":
+        lines = lines[:at + 20]
+    else:
+        lines[at + 7] = "abc"
+    path.write_text("\n".join(lines) + "\n")
+    return grid, path
 
 
 class TestSnapshot:
@@ -60,6 +101,32 @@ class TestSnapshot:
                        0.0, path)
         back = read_snapshot_field(path, "K", grid)
         assert np.array_equal(back, K)
+
+    def test_lattice_order_matches_loop_writer(self, tmp_path):
+        # inactive caprock cells, ny > 1 and a leak
+        grid = caprock_grid()
+        assert grid.n_active < grid.active_index.size and grid.domain.ny > 1
+        assert grid.leak_cells.size > 0
+        rng = np.random.default_rng(3)
+        fields = {"K": 10.0 ** rng.uniform(-16, -13, grid.n_active),
+                  "p": rng.normal(1e7, 1e5, grid.n_active)}
+        path = tmp_path / "snap.vtk"
+        write_snapshot(grid, fields, 7200.5, path)
+        assert path.read_text() == loop_snapshot_text(grid, fields, 7200.5)
+        for name, arr in fields.items():
+            assert read_snapshot_field(path, name, grid).tobytes() == arr.tobytes()
+        region = read_snapshot_field(path, "region", grid)
+        assert np.array_equal(region, grid.region.astype(float))
+
+    @pytest.mark.parametrize("damage, found", [("truncated", 20), ("non_numeric", 7)])
+    def test_damaged_field_raises(self, tmp_path, damage, found):
+        grid, path = damaged_snapshot(tmp_path, damage)
+        assert read_snapshot_field(path, "phi", grid).shape == (grid.n_active,)
+        with pytest.raises(MicpSimError) as err:
+            read_snapshot_field(path, "K", grid)
+        message = str(err.value)
+        assert str(path) in message and "'K'" in message
+        assert f"has {found} numeric values, expected {grid.active_index.size}" in message
 
     def test_missing_field_raises(self, tmp_path):
         grid = two_cell_grid()
