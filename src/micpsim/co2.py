@@ -12,12 +12,13 @@ boundary (pure water beyond the boundary), pressure pin on closed
 domains. Newton, Jacobian assembly and adaptive stepping are the shared
 machinery of :mod:`micpsim.stepping`.
 
-Each Newton matrix is factored in one order of the unknowns that the
+Each Newton matrix is built in one order of the unknowns that the
 system computes once: a minimum-degree order of the fixed cell graph
 (the interior faces), each cell's (p, s) kept together. SuperLU factors
-the permuted matrix in that order (``permc_spec="NATURAL"``) in
-symmetric mode, with its default pivot threshold; on the published ex3
-grid this cuts fill and factorisation time by about 45% against COLAMD.
+it in that order (``permc_spec="NATURAL"``,
+:class:`micpsim.stepping.OrderedLU`) in symmetric mode, with its default
+pivot threshold; on the published ex3 grid this cuts fill and
+factorisation time by about 45% against COLAMD.
 Supernode relaxation is off (``relax=1``): relaxed supernodes only pad
 the factors with explicit zeros, and in this interleaved (p, s) order that
 adds fill and time (on the published ex3 grid fill 1.66M -> 1.57M, factor
@@ -69,6 +70,7 @@ from .params import TwoPhaseParams
 from .schedule import DEFAULT_BOUNDARY_PRESSURE
 from .stepping import (
     AssemblyData,
+    OrderedLU,
     OutputHooks,
     SolverSettings,
     jacobian_wanted,
@@ -122,28 +124,9 @@ class _TwoPhaseSystem(AssemblyData):
         lu, self.lu = self.lu, None
         return lu
 
-    def factor(self, J) -> "_OrderedLU":
-        """LU of the Newton matrix J, factored in the system's unknown order.
-
-        ``relax=1`` turns off supernode relaxation; keep relax <= panel_size
-        (relax=40 with panel_size=5 crashed SuperLU).
-        """
-        p = self.order
-        return _OrderedLU(splu(J[p][:, p], permc_spec="NATURAL", relax=1,
-                               panel_size=5, options={"SymmetricMode": True}), p)
-
-
-class _OrderedLU:
-    """LU of J[order][:, order] that solves J x = b in the original order."""
-
-    def __init__(self, lu, order):
-        self.lu = lu
-        self.order = order
-
-    def solve(self, b):
-        x = np.empty_like(b)
-        x[self.order] = self.lu.solve(b[self.order])
-        return x
+    def factor(self, J) -> OrderedLU:
+        """LU of the Newton matrix J, built in the system's factor order."""
+        return OrderedLU(splu, J, self.order, {"SymmetricMode": True})
 
 
 def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,

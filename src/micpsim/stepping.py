@@ -7,7 +7,8 @@ assemblies read (:class:`AssemblyData`), the well source and the
 closed-domain pressure pin (:meth:`AssemblyData.well_source`,
 :meth:`AssemblyData.pin_pressure`), the sums of face fluxes into cells
 and the scatter of derivative blocks into the Newton matrix
-(:meth:`AssemblyData.face_sums`, :meth:`AssemblyData.jacobian`), the
+(:meth:`AssemblyData.face_sums`, :meth:`AssemblyData.jacobian`) in the
+system's factor order, the LU of such a matrix (:class:`OrderedLU`), the
 Newton loop (:func:`newton`) and adaptive stepping with snapshots and
 diagnostics (:func:`march`).
 """
@@ -20,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import spilu
 
 from .errors import ConvergenceError, DomainError
 
@@ -27,6 +29,7 @@ _EPS = 1e-9  # relative slack on interval ends
 _GROW_COOLDOWN = 3  # accepted steps without dt growth after a dt cut
 _GROW_FACTORIZATIONS = 5  # grow dt after a step converged with at most this many LUs
 _CONTRACTION = 0.1  # a carried solve keeps an LU while updates cut the norm this much
+_SINGULAR = "Factor is exactly singular"  # SuperLU's RuntimeError at a zero pivot
 
 
 @dataclass
@@ -62,7 +65,14 @@ class OutputHooks:
 
 
 class AssemblyData:
-    """Grid arrays read by every residual assembly."""
+    """Grid arrays read by every residual assembly.
+
+    ``order`` lists the unknowns in the order their system factors them:
+    row and column k of a Newton matrix is unknown order[k]. None, as
+    here, keeps the natural order; a solver's system sets its own, once.
+    """
+
+    order = None
 
     def __init__(self, grid):
         self.n = grid.n_active
@@ -82,7 +92,7 @@ class AssemblyData:
             sparse.csr_matrix((np.ones(cells.size), (cells, np.arange(cells.size))),
                               shape=(self.n, cells.size))
             for cells in (self.fa, self.fb, self.bc))
-        self._structure = {}  # nvar -> see _block_structure
+        self._structure = {}  # nvar -> _block_structure in self.order, pin entries
 
     def well_source(self, rate):
         """Per-cell injection, rate split over the well cells by volume."""
@@ -123,8 +133,10 @@ class AssemblyData:
         return total.reshape((self.n, *tail))
 
     def jacobian(self, cell, face_a, face_b, bface, pin_scale=None):
-        """Newton matrix, unknown v of cell i at nvar * i + v, from derivative blocks.
+        """Newton matrix in the factor order, from derivative blocks.
 
+        Unknown v of cell i is nvar * i + v in natural order, and row and
+        column k of the matrix is unknown ``self.order[k]``.
         ``cell`` (cells, nvar, nvar) holds the derivatives of each cell's
         residual apart from its face fluxes. Interior face f carries a flux
         vector out of its cell a into its cell b; ``face_a[f]`` and
@@ -132,43 +144,99 @@ class AssemblyData:
         ``bface[k]`` is the derivative of boundary face k's outflow by the
         unknowns of its cell. Entries that are exactly zero are not stored,
         so LU sees only the numerically nonzero pattern. ``pin_scale``
-        replaces row 0 by the pressure pin of a closed domain
-        (:meth:`pin_pressure`).
+        replaces the row of unknown 0 by the pressure pin of a closed
+        domain (:meth:`pin_pressure`).
         """
         nvar = cell.shape[1]
-        gather, indices, indptr = self._block_structure(nvar)
+        if nvar not in self._structure:
+            gather, indices, indptr = self._block_structure(nvar, self.order)
+            pin = 0 if self.order is None else int(np.flatnonzero(self.order == 0)[0])
+            pin_row = np.flatnonzero(indices == pin)
+            pin_diag = pin_row[np.searchsorted(pin_row, indptr[pin])]
+            self._structure[nvar] = gather, indices, indptr, pin_row, pin_diag
+        gather, indices, indptr, pin_row, pin_diag = self._structure[nvar]
         blocks = np.concatenate((cell + self.face_sums(face_a, face_b, bface),
                                  face_b, -face_a))
         data = blocks.ravel()[gather]
         if pin_scale is not None:
-            data[indices == 0] = 0.0
-            data[0] = pin_scale  # column 0 starts with row 0, the diagonal
+            data[pin_row] = 0.0
+            data[pin_diag] = pin_scale
         size = nvar * self.n
         J = sparse.csc_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
         J.eliminate_zeros()
         return J
 
-    def _block_structure(self, nvar):
+    def in_natural_order(self, J):
+        """A matrix of :meth:`jacobian` with unknown k in row and column k."""
+        if self.order is None:
+            return J
+        rank = np.argsort(self.order)
+        return J[rank][:, rank]
+
+    def _block_structure(self, nvar, order=None):
         """CSC structure of every entry of every block that :meth:`jacobian` fills.
 
         Blocks are cell i at (i, i), then interior face f at (a, b) and at
-        (b, a). Returns (gather, indices, indptr): the CSC entry k is
-        entry gather[k] of the flattened blocks, in row indices[k]. Built
-        once per nvar; no two blocks share a position.
+        (b, a); unknown ``order[k]`` (natural order if None) goes to row
+        and column k. Returns (gather, indices, indptr): the CSC entry k
+        is entry gather[k] of the flattened blocks, in row indices[k]. No
+        two blocks share a position.
         """
-        if nvar not in self._structure:
-            cells = np.arange(self.n)
-            brow = np.concatenate((cells, self.fa, self.fb))
-            bcol = np.concatenate((cells, self.fb, self.fa))
-            var = np.arange(nvar)
-            row = (nvar * brow[:, None, None] + var[:, None]).repeat(nvar, axis=2).ravel()
-            col = (nvar * bcol[:, None, None] + var).repeat(nvar, axis=1).ravel()
-            gather = np.lexsort((row, col))
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=nvar * self.n))))
-            itype = np.int32 if row.size < 2**31 else np.int64
-            self._structure[nvar] = (gather.astype(itype), row[gather].astype(itype),
-                                     indptr.astype(itype))
-        return self._structure[nvar]
+        cells = np.arange(self.n)
+        brow = np.concatenate((cells, self.fa, self.fb))
+        bcol = np.concatenate((cells, self.fb, self.fa))
+        var = np.arange(nvar)
+        row = (nvar * brow[:, None, None] + var[:, None]).repeat(nvar, axis=2).ravel()
+        col = (nvar * bcol[:, None, None] + var).repeat(nvar, axis=1).ravel()
+        if order is not None:
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            row, col = rank[row], rank[col]
+        gather = np.lexsort((row, col))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=nvar * self.n))))
+        itype = np.int32 if row.size < 2**31 else np.int64
+        return gather.astype(itype), row[gather].astype(itype), indptr.astype(itype)
+
+    def colamd_order(self, nvar):
+        """COLAMD order of the unknowns for the pattern of every block entry.
+
+        SuperLU orders the pattern (Davis, Gilbert, Larimore & Ng 2004)
+        inside an incomplete LU whose factors may not outgrow the pattern
+        (fill_factor=1), so the pattern is never factored in full: on the
+        published ex3 grid a full LU of it fills 26.8M entries. Each
+        column's diagonal dominates it, so no pivot is zero.
+        """
+        _, indices, indptr = self._block_structure(nvar)
+        size = nvar * self.n
+        col = np.repeat(np.arange(size), np.diff(indptr))
+        data = np.where(indices == col, float(size), 1.0)
+        pattern = sparse.csc_matrix((data, indices, indptr), shape=(size, size))
+        ilu = spilu(pattern, permc_spec="COLAMD", drop_tol=1.0, fill_factor=1.0)
+        return np.argsort(ilu.perm_c)
+
+
+class OrderedLU:
+    """SuperLU factors of a Newton matrix built in its system's factor order.
+
+    ``J`` comes from :meth:`AssemblyData.jacobian` already in the order
+    ``order``, so SuperLU factors it in that order (``permc_spec =
+    "NATURAL"``); :meth:`solve` takes and returns natural order.
+    ``relax=1`` turns off supernode relaxation, which only pads the
+    factors with explicit zeros; keep relax <= panel_size (relax=40 with
+    panel_size=5 crashed SuperLU). ``splu`` is the solver module's own
+    ``scipy.sparse.linalg.splu``, looked up there at each call, so that
+    each solver's factorizations can be wrapped and counted apart
+    (``bench/child.py``). ``options`` go to SuperLU.
+    """
+
+    def __init__(self, splu, J, order, options=None):
+        self.lu = splu(J, permc_spec="NATURAL", relax=1, panel_size=5, options=options)
+        self.order = order
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
 
 
 class NewtonResult(NamedTuple):
@@ -187,9 +255,11 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
 
     ``evaluate(x, want_jacobian)`` returns (residual, J or None, aux) and
     builds J only if ``want_jacobian(residual)``, that is, only for an
-    iterate that ``factor(J).solve`` will be applied to. Convergence is
-    max |residual / escale| < newton_rel_tol; a NaN norm or reaching
-    newton_max_iter fails. An update whose largest entry in the slices
+    iterate that ``factor(J).solve`` will be applied to; the scaled norm
+    ``want_jacobian`` takes of the residual is the one Newton uses.
+    Convergence is max |residual / escale| < newton_rel_tol; a NaN norm,
+    reaching newton_max_iter or an exactly singular Jacobian (SuperLU's
+    zero pivot) fails. An update whose largest entry in the slices
     ``damped`` exceeds ``max_step`` is scaled down to ``max_step``.
 
     ``lu`` is a factorization carried over from an earlier solve, as
@@ -210,13 +280,15 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
     iters = factorizations = 0
     reuse = lu is not None
     rnorm = np.inf
+    seen = None  # (residual, norm) of the evaluation under way, from will_factor
 
     def norm(resid):
         return float(np.max(np.abs(resid / escale)))
 
     def will_factor(resid):
-        nonlocal lu
+        nonlocal lu, seen
         new = norm(resid)
+        seen = resid, new
         if not (np.isfinite(new) and new >= tol and iters < settings.newton_max_iter):
             return False
         if reuse and new <= _CONTRACTION * rnorm:
@@ -224,14 +296,28 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
         lu = None  # free the old factorization before the Jacobian is built
         return True
 
-    resid, J, aux = evaluate(x, will_factor)
-    rnorm = norm(resid)
+    def evaluated(x):
+        """evaluate(x, will_factor) and the scaled norm, taken once."""
+        nonlocal seen
+        seen = None
+        resid, J, aux = evaluate(x, will_factor)
+        if seen is None or seen[0] is not resid:  # want_jacobian not asked of it
+            seen = resid, norm(resid)
+        return resid, J, aux, seen[1]
+
+    resid, J, aux, rnorm = evaluated(x)
     while not rnorm < tol:  # a NaN norm fails the step, it never converges
         if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
             return NewtonResult(False, x, iters, rnorm, aux, lu, factorizations)
         if J is not None:
-            lu, J = factor(J), None  # J is not kept through the next assembly
             factorizations += 1
+            try:
+                lu = factor(J)
+            except RuntimeError as err:  # SuperLU's zero pivot fails the step
+                if str(err) != _SINGULAR:
+                    raise
+                return NewtonResult(False, x, iters, rnorm, aux, None, factorizations)
+            J = None  # not kept through the next assembly
         delta = lu.solve(-resid)
         dmax = max((np.max(np.abs(delta[s]), initial=0.0) for s in damped),
                    default=0.0)
@@ -239,8 +325,7 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
             delta *= max_step / dmax
         x = x + delta
         iters += 1
-        resid, J, aux = evaluate(x, will_factor)
-        rnorm = norm(resid)
+        resid, J, aux, rnorm = evaluated(x)
     return NewtonResult(True, x, iters, rnorm, aux, lu, factorizations)
 
 

@@ -382,16 +382,16 @@ class TestFactor:
         b = -_eval_twophase(sys, _vector(rep.final_state), old, 3600.0, 1e-5, P0,
                             False)[0]
         x = sys.factor(J).solve(b)
-        assert np.linalg.norm(J @ x - b) < 1e-12 * np.linalg.norm(b)
+        assert (np.linalg.norm(sys.in_natural_order(J) @ x - b)
+                < 1e-12 * np.linalg.norm(b))
 
     def test_less_fill_than_colamd_at_scale(self, system_at_scale):
         sys, J = system_at_scale
-        assert sys.factor(J).lu.nnz < splu(J).nnz
+        assert sys.factor(J).lu.nnz < splu(sys.in_natural_order(J)).nnz
 
     def test_less_fill_than_with_relaxed_supernodes(self, system_at_scale):
         sys, J = system_at_scale
-        p = sys.order
-        relaxed = splu(J[p][:, p], permc_spec="NATURAL",
+        relaxed = splu(J, permc_spec="NATURAL",
                        options={"SymmetricMode": True})  # default relax, panel_size
         assert sys.factor(J).lu.nnz < relaxed.nnz
 

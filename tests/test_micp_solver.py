@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import micpsim.micp as micp
+from micpsim.config import preset
 from micpsim.errors import ConvergenceError
 from micpsim.grid import DomainSpec, LeakSpec, ReservoirSpec, build_domain
 from micpsim.kinetics import CellChemState, batch_oracle
 from micpsim.micp import (
     IB,
+    IC,
     IM,
     IO,
     IU,
@@ -190,7 +195,7 @@ class TestOutOfBoundsJacobian:
         sys = _System(grid, PARAMS, ROCK)
         _, J, aux = _eval_system(sys, x, old, 600.0, control)
         assert np.all(aux["shear"] == 0.0)
-        J = J.toarray()
+        J = sys.in_natural_order(J).toarray()
         checked = 0
         for var in (IM, IO, IU, IB):
             for cell in range(n):
@@ -361,3 +366,101 @@ class TestDerivedFields:
         assert phi == pytest.approx(0.10, rel=1e-12)
         K = permeability_field(grid, ROCK, state)
         assert np.all(K < grid.perm0)
+
+
+def desk_grid(name):
+    """Preset ``name``'s grid; ex2 and ex3 on the desk grid (2.5 m cells, 4 m aperture)."""
+    cfg = preset(name)
+    if name != "ex1":
+        cfg = replace(cfg, domain=replace(cfg.domain, nx=40, nz=12, dx=2.5, dz=2.5),
+                      leak=replace(cfg.leak, aperture=4.0))
+    return build_domain(cfg.domain, cfg.leak, cfg.reservoir, ROCK)
+
+
+def treated_states(grid, seed):
+    """Old and new state of a flowing, partly treated field, both in bounds."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_active
+    old = make_initial_state(grid, PARAMS, P0)
+    old.p += 2e4 * (1.0 - grid.centers[:, 0] / grid.centers[:, 0].max())
+    old.c_m[:] = rng.uniform(0.0, 0.01, n)
+    old.c_o[:] = rng.uniform(0.0, 0.04, n)
+    old.c_u[:] = rng.uniform(0.0, 60.0, n)
+    old.phi_b[:] = rng.uniform(0.0, 0.005, n)
+    old.phi_c[:] = rng.uniform(0.0, 0.01, n)
+    new = old.copy()  # a Newton iterate: solutes off by 10%, volume fractions by 1e-4
+    new.p += rng.normal(0.0, 10.0, n)
+    for name, spread in (("c_m", 0.1), ("c_o", 0.1), ("c_u", 0.1),
+                         ("phi_b", 1e-4), ("phi_c", 1e-4)):
+        getattr(new, name)[:] *= rng.uniform(1.0 - spread, 1.0 + spread, n)
+    return old, new
+
+
+class TestFactorOrder:
+    """Newton matrices built and factored in one COLAMD order per system."""
+
+    CONTROL = WellControl(rate=2.31e-5, c_m=0.01, c_u=30.0, p_bdry=P0)
+
+    @staticmethod
+    def assert_solves(sys, x, old, control, dt=600.0):
+        resid, J, _ = _eval_system(sys, x, old, dt, control)
+        b = -resid
+        dx = sys.factor(J).solve(b)
+        natural = sys.in_natural_order(J)
+        assert np.linalg.norm(natural @ dx - b) <= 1e-12 * np.linalg.norm(b)
+        return natural
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_lu_solves_the_natural_order_matrix(self, name):
+        grid = desk_grid(name)
+        sys = _System(grid, PARAMS, ROCK)
+        old, new = treated_states(grid, seed=3)
+        self.assert_solves(sys, new.to_vector(), old, self.CONTROL)
+        assert not np.array_equal(sys.order, np.arange(NVAR * grid.n_active))
+
+    def test_lu_solves_at_out_of_bounds_iterates(self):
+        grid = example1_grid(nx=25)
+        sys = _System(grid, PARAMS, ROCK)
+        old, new = treated_states(grid, seed=5)
+        x = new.to_vector()
+        x[IM::NVAR][::3] = -1e-4
+        x[IU::NVAR][1::4] = -0.5
+        x[IO::NVAR][::4] = -2e-5
+        x[IB::NVAR][2::5] = -1e-6
+        x[IC::NVAR][::7] = -1e-6
+        self.assert_solves(sys, x, old, self.CONTROL)
+
+    def test_pin_lands_on_entry_zero_zero(self):
+        grid = closed_cell_grid()
+        sys = _System(grid, PARAMS, ROCK)
+        state = MicpState(p=np.array([P0 + 1e3]), c_m=np.array([1e-3]),
+                          c_o=np.array([0.01]), c_u=np.array([300.0]),
+                          phi_b=np.array([0.01]), phi_c=np.array([0.002]))
+        natural = self.assert_solves(sys, state.to_vector(), state,
+                                     WellControl(rate=0.0, p_bdry=P0)).toarray()
+        pin_scale = grid.volumes[0] * grid.poro0[0] / (600.0 * 1e5)
+        assert natural[0].tolist() == [pin_scale] + [0.0] * (NVAR - 1)
+
+    def test_two_systems_on_one_grid_share_the_order(self):
+        grid = desk_grid("ex3")
+        first = _System(grid, PARAMS, ROCK).order
+        second = _System(grid, PARAMS, INERT).order
+        assert np.array_equal(first, second)
+        assert np.array_equal(np.sort(first), np.arange(NVAR * grid.n_active))
+
+    def test_splu_sees_only_the_newton_factorizations(self, monkeypatch):
+        calls = []
+        splu = micp.splu
+
+        def counted(J, **options):
+            calls.append(options)
+            return splu(J, **options)
+
+        monkeypatch.setattr(micp, "splu", counted)
+        grid = example1_grid(nx=25)
+        periods = builtin_schedule("ex1", p_bdry=P0).periods[:2]
+        report = simulate_micp(grid, Schedule(periods=periods, p_bdry=P0), PARAMS,
+                               ROCK, SolverSettings())
+        assert report.dt_failures == 0
+        assert len(calls) == report.factorizations == report.newton_iterations > 0
+        assert all(options["permc_spec"] == "NATURAL" for options in calls)

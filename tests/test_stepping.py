@@ -66,6 +66,42 @@ class TestNewton:
         assert res.x == pytest.approx([1.5, 1.5])
 
 
+def _singular(x, want_jacobian):
+    """x_0 + x_1 = 1 and x_0 + x_1 = 2: a singular 2 x 2 toy system."""
+    resid = np.array([x[0] + x[1] - 1.0, x[0] + x[1] - 2.0])
+    if not want_jacobian(resid):
+        return resid, None, {}
+    return resid, sparse.csc_matrix(np.ones((2, 2))), {}
+
+
+class TestSingularJacobian:
+    def test_zero_pivot_fails_the_solve(self):
+        res = newton(_singular, np.zeros(2), np.ones(2), SolverSettings(), splu)
+        assert not res.converged
+        assert res.iterations == 0 and res.factorizations == 1
+        assert res.lu is None and res.resid_norm == 2.0
+
+    def test_other_factor_errors_propagate(self):
+        def broken(J):
+            raise RuntimeError("out of memory")
+
+        with pytest.raises(RuntimeError, match="out of memory"):
+            newton(_singular, np.zeros(2), np.ones(2), SolverSettings(), broken)
+
+    def test_cuts_dt_then_raises_below_dt_min(self):
+        settings = SolverSettings(dt_init=1.0, dt_min=0.1, dt_max=8.0)
+        tried = []
+
+        def step(state, dt, ctx):
+            tried.append(dt)
+            return state, newton(_singular, state, np.ones(2), settings, splu)
+
+        with pytest.raises(ConvergenceError) as exc_info:
+            march(np.zeros(2), [(10.0, None)], settings, step, lambda *args: {})
+        assert tried == [1.0, 0.5, 0.25, 0.125]
+        assert exc_info.value.last_good_time == 0.0
+
+
 class _LU:
     """A factorization that can be watched for being freed."""
 
@@ -314,6 +350,23 @@ class TestAssemblyOracle:
             assert np.isnan(J.data).sum() == 2  # the NaN's two blocks
             assert J[nvar, nvar] == 0.0
             assert J.nnz == np.count_nonzero(J.toarray())  # no zero stored
+
+    @pytest.mark.parametrize("sides", [("x+", "y-"), ()])
+    @pytest.mark.parametrize("pin_scale", [None, 7.0])
+    def test_jacobian_in_factor_order_is_the_permuted_reference(self, sides, pin_scale):
+        data = _box(sides)
+        nvar = 6
+        data.order = np.random.default_rng(4).permutation(nvar * data.n)
+        assert data.order[0] != 0  # the pin row is not row 0
+        blocks = self.blocks(data, nvar, 0)
+        J = data.jacobian(*blocks, pin_scale=pin_scale)
+        ref = _reference_jacobian(data, *blocks, pin_scale=pin_scale)
+        permuted = ref[data.order][:, data.order]
+        permuted.sort_indices()
+        for name in ("data", "indices", "indptr"):
+            assert _bits(getattr(J, name)) == _bits(getattr(permuted, name)), name
+        natural = data.in_natural_order(J)
+        assert np.array_equal(natural.toarray(), ref.toarray(), equal_nan=True)
 
     @pytest.mark.parametrize("sides", [("x+", "y-"), ()])
     def test_face_sums_match_bincount(self, sides):
