@@ -13,16 +13,16 @@ domains. Newton, Jacobian assembly and adaptive stepping are the shared
 machinery of :mod:`micpsim.stepping`.
 
 Each Newton matrix is built in one order of the unknowns that the
-system computes once: a minimum-degree order of the fixed cell graph
-(the interior faces), each cell's (p, s) kept together. SuperLU factors
-it in that order (``permc_spec="NATURAL"``,
-:class:`micpsim.stepping.OrderedLU`) in symmetric mode, with its default
-pivot threshold; on the published ex3 grid this cuts fill and
-factorisation time by about 45% against COLAMD.
-Supernode relaxation is off (``relax=1``): relaxed supernodes only pad
-the factors with explicit zeros, and in this interleaved (p, s) order that
-adds fill and time (on the published ex3 grid fill 1.66M -> 1.57M, factor
-time about -30%).
+system computes when it assembles its first Jacobian: SuperLU's
+minimum-degree order (``MMD_AT_PLUS_A``) of the pattern of every entry
+of the 2x2 derivative blocks
+(:meth:`micpsim.stepping.AssemblyData.fill_order`). SuperLU factors it
+in that order (``permc_spec="NATURAL"``,
+:class:`micpsim.stepping.OrderedLU`) with its default pivot threshold;
+on the published ex3 grid COLAMD of the same pattern fills about 50%
+more. Supernode relaxation is off (``relax=1``): relaxed supernodes only
+pad the factors with explicit zeros, and in this order that adds fill
+(on the published ex3 grid peak fill 1.63M against 1.54M).
 
 From the second step on, Newton starts not from the old state but from
 the linear predictor through the last two states of the run, x +
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -64,7 +65,6 @@ from .grid import (
     Region,
     boundary_transmissibilities,
     interior_transmissibilities,
-    min_degree_cell_order,
 )
 from .params import TwoPhaseParams
 from .schedule import DEFAULT_BOUNDARY_PRESSURE
@@ -111,9 +111,12 @@ class _TwoPhaseSystem(AssemblyData):
         self.phi = poro
         self.T = interior_transmissibilities(grid, perm)
         self.Tb = boundary_transmissibilities(grid, perm)
-        cells = min_degree_cell_order(grid)
-        self.order = (NV2 * cells[:, None] + np.arange(NV2)).ravel()
         self.lu = None  # factorization a converged step hands to the next
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Factor order of the unknowns: MMD of the 2x2-block pattern, once."""
+        return self.fill_order(NV2, "MMD_AT_PLUS_A")
 
     def take_lu(self):
         """The carried factorization, which the system stops holding.
@@ -126,7 +129,7 @@ class _TwoPhaseSystem(AssemblyData):
 
     def factor(self, J) -> OrderedLU:
         """LU of the Newton matrix J, built in the system's factor order."""
-        return OrderedLU(splu, J, self.order, {"SymmetricMode": True})
+        return OrderedLU(splu, J, self.order)
 
 
 def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,

@@ -396,5 +396,7 @@ def _validate_config(cfg: SimulationConfig, problems) -> None:
             problems.append(f"[leak] {exc}")
     if cfg.co2.rate <= 0.0 or cfg.co2.duration < 0.0:
         problems.append("[twophase] co2_rate must be > 0 and co2_duration >= 0")
+    if cfg.outputs.snapshot_cadence < 0.0:
+        problems.append("[outputs] snapshot_cadence must be >= 0")
     for msg in validate_schedule(cfg.schedule):
         problems.append(f"[schedule] {msg}")

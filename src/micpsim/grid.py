@@ -24,7 +24,6 @@ from enum import IntEnum
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import splu
 
 from .errors import DomainError, EmptyDomainError, GeometryError
 from .params import RockLaw
@@ -395,24 +394,6 @@ def boundary_transmissibilities(grid: Grid, perm_field) -> np.ndarray:
     """Half-cell transmissibilities of the constant-pressure boundary faces."""
     perm = np.asarray(perm_field, dtype=float)
     return grid.bface_area * perm[grid.bface_cell] / grid.bface_d
-
-
-def min_degree_cell_order(grid: Grid) -> np.ndarray:
-    """Minimum-degree elimination order of the active cells' face graph.
-
-    SuperLU orders the graph Laplacian diag(degree + 1) - adjacency, which
-    is symmetric and diagonally dominant, and factors it once; its column
-    permutation puts cell i at position perm_c[i]. Returns the cells in
-    elimination order.
-    """
-    fa, fb = grid.iface_cells[:, 0], grid.iface_cells[:, 1]
-    n = grid.n_active
-    adj = sparse.coo_matrix((np.ones(2 * fa.size), (np.concatenate((fa, fb)),
-                                                    np.concatenate((fb, fa)))),
-                            shape=(n, n)).tocsc()
-    degree = np.asarray(adj.sum(axis=1)).ravel()
-    laplacian = (sparse.diags(degree + 1.0) - adj).tocsc()
-    return np.argsort(splu(laplacian, permc_spec="MMD_AT_PLUS_A").perm_c)
 
 
 def leak_connects_aquifers(grid: Grid) -> bool:

@@ -33,7 +33,7 @@ Each Newton matrix is built in one order of the unknowns that the
 system computes when it assembles its first Jacobian: SuperLU's COLAMD
 (Davis, Gilbert, Larimore & Ng 2004) of the pattern of every entry of
 the 6x6 derivative blocks, which holds every matrix the system can
-build (:meth:`micpsim.stepping.AssemblyData.colamd_order`). SuperLU
+build (:meth:`micpsim.stepping.AssemblyData.fill_order`). SuperLU
 factors each matrix in that order (``permc_spec="NATURAL"``, supernode
 relaxation off) through :class:`micpsim.stepping.OrderedLU`, as the CO2
 solver does with its own order. Against a fresh COLAMD of each matrix's
@@ -167,7 +167,7 @@ class _System(AssemblyData):
     @cached_property
     def order(self) -> np.ndarray:
         """Factor order of the unknowns: COLAMD of the 6x6-block pattern, once."""
-        return self.colamd_order(NVAR)
+        return self.fill_order(NVAR, "COLAMD")
 
     def factor(self, J) -> OrderedLU:
         """LU of the Newton matrix J, built in the system's factor order."""

@@ -48,6 +48,7 @@ class SolverSettings:
             (0.0 < self.dt_min <= self.dt_init <= self.dt_max,
              "need 0 < dt_min <= dt_init <= dt_max"),
             (self.newton_rel_tol > 0.0, "newton_rel_tol must be > 0"),
+            (self.newton_max_iter >= 1, "newton_max_iter must be >= 1"),
             (0.0 < self.dt_cut < 1.0, "need 0 < dt_cut < 1"),
             (self.dt_grow >= 1.0, "need dt_grow >= 1"),
         ) if not holds]
@@ -69,7 +70,8 @@ class AssemblyData:
 
     ``order`` lists the unknowns in the order their system factors them:
     row and column k of a Newton matrix is unknown order[k]. None, as
-    here, keeps the natural order; a solver's system sets its own, once.
+    here, keeps the natural order; each solver's system computes its own
+    once, with :meth:`fill_order` and its own SuperLU ordering.
     """
 
     order = None
@@ -197,21 +199,22 @@ class AssemblyData:
         itype = np.int32 if row.size < 2**31 else np.int64
         return gather.astype(itype), row[gather].astype(itype), indptr.astype(itype)
 
-    def colamd_order(self, nvar):
-        """COLAMD order of the unknowns for the pattern of every block entry.
+    def fill_order(self, nvar, permc_spec):
+        """SuperLU's ``permc_spec`` order of the unknowns for the block pattern.
 
-        SuperLU orders the pattern (Davis, Gilbert, Larimore & Ng 2004)
-        inside an incomplete LU whose factors may not outgrow the pattern
+        The pattern holds every entry of every nvar x nvar derivative block,
+        so every matrix the system can build. SuperLU orders it inside an
+        incomplete LU whose factors may not outgrow the pattern
         (fill_factor=1), so the pattern is never factored in full: on the
-        published ex3 grid a full LU of it fills 26.8M entries. Each
-        column's diagonal dominates it, so no pivot is zero.
+        published ex3 grid a full LU of the 6x6-block pattern fills 26.8M
+        entries. Each column's diagonal dominates it, so no pivot is zero.
         """
         _, indices, indptr = self._block_structure(nvar)
         size = nvar * self.n
         col = np.repeat(np.arange(size), np.diff(indptr))
         data = np.where(indices == col, float(size), 1.0)
         pattern = sparse.csc_matrix((data, indices, indptr), shape=(size, size))
-        ilu = spilu(pattern, permc_spec="COLAMD", drop_tol=1.0, fill_factor=1.0)
+        ilu = spilu(pattern, permc_spec=permc_spec, drop_tol=1.0, fill_factor=1.0)
         return np.argsort(ilu.perm_c)
 
 
@@ -219,18 +222,18 @@ class OrderedLU:
     """SuperLU factors of a Newton matrix built in its system's factor order.
 
     ``J`` comes from :meth:`AssemblyData.jacobian` already in the order
-    ``order``, so SuperLU factors it in that order (``permc_spec =
-    "NATURAL"``); :meth:`solve` takes and returns natural order.
-    ``relax=1`` turns off supernode relaxation, which only pads the
-    factors with explicit zeros; keep relax <= panel_size (relax=40 with
-    panel_size=5 crashed SuperLU). ``splu`` is the solver module's own
-    ``scipy.sparse.linalg.splu``, looked up there at each call, so that
-    each solver's factorizations can be wrapped and counted apart
-    (``bench/child.py``). ``options`` go to SuperLU.
+    ``order`` (:meth:`AssemblyData.fill_order`), so SuperLU factors it in
+    that order (``permc_spec = "NATURAL"``) with its default pivoting;
+    :meth:`solve` takes and returns natural order. ``relax=1`` turns off
+    supernode relaxation, which only pads the factors with explicit zeros;
+    keep relax <= panel_size (relax=40 with panel_size=5 crashed SuperLU).
+    ``splu`` is the solver module's own ``scipy.sparse.linalg.splu``,
+    looked up there at each call, so that each solver's factorizations can
+    be wrapped and counted apart (``bench/child.py``).
     """
 
-    def __init__(self, splu, J, order, options=None):
-        self.lu = splu(J, permc_spec="NATURAL", relax=1, panel_size=5, options=options)
+    def __init__(self, splu, J, order):
+        self.lu = splu(J, permc_spec="NATURAL", relax=1, panel_size=5)
         self.order = order
 
     def solve(self, b):
@@ -363,10 +366,13 @@ def march(state, intervals, settings: SolverSettings, step, accept,
     state, report, ctx)`` books an accepted step and returns the solver's
     entries of its diagnostics record, which follow dt, newton_iterations,
     residual and factorizations. Snapshots are taken at t = 0, at the
-    cadence and at the end, each time once.
+    cadence and at the end, each time once; a cadence of None or 0 takes
+    none in between, and a negative one raises DomainError.
     """
     settings.validate()
     sinks = sinks or OutputHooks()
+    if (sinks.snapshot_cadence or 0.0) < 0.0:
+        raise DomainError("snapshot_cadence must be >= 0")
     run = MarchReport(state)
     if sinks.on_snapshot:
         sinks.on_snapshot(run.t, state)

@@ -125,6 +125,18 @@ class TestRunMicp:
         assert "error: config: [schedule] period.x" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("section, line", [
+        ("solver", "newton_max_iter = 0"), ("outputs", "snapshot_cadence = -5"),
+    ])
+    def test_setting_that_cannot_run_is_config_error(self, tmp_path, capsys,
+                                                     section, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{line}\n")
+        out_dir = tmp_path / "never"
+        assert main(["run-micp", str(path), "--out", str(out_dir)]) == 2
+        assert f"error: config: [{section}] {line.split()[0]}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_solver_failure_exit_code(self, failing_config, tmp_path, capsys):
         path = failing_config
         assert main(["run-micp", str(path)]) == 3

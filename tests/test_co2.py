@@ -391,8 +391,7 @@ class TestFactor:
 
     def test_less_fill_than_with_relaxed_supernodes(self, system_at_scale):
         sys, J = system_at_scale
-        relaxed = splu(J, permc_spec="NATURAL",
-                       options={"SymmetricMode": True})  # default relax, panel_size
+        relaxed = splu(J, permc_spec="NATURAL")  # default relax, panel_size
         assert sys.factor(J).lu.nnz < relaxed.nnz
 
 

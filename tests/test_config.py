@@ -183,6 +183,17 @@ class TestParsing:
             parse_config("[rock]\nphi_crit = 0.5\n")  # above phi0 = 0.15
         assert any("phi_crit" in p for p in exc_info.value.problems)
 
+    @pytest.mark.parametrize("section, line", [
+        ("solver", "newton_max_iter = 0"),  # every step fails down to dt_min
+        ("outputs", "snapshot_cadence = -5"),  # the next snapshot time never advances
+    ])
+    def test_setting_that_cannot_run_rejected(self, section, line):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(f"[{section}]\n{line}\n")
+        key = line.split(" = ")[0]
+        assert any(p.startswith(f"[{section}] {key} must be >=")
+                   for p in exc_info.value.problems)
+
     @pytest.mark.parametrize("setting", ["dt_cut = 1.0", "dt_cut = 0.0", "dt_grow = 0.5"])
     def test_step_factors_that_never_end_a_run_rejected(self, setting):
         # dt_cut = 1 retries a failing step at the same dt forever; dt_grow < 1

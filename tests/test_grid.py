@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +16,6 @@ from micpsim.grid import (
     face_transmissibility,
     interior_transmissibilities,
     leak_connects_aquifers,
-    min_degree_cell_order,
 )
 from micpsim.params import RockLaw
 
@@ -200,28 +197,6 @@ class TestTransmissibility:
         Tb = boundary_transmissibilities(self.grid, perm)
         assert Tb.shape == (1,)
         assert Tb[0] == pytest.approx(4e-14 / 0.5, rel=1e-14)
-
-
-class TestMinDegreeCellOrder:
-    def test_permutation_with_less_fill_than_the_natural_order(self):
-        domain = DomainSpec(nx=30, ny=1, nz=30, dx=1.0, dy=1.0, dz=1.0)
-        reservoir = ReservoirSpec(aquifer_height=30.0, caprock_height=0.0,
-                                  well_x=0.5)
-        grid = build_domain(domain, None, reservoir, ROCK)
-        order = min_degree_cell_order(grid)
-        assert sorted(order.tolist()) == list(range(grid.n_active))
-        fa, fb = grid.iface_cells[:, 0], grid.iface_cells[:, 1]
-        adj = sparse.coo_matrix((np.ones(2 * fa.size), (np.concatenate((fa, fb)),
-                                                        np.concatenate((fb, fa)))),
-                                shape=(grid.n_active,) * 2).tocsc()
-        laplacian = (sparse.diags(np.asarray(adj.sum(axis=1)).ravel() + 1.0)
-                     - adj).tocsc()
-
-        def fill(perm):
-            return splu(laplacian[perm][:, perm], permc_spec="NATURAL",
-                        options={"SymmetricMode": True}).nnz
-
-        assert fill(order) < 0.75 * fill(np.arange(grid.n_active))
 
 
 def flood_fill_connects(grid):

@@ -7,9 +7,11 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from micpsim.errors import ConvergenceError
+from micpsim import co2, micp
+from micpsim.errors import ConvergenceError, DomainError
 from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
-from micpsim.params import RockLaw
+from micpsim.params import KineticParams, RockLaw, TwoPhaseParams
+from micpsim.schedule import WellControl
 from micpsim.stepping import (
     _CONTRACTION,
     AssemblyData,
@@ -381,6 +383,52 @@ class TestAssemblyOracle:
             assert got.shape == (data.n, *tail)
 
 
+def _micp_newton_matrix(grid, rng):
+    """micp's system on grid and a Newton matrix of it, in natural order."""
+    sys = micp._System(grid, KineticParams(), RockLaw())
+    state = micp.make_initial_state(grid, sys.params, 1e7)
+    for name, top in (("c_m", 0.01), ("c_o", 0.04), ("c_u", 60.0),
+                      ("phi_b", 0.005), ("phi_c", 0.01)):
+        getattr(state, name)[:] = rng.uniform(0.0, top, grid.n_active)
+    control = WellControl(rate=1e-4, c_m=0.01, c_o=0.04, c_u=30.0, p_bdry=1e7)
+    J = micp._eval_system(sys, state.to_vector(), state, 600.0, control)[1]
+    return sys, sys.in_natural_order(J)
+
+
+def _co2_newton_matrix(grid, rng):
+    """co2's system on grid and a Newton matrix of it, in natural order."""
+    sys = co2._TwoPhaseSystem(grid, grid.perm0, grid.poro0, TwoPhaseParams())
+    state = co2.make_initial_twophase_state(grid, sys.params, 1e7)
+    state.s[:] = rng.uniform(0.0, 1.0, grid.n_active)
+    x = np.column_stack((state.p, state.s)).ravel()
+    J = co2._eval_twophase(sys, x, state, 3600.0, 1e-4, 1e7)[1]
+    return sys, sys.in_natural_order(J)
+
+
+class TestFillOrder:
+    """Each solver's SuperLU ordering of its block pattern, through one helper."""
+
+    @pytest.mark.parametrize("nvar, permc_spec, newton_matrix, bound", [
+        (6, "COLAMD", _micp_newton_matrix, 1.0),
+        (2, "MMD_AT_PLUS_A", _co2_newton_matrix, 0.75),
+    ], ids=["micp", "co2"])
+    def test_permutation_with_less_fill_than_the_natural_order(
+            self, nvar, permc_spec, newton_matrix, bound):
+        domain = DomainSpec(nx=40, ny=1, nz=40, dx=1.0, dy=1.0, dz=1.0)
+        reservoir = ReservoirSpec(aquifer_height=40.0, caprock_height=0.0,
+                                  well_x=0.5)
+        grid = build_domain(domain, None, reservoir, RockLaw())
+        order = AssemblyData(grid).fill_order(nvar, permc_spec)
+        assert np.array_equal(np.sort(order), np.arange(nvar * grid.n_active))
+        sys, J = newton_matrix(grid, np.random.default_rng(0))
+        assert np.array_equal(sys.order, order)
+
+        def fill(perm):
+            return splu(J[perm][:, perm], permc_spec="NATURAL").nnz
+
+        assert fill(order) < bound * fill(np.arange(J.shape[0]))
+
+
 def _scripted_step(fails_at=(), iterations=1, factorizations=1):
     """Step that adds dt to the state; fails at the listed call numbers."""
     calls = []
@@ -433,6 +481,14 @@ class TestMarch:
             march(0.0, [(100.0, None)], self.SETTINGS, step, lambda *args: {})
         assert exc_info.value.last_good_state == 1.0
         assert exc_info.value.last_good_time == 1.0
+
+    def test_negative_snapshot_cadence_rejected_before_a_step(self):
+        def step(state, dt, ctx):
+            raise AssertionError("march stepped with a negative snapshot cadence")
+
+        hooks = OutputHooks(snapshot_cadence=-5.0, on_snapshot=lambda t, s: None)
+        with pytest.raises(DomainError, match="snapshot_cadence"):
+            march(0.0, [(10.0, None)], self.SETTINGS, step, lambda *args: {}, hooks)
 
     def test_snapshots_and_diagnostics(self):
         step, calls = _scripted_step()
