@@ -60,7 +60,11 @@ def _prepare_run(args) -> tuple[SimulationConfig, Path, Grid] | int:
         _err("geometry", str(exc))
         return 2
     out_dir = Path(args.out or cfg.outputs.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _err("io", str(exc))
+        return 2
     return cfg, out_dir, grid
 
 
@@ -86,7 +90,8 @@ def _run_solver(cfg: SimulationConfig, grid: Grid, solve, fields, last_good_path
 
     A hard failure writes ``fields(state)`` of the last good state to
     ``last_good_path`` and gives 3; any other run error gives 2. A finished
-    run writes its per-step records to ``diagnostics_path``.
+    run, and a hard failure, write the records of the accepted steps to
+    ``diagnostics_path``.
     """
     records = []
     try:
@@ -96,7 +101,7 @@ def _run_solver(cfg: SimulationConfig, grid: Grid, solve, fields, last_good_path
             write_snapshot(grid, fields(exc.last_good_state), exc.last_good_time or 0.0,
                            last_good_path)
         _err("solver-failure", str(exc))
-        return 3
+        report = 3
     except MicpSimError as exc:
         _err("run", str(exc))
         return 2

@@ -207,13 +207,15 @@ def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
                         p_bdry: float = DEFAULT_BOUNDARY_PRESSURE,
                         poro_field=None, guess: TwoPhaseState | None = None,
                         _sys=None):
-    """One implicit step; returns (state_new, report namedtuple-ish dict).
+    """One implicit step; returns (state_new, Newton's result).
 
-    Newton starts from ``guess``, or from ``state_old`` when it is None.
-    ``_sys``, the system of a run, carries a factorization from step to
-    step: Newton takes the one the last converged step left in
-    ``_sys.lu`` (:func:`micpsim.stepping.newton`), and a converged step
-    leaves there the last one it used. A failed step leaves None.
+    A step that fails, or converges outside the saturation bounds, returns
+    state_old and ``converged`` False. Newton starts from ``guess``, or
+    from ``state_old`` when it is None. ``_sys``, the system of a run,
+    carries a factorization from step to step: Newton takes the one the
+    last converged step left in ``_sys.lu`` (:func:`micpsim.stepping.newton`),
+    and a converged step leaves there the last one it used. A failed step
+    leaves None.
     """
     if not dt > 0.0:
         raise DomainError("dt must be > 0")
@@ -225,28 +227,15 @@ def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
     x = np.empty(NV2 * sys.n)
     x[JP::NV2] = start.p
     x[JS::NV2] = start.s
-    res = newton(
+    res, lu = newton(
         lambda x, want: _eval_twophase(sys, x, state_old, dt, rate, p_bdry, want),
         x, escale, settings, sys.factor, damped=(slice(JS, None, NV2),), max_step=0.5,
         lu=sys.take_lu())
     s = res.x[JS::NV2]
     if not res.converged or np.any(s < -1e-6) or np.any(s > 1.0 + 1e-6):
-        return state_old, _StepReport(False, res.iterations, res.resid_norm,
-                                      res.factorizations)
-    sys.lu = res.lu
-    state = TwoPhaseState(p=res.x[JP::NV2].copy(), s=np.clip(s, 0.0, 1.0))
-    co2_out = float(np.sum(np.maximum(res.aux["Fbc"], 0.0))) * dt
-    return state, _StepReport(True, res.iterations, res.resid_norm,
-                              res.factorizations, co2_out)
-
-
-@dataclass
-class _StepReport:
-    converged: bool
-    iterations: int
-    resid_norm: float
-    factorizations: int
-    co2_out: float = 0.0
+        return state_old, res._replace(converged=False)
+    sys.lu = lu
+    return TwoPhaseState(p=res.x[JP::NV2].copy(), s=np.clip(s, 0.0, 1.0)), res
 
 
 def _extrapolate(prev: TwoPhaseState, last: TwoPhaseState, ratio: float) -> TwoPhaseState:
@@ -378,7 +367,7 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     def accept(t, dt, st, rep, rate):
         nonlocal produced, prev, last, dt_last
         prev, last, dt_last = last, st, dt
-        produced += rep.co2_out
+        produced += float(np.sum(np.maximum(rep.aux["Fbc"], 0.0))) * dt
         info = {"max_s": float(st.s.max(initial=0.0))}
         if plane is not None:
             flux = leakage_flux(grid, st, plane_z, rate if rate > 0.0 else 1.0,

@@ -58,7 +58,7 @@ identical results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -331,20 +331,6 @@ def _error_scales(sys: _System, dt, conc_scales) -> np.ndarray:
     return e
 
 
-@dataclass
-class NewtonReport:
-    converged: bool
-    iterations: int
-    resid_norm: float
-    factorizations: int
-    clamped: dict = field(default_factory=dict)
-    injected: dict = field(default_factory=dict)
-    produced: dict = field(default_factory=dict)
-    reacted: dict = field(default_factory=dict)
-    water_out: float = 0.0
-    water_in: float = 0.0
-
-
 def assemble_residual(grid: Grid, state_new: MicpState, state_old: MicpState,
                       dt: float, control: WellControl, params: KineticParams,
                       rock: RockLaw):
@@ -375,16 +361,18 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
                    params: KineticParams, rock: RockLaw,
                    conc_scales: dict | None = None,
                    _sys: _System | None = None):
-    """One backward-Euler step via Newton; returns (state_new, report).
+    """One backward-Euler step via Newton; returns (state_new, Newton's result).
 
-    ``report.converged`` is False on Newton failure; the caller decides
-    whether to cut dt and retry.
+    On Newton failure state_new is state_old and ``converged`` is False;
+    the caller decides whether to cut dt and retry. A converged state is
+    the result's ``x`` with solutes clamped to >= 0 and phi_b, phi_c to
+    [0, phi0] with phi_b + phi_c <= phi0.
     """
     settings.validate()
     sys = _sys if _sys is not None else _System(grid, params, rock)
     if conc_scales is None:
         conc_scales = sys.conc_scales(state_old, [control])
-    res = newton(
+    res, _ = newton(
         lambda x, want: _eval_system(sys, x, state_old, dt, control, want),
         state_old.to_vector(), _error_scales(sys, dt, conc_scales), settings,
         sys.factor,
@@ -392,42 +380,17 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
         damped=(slice(IB, None, NVAR), slice(IC, None, NVAR)),
         max_step=0.5 * float(np.min(sys.phi0)))
     if not res.converged:
-        return state_old, NewtonReport(False, res.iterations, res.resid_norm,
-                                       res.factorizations)
-    x, aux = res.x, res.aux
-    state = MicpState.from_vector(x)
-    phi_conv = np.maximum(sys.phi0 - state.phi_b - state.phi_c, 0.0)
-
-    clamped = {}
+        return state_old, res
+    state = MicpState.from_vector(res.x)
     for name in SPECIES:
         arr = getattr(state, f"c_{name}")
-        neg = arr < 0.0
-        clamped[name] = float(np.sum(-arr[neg] * phi_conv[neg] * sys.V[neg]))
-        arr[neg] = 0.0
-    b_raw = state.phi_b.copy()
-    c_raw = state.phi_c.copy()
-    b_new = np.clip(b_raw, 0.0, sys.phi0)
-    c_new = np.clip(c_raw, 0.0, sys.phi0)
+        arr[arr < 0.0] = 0.0
+    b_new = np.clip(state.phi_b, 0.0, sys.phi0)
+    c_new = np.clip(state.phi_c, 0.0, sys.phi0)
     c_new -= np.maximum(b_new + c_new - sys.phi0, 0.0)
-    clamped["b"] = float(np.sum(np.abs(b_raw - b_new) * sys.V) * sys.params.rho_b)
-    clamped["c"] = float(np.sum(np.abs(c_raw - c_new) * sys.V) * sys.params.rho_c)
     state.phi_b[:] = b_new
     state.phi_c[:] = c_new
-
-    report = NewtonReport(True, res.iterations, res.resid_norm, res.factorizations,
-                          clamped=clamped)
-    Fb, out_mask = aux["Fb"], aux["out_mask"]
-    conc_vectors = {"m": x[IM::NVAR], "o": x[IO::NVAR], "u": x[IU::NVAR]}
-    for name in SPECIES:
-        outflow = float(np.sum(np.where(out_mask, conc_vectors[name][sys.bc], 0.0) * Fb))
-        report.produced[name] = outflow * dt
-        report.injected[name] = getattr(control, f"c_{name}") * control.rate * dt
-        report.reacted[name] = float(np.sum(aux["rates"][name] * sys.V)) * dt
-    for name in ("b", "c"):
-        report.reacted[name] = float(np.sum(aux["rates"][name] * sys.V)) * dt
-    report.water_out = float(np.sum(np.maximum(Fb, 0.0))) * dt
-    report.water_in = float(np.sum(np.maximum(-Fb, 0.0))) * dt
-    return state, report
+    return state, res
 
 
 @dataclass
@@ -455,10 +418,8 @@ class RunReport:
     final_state: MicpState
     t_end: float
     species: dict
-    immobile_produced: dict
     clamped: dict
     water_injected: float
-    water_produced_net: float
     steps: int
     newton_iterations: int
     factorizations: int
@@ -501,25 +462,31 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
 
     ledgers = {name: SpeciesLedger(**{"initial_mass": m})
                for name, m in _solute_mass(sys, state).items()}
-    immobile = {"b": 0.0, "c": 0.0}
     clamped = {k: 0.0 for k in ("m", "o", "u", "b", "c")}
-    water = {"in": 0.0, "out_net": 0.0}
+    water_in = 0.0
 
     def step(st, dt, control):
         return solve_timestep(grid, st, dt, control, settings, params, rock,
                               conc_scales, _sys=sys)
 
-    def accept(t, dt, st, rep, control):
-        for name in SPECIES:
-            ledgers[name].injected += rep.injected[name]
-            ledgers[name].produced += rep.produced[name]
-            ledgers[name].reacted += rep.reacted[name]
-        for name in ("b", "c"):
-            immobile[name] += rep.reacted[name]
-        for name, v in rep.clamped.items():
-            clamped[name] += v
-        water["in"] += control.rate * dt
-        water["out_net"] += rep.water_out - rep.water_in
+    def accept(t, dt, st, res, control):
+        """Book the step from Newton's iterate res.x and the clamped state st."""
+        nonlocal water_in
+        x, aux = res.x, res.aux
+        phi_conv = np.maximum(sys.phi0 - x[IB::NVAR] - x[IC::NVAR], 0.0)
+        for name, ivar in zip(SPECIES, (IM, IO, IU)):
+            conc = x[ivar::NVAR]
+            neg = conc < 0.0
+            clamped[name] += float(np.sum(-conc[neg] * phi_conv[neg] * sys.V[neg]))
+            outflow = float(np.sum(np.where(aux["out_mask"], conc[sys.bc], 0.0)
+                                   * aux["Fb"]))
+            ledgers[name].injected += getattr(control, f"c_{name}") * control.rate * dt
+            ledgers[name].produced += outflow * dt
+            ledgers[name].reacted += float(np.sum(aux["rates"][name] * sys.V)) * dt
+        for name, ivar, rho in (("b", IB, sys.params.rho_b), ("c", IC, sys.params.rho_c)):
+            moved = np.abs(x[ivar::NVAR] - getattr(st, f"phi_{name}"))
+            clamped[name] += float(np.sum(moved * sys.V) * rho)
+        water_in += control.rate * dt
         return {"max_phi_c": float(st.phi_c.max(initial=0.0)),
                 "max_phi_b": float(st.phi_b.max(initial=0.0))}
 
@@ -529,8 +496,7 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     for name in SPECIES:
         ledgers[name].final_mass = final_mass[name]
     return RunReport(final_state=run.state, t_end=run.t, species=ledgers,
-                     immobile_produced=immobile, clamped=clamped,
-                     water_injected=water["in"], water_produced_net=water["out_net"],
+                     clamped=clamped, water_injected=water_in,
                      steps=run.steps, newton_iterations=run.newton_iterations,
                      factorizations=run.factorizations, dt_failures=run.dt_failures,
                      wall_time=time.perf_counter() - t_start)

@@ -248,12 +248,11 @@ class NewtonResult(NamedTuple):
     iterations: int
     resid_norm: float
     aux: dict  # diagnostics of the evaluation at x
-    lu: object  # last factorization Newton updated with
     factorizations: int  # calls of ``factor``
 
 
 def newton(evaluate, x, escale, settings: SolverSettings, factor,
-           damped=(), max_step=np.inf, lu=None) -> NewtonResult:
+           damped=(), max_step=np.inf, lu=None) -> tuple[NewtonResult, object]:
     """Solve evaluate(x) = 0 from the initial iterate x.
 
     ``evaluate(x, want_jacobian)`` returns (residual, J or None, aux) and
@@ -276,8 +275,10 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
     ``lu`` nothing is reused: a fresh Jacobian is factored at every
     iterate, so ``factorizations == iterations``. Updates made with a
     kept factorization count as iterations, toward newton_max_iter too.
-    The result carries the last factorization used and the number of
-    ``factor`` calls.
+
+    Returns (result, lu): the result is the step's report in
+    :func:`march`, and ``lu``, the last factorization used, is kept out of
+    it, so that a kept report does not hold it while the next step factors.
     """
     tol = settings.newton_rel_tol
     iters = factorizations = 0
@@ -311,7 +312,7 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
     resid, J, aux, rnorm = evaluated(x)
     while not rnorm < tol:  # a NaN norm fails the step, it never converges
         if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
-            return NewtonResult(False, x, iters, rnorm, aux, lu, factorizations)
+            return NewtonResult(False, x, iters, rnorm, aux, factorizations), lu
         if J is not None:
             factorizations += 1
             try:
@@ -319,7 +320,7 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
             except RuntimeError as err:  # SuperLU's zero pivot fails the step
                 if str(err) != _SINGULAR:
                     raise
-                return NewtonResult(False, x, iters, rnorm, aux, None, factorizations)
+                return NewtonResult(False, x, iters, rnorm, aux, factorizations), None
             J = None  # not kept through the next assembly
         delta = lu.solve(-resid)
         dmax = max((np.max(np.abs(delta[s]), initial=0.0) for s in damped),
@@ -329,7 +330,7 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
         x = x + delta
         iters += 1
         resid, J, aux, rnorm = evaluated(x)
-    return NewtonResult(True, x, iters, rnorm, aux, lu, factorizations)
+    return NewtonResult(True, x, iters, rnorm, aux, factorizations), lu
 
 
 def jacobian_wanted(want_jacobian, resid) -> bool:
@@ -352,12 +353,13 @@ def march(state, intervals, settings: SolverSettings, step, accept,
     """Advance ``state`` from t = 0 across consecutive intervals.
 
     ``intervals`` lists (t_end, ctx) pairs, ctx being the interval's well
-    control or rate. ``step(state, dt, ctx)`` returns (new_state, report)
-    with ``converged``, ``iterations``, ``factorizations`` and
-    ``resid_norm``. Each interval starts at dt_init and ends exactly on
-    t_end. A failed step is retried with dt * dt_cut, and below dt_min a
-    ConvergenceError carries the last good state. dt grows by dt_grow
-    after a step that converged with at most _GROW_FACTORIZATIONS
+    control or rate; an end before 0 or before the previous end raises
+    DomainError before the first step (equal ends are empty intervals).
+    ``step(state, dt, ctx)`` returns (new_state, report), the report being
+    the step's :class:`NewtonResult`, which holds no factorization. Each
+    interval starts at dt_init and ends exactly on t_end. A failed step is retried with dt * dt_cut, and below
+    dt_min a ConvergenceError carries the last good state. dt grows by
+    dt_grow after a step that converged with at most _GROW_FACTORIZATIONS
     factorizations, except in the first steps after a cut: the count of
     factorizations, not of iterations, so that cheap updates with a kept
     factorization do not hold dt back. A solve that factors at every
@@ -373,6 +375,10 @@ def march(state, intervals, settings: SolverSettings, step, accept,
     sinks = sinks or OutputHooks()
     if (sinks.snapshot_cadence or 0.0) < 0.0:
         raise DomainError("snapshot_cadence must be >= 0")
+    intervals = list(intervals)
+    ends = [0.0] + [t_end for t_end, _ in intervals]
+    if not all(b >= a for a, b in zip(ends, ends[1:])):  # NaN fails too
+        raise DomainError(f"interval ends must not decrease from t = 0: {ends[1:]}")
     run = MarchReport(state)
     if sinks.on_snapshot:
         sinks.on_snapshot(run.t, state)

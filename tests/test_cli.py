@@ -143,6 +143,27 @@ class TestRunMicp:
         assert "solver-failure" in capsys.readouterr().err
         assert (tmp_path / "out" / "micp_last_good.vtk").exists()
 
+    def test_failed_run_keeps_its_diagnostics(self, tmp_path, capsys):
+        # two Newton iterations and no room to cut dt: ex1 fails at 100 h
+        path = tmp_path / "late_fail.cfg"
+        path.write_text("[experiment]\npreset = ex1\n[solver]\nnewton_max_iter = 2\n"
+                        "dt_min = 600\ndt_init = 600\n")
+        out_dir = tmp_path / "late"
+        assert main(["run-micp", str(path), "--out", str(out_dir)]) == 3
+        assert "failed at t = 360000 s" in capsys.readouterr().err
+        assert (out_dir / "micp_last_good.vtk").exists()
+        t, cols = read_timeseries(out_dir / "micp_diagnostics.csv")
+        assert t.size > 1 and t[-1] == 360000.0
+        assert np.all(cols["newton_iterations"] <= 2)
+
+    def test_output_directory_that_cannot_be_made(self, tiny_config, tmp_path, capsys):
+        path, _ = tiny_config
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main(["run-micp", str(path), "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: ") and str(blocker / "sub") in err
+
 
 class TestRunCo2:
     def test_missing_snapshot_path(self, tiny_config, capsys):

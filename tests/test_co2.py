@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from micpsim import co2
 from micpsim.co2 import (
     NV2,
     TwoPhaseState,
@@ -188,6 +189,46 @@ class TestCarriedFactorization:
         assert 0 < rep.factorizations < sum(cold_factors)
         assert np.max(np.abs(rep.final_state.s - cold.state.s)) < 1e-6
 
+    def test_no_earlier_factorization_alive_at_a_fresh_one(self, monkeypatch):
+        """A step report kept by march does not keep the carried LU alive."""
+        grid = _leaky_box()
+        real_step, real_splu = co2.solve_twophase_step, co2.splu
+        steps = 0  # calls of solve_twophase_step so far
+        made = []  # (step, weak reference) of each factorization
+        first = {}  # step -> earlier steps' factorizations alive at its first
+
+        class Watched:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+        def counted_step(*args, **kwargs):
+            nonlocal steps
+            steps += 1
+            return real_step(*args, **kwargs)
+
+        def watched_splu(*args, **kwargs):
+            if steps not in first:
+                first[steps] = [s for s, ref in made if s < steps and ref() is not None]
+            lu = Watched(real_splu(*args, **kwargs))
+            made.append((steps, weakref.ref(lu)))
+            return lu
+
+        monkeypatch.setattr(co2, "solve_twophase_step", counted_step)
+        monkeypatch.setattr(co2, "splu", watched_splu)
+        gc.disable()
+        try:
+            rep = simulate_co2(grid, grid.perm0, 1e-5, 5 * 86400.0,
+                               SolverSettings(newton_rel_tol=1e-8), TP, plane_z=2.0,
+                               p_bdry=P0)
+        finally:
+            gc.enable()
+        assert len(first) > 1 and rep.factorizations == len(made)
+        assert all(alive == [] for alive in first.values())
+        assert rep.factorizations < rep.newton_iterations
+
 
 class TestFrontPosition:
     def test_volume_balance_front(self):
@@ -303,6 +344,12 @@ class TestSimulateCo2:
                            p_bdry=P0)
         assert rep.series == []
         assert rep.injected_volume == 0.0
+
+    def test_negative_duration_raises(self):
+        grid = conduit_grid()
+        with pytest.raises(DomainError, match="interval ends"):
+            simulate_co2(grid, grid.perm0, 1e-5, -3600.0, SolverSettings(), TP,
+                         p_bdry=P0)
 
     def test_volume_ledger_closes(self):
         grid = line_grid(nx=40)

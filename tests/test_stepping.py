@@ -43,28 +43,28 @@ class TestNewton:
             return splu(J)
 
         evaluate = _quadratic(np.array([4.0, 9.0]))
-        res = newton(evaluate, np.array([1.0, 1.0]), np.ones(2),
-                     SolverSettings(newton_rel_tol=1e-12), factor)
+        res, _ = newton(evaluate, np.array([1.0, 1.0]), np.ones(2),
+                        SolverSettings(newton_rel_tol=1e-12), factor)
         assert res.converged
         assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
         assert len(factored) == res.iterations
 
     def test_nan_norm_fails(self):
-        res = newton(_quadratic(np.array([4.0])), np.array([np.nan]), np.ones(1),
-                     SolverSettings(), splu)
+        res, _ = newton(_quadratic(np.array([4.0])), np.array([np.nan]), np.ones(1),
+                        SolverSettings(), splu)
         assert not res.converged and res.iterations == 0
 
     def test_iteration_cap_fails(self):
-        res = newton(_quadratic(np.array([4.0])), np.array([100.0]), np.ones(1),
-                     SolverSettings(newton_max_iter=2), splu)
+        res, _ = newton(_quadratic(np.array([4.0])), np.array([100.0]), np.ones(1),
+                        SolverSettings(newton_max_iter=2), splu)
         assert not res.converged and res.iterations == 2
 
     def test_damping_bounds_the_damped_components(self):
         # the first Newton update of x^2 = 4 from x = 1 is +1.5
         evaluate = _quadratic(np.array([4.0, 4.0]))
-        res = newton(evaluate, np.array([1.0, 1.0]), np.ones(2),
-                     SolverSettings(newton_max_iter=1), splu,
-                     damped=(slice(1, None, 2),), max_step=0.5)
+        res, _ = newton(evaluate, np.array([1.0, 1.0]), np.ones(2),
+                        SolverSettings(newton_max_iter=1), splu,
+                        damped=(slice(1, None, 2),), max_step=0.5)
         assert res.x == pytest.approx([1.5, 1.5])
 
 
@@ -78,10 +78,10 @@ def _singular(x, want_jacobian):
 
 class TestSingularJacobian:
     def test_zero_pivot_fails_the_solve(self):
-        res = newton(_singular, np.zeros(2), np.ones(2), SolverSettings(), splu)
+        res, lu = newton(_singular, np.zeros(2), np.ones(2), SolverSettings(), splu)
         assert not res.converged
         assert res.iterations == 0 and res.factorizations == 1
-        assert res.lu is None and res.resid_norm == 2.0
+        assert lu is None and res.resid_norm == 2.0
 
     def test_other_factor_errors_propagate(self):
         def broken(J):
@@ -96,7 +96,8 @@ class TestSingularJacobian:
 
         def step(state, dt, ctx):
             tried.append(dt)
-            return state, newton(_singular, state, np.ones(2), settings, splu)
+            res, _ = newton(_singular, state, np.ones(2), settings, splu)
+            return state, res
 
         with pytest.raises(ConvergenceError) as exc_info:
             march(np.zeros(2), [(10.0, None)], settings, step, lambda *args: {})
@@ -124,13 +125,13 @@ class TestCarriedFactorization:
     def test_root_factorization_needs_no_factor_call(self):
         factored = []
         carried = splu(self.ROOT_JACOBIAN)
-        res = newton(_quadratic(self.TARGET), self.START, np.ones(2), self.SETTINGS,
-                     lambda J: factored.append(J) or splu(J), lu=carried)
+        res, lu = newton(_quadratic(self.TARGET), self.START, np.ones(2), self.SETTINGS,
+                         lambda J: factored.append(J) or splu(J), lu=carried)
         assert res.converged
         assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
         assert res.iterations > 0
         assert factored == [] and res.factorizations == 0
-        assert res.lu is carried
+        assert lu is carried
 
     def test_poor_factorization_dropped_after_one_update(self):
         built = []  # Jacobians built, with whether the carried LU was alive
@@ -151,15 +152,15 @@ class TestCarriedFactorization:
         alive = None
         gc.disable()
         try:
-            res = newton(watched, self.START, np.ones(2), self.SETTINGS, _LU,
-                         lu=carried())
+            res, lu = newton(watched, self.START, np.ones(2), self.SETTINGS, _LU,
+                             lu=carried())
         finally:
             gc.enable()
         assert res.converged
         assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
         assert built and not any(built)  # freed before the first
         assert res.factorizations == len(built) > 0
-        assert res.lu is not None and alive() is None
+        assert lu is not None and alive() is None
 
     def test_fresh_factorization_kept_while_it_contracts(self):
         solves = []  # updates made with each factorization, the carried one first
@@ -187,8 +188,8 @@ class TestCarriedFactorization:
 
         gc.disable()
         try:
-            res = newton(watched, self.FAR, np.ones(2), self.SETTINGS, Counted,
-                         lu=Counted(10.0 * self.ROOT_JACOBIAN))
+            res, _ = newton(watched, self.FAR, np.ones(2), self.SETTINGS, Counted,
+                            lu=Counted(10.0 * self.ROOT_JACOBIAN))
         finally:
             gc.enable()
         assert res.converged
@@ -204,7 +205,8 @@ class TestCarriedFactorization:
                 assert alive == []
 
     def test_solve_without_lu_factors_at_every_iterate(self):
-        res = newton(_quadratic(self.TARGET), self.FAR, np.ones(2), self.SETTINGS, splu)
+        res, _ = newton(_quadratic(self.TARGET), self.FAR, np.ones(2), self.SETTINGS,
+                        splu)
         assert res.converged
         assert res.factorizations == res.iterations > 1
 
@@ -481,6 +483,22 @@ class TestMarch:
             march(0.0, [(100.0, None)], self.SETTINGS, step, lambda *args: {})
         assert exc_info.value.last_good_state == 1.0
         assert exc_info.value.last_good_time == 1.0
+
+    @pytest.mark.parametrize("intervals", [
+        [(-3600.0, None)], [(10.0, "a"), (5.0, "b")], [(float("nan"), None)],
+    ], ids=["before_zero", "decreasing", "nan"])
+    def test_time_running_backwards_rejected_before_a_step(self, intervals):
+        def step(state, dt, ctx):
+            raise AssertionError("march stepped on intervals that run backwards")
+
+        with pytest.raises(DomainError, match="interval ends"):
+            march(0.0, intervals, self.SETTINGS, step, lambda *args: {})
+
+    def test_equal_ends_are_empty_intervals(self):
+        step, calls = _scripted_step()
+        run = march(0.0, [(0.0, "a"), (3.0, "b"), (3.0, "c")], self.SETTINGS, step,
+                    lambda *args: {})
+        assert run.t == 3.0 and calls == [1.0, 2.0]
 
     def test_negative_snapshot_cadence_rejected_before_a_step(self):
         def step(state, dt, ctx):
