@@ -24,26 +24,14 @@ more. Supernode relaxation is off (``relax=1``): relaxed supernodes only
 pad the factors with explicit zeros, and in this order that adds fill
 (on the published ex3 grid peak fill 1.63M against 1.54M).
 
-From the second step on, Newton starts not from the old state but from
-the linear predictor through the last two states of the run, x +
-(dt/dt_prev)(x - x_prev) with s clipped to [0, 1] (Gresho, Lee & Sani
-1980), dt being the step tried, after a cut the retry's. On the
-published ex3 grid this takes the 52 steps from 164 to 124 Newton
-iterations.
-
-A run also carries the Newton factorization from step to step: the
-system keeps the last factorization of each converged step, and the
-next step updates with it, building no Jacobian, as long as every update
-cuts the scaled residual norm by at least the factor
-``stepping._CONTRACTION`` (0.1). At the first update that falls short,
-the step factors a fresh Jacobian and keeps that one under the same rule
-(:func:`micpsim.stepping.newton`). A failed step carries nothing on, so
-its retry starts afresh. The Newton iterations a run reports include
-the updates made with a kept factorization, and dt grows on the count of
-factorizations, not of iterations (:func:`micpsim.stepping.march`). On
-the published ex3 grid the same 52 steps take 26 factorizations and 285
-Newton iterations (at most 10 in a step); keeping only the carried
-factorization took 46 and 253, carrying nothing 124 and 124.
+:func:`micpsim.stepping.march` keeps what passes from step to step.
+Newton starts from the linear predictor x + (dt/dt_prev)(x - x_prev)
+through the run's last two states, s clipped to [0, 1] (:func:`_extrapolate`;
+Gresho, Lee & Sani 1980), and updates with the factorization the last
+step ended with while each update cuts the scaled residual norm 10-fold
+(:func:`micpsim.stepping.newton`). A failed step carries nothing on. On
+the published ex3 grid the 52 steps take 285 Newton iterations and 26
+factorizations; the predictor alone took 124 and 124, neither 164 and 164.
 
 The headline diagnostic is the normalized leakage flux: the upward CO2
 volumetric flux through a horizontal plane restricted to leak-tagged
@@ -70,6 +58,7 @@ from .params import TwoPhaseParams
 from .schedule import DEFAULT_BOUNDARY_PRESSURE
 from .stepping import (
     AssemblyData,
+    Carry,
     OrderedLU,
     OutputHooks,
     SolverSettings,
@@ -111,21 +100,11 @@ class _TwoPhaseSystem(AssemblyData):
         self.phi = poro
         self.T = interior_transmissibilities(grid, perm)
         self.Tb = boundary_transmissibilities(grid, perm)
-        self.lu = None  # factorization a converged step hands to the next
 
     @cached_property
     def order(self) -> np.ndarray:
         """Factor order of the unknowns: MMD of the 2x2-block pattern, once."""
         return self.fill_order(NV2, "MMD_AT_PLUS_A")
-
-    def take_lu(self):
-        """The carried factorization, which the system stops holding.
-
-        Newton then holds the only reference and can free it before it
-        assembles a Jacobian.
-        """
-        lu, self.lu = self.lu, None
-        return lu
 
     def factor(self, J) -> OrderedLU:
         """LU of the Newton matrix J, built in the system's factor order."""
@@ -206,16 +185,13 @@ def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
                         params: TwoPhaseParams,
                         p_bdry: float = DEFAULT_BOUNDARY_PRESSURE,
                         poro_field=None, guess: TwoPhaseState | None = None,
-                        _sys=None):
+                        carry: Carry | None = None, _sys=None):
     """One implicit step; returns (state_new, Newton's result).
 
     A step that fails, or converges outside the saturation bounds, returns
-    state_old and ``converged`` False. Newton starts from ``guess``, or
-    from ``state_old`` when it is None. ``_sys``, the system of a run,
-    carries a factorization from step to step: Newton takes the one the
-    last converged step left in ``_sys.lu`` (:func:`micpsim.stepping.newton`),
-    and a converged step leaves there the last one it used. A failed step
-    leaves None.
+    state_old and ``converged`` False. Newton starts from ``guess``
+    (``state_old`` if None) with the factorization it takes out of
+    ``carry``, where it leaves its last one. ``_sys`` is the run's system.
     """
     if not dt > 0.0:
         raise DomainError("dt must be > 0")
@@ -227,14 +203,14 @@ def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
     x = np.empty(NV2 * sys.n)
     x[JP::NV2] = start.p
     x[JS::NV2] = start.s
-    res, lu = newton(
+    carry = carry or Carry()
+    res, carry.lu = newton(
         lambda x, want: _eval_twophase(sys, x, state_old, dt, rate, p_bdry, want),
         x, escale, settings, sys.factor, damped=(slice(JS, None, NV2),), max_step=0.5,
-        lu=sys.take_lu())
+        lu=carry.take())
     s = res.x[JS::NV2]
     if not res.converged or np.any(s < -1e-6) or np.any(s > 1.0 + 1e-6):
         return state_old, res._replace(converged=False)
-    sys.lu = lu
     return TwoPhaseState(p=res.x[JP::NV2].copy(), s=np.clip(s, 0.0, 1.0)), res
 
 
@@ -356,17 +332,13 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
              else make_initial_twophase_state(grid, params, p_bdry))
     series: list[tuple[float, float]] = []
     produced = 0.0
-    # the last two states of the run and the step between them
-    prev, last, dt_last = None, state, 0.0
 
-    def step(st, dt, rate):
-        guess = None if prev is None else _extrapolate(prev, last, dt / dt_last)
-        return solve_twophase_step(grid, perm_field, st, dt, rate, settings,
-                                   params, p_bdry, poro, guess=guess, _sys=sys)
+    def step(st, dt, rate, guess, carry):
+        return solve_twophase_step(grid, perm_field, st, dt, rate, settings, params,
+                                   p_bdry, poro, guess=guess, carry=carry, _sys=sys)
 
     def accept(t, dt, st, rep, rate):
-        nonlocal produced, prev, last, dt_last
-        prev, last, dt_last = last, st, dt
+        nonlocal produced
         produced += float(np.sum(np.maximum(rep.aux["Fbc"], 0.0))) * dt
         info = {"max_s": float(st.s.max(initial=0.0))}
         if plane is not None:
@@ -376,7 +348,7 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
             info["leak_flux"] = flux
         return info
 
-    run = march(state, [(duration, rate)], settings, step, accept, sinks)
+    run = march(state, [(duration, rate)], settings, step, accept, sinks, _extrapolate)
     in_place = float(np.sum(poro * run.state.s * grid.volumes))
     return Co2Report(series=series, final_state=run.state,
                      injected_volume=rate * run.t, produced_volume=produced,

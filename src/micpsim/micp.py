@@ -465,7 +465,7 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     clamped = {k: 0.0 for k in ("m", "o", "u", "b", "c")}
     water_in = 0.0
 
-    def step(st, dt, control):
+    def step(st, dt, control, _guess, _carry):  # no predictor, no carried LU
         return solve_timestep(grid, st, dt, control, settings, params, rock,
                               conc_scales, _sys=sys)
 

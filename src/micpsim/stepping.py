@@ -10,7 +10,8 @@ and the scatter of derivative blocks into the Newton matrix
 (:meth:`AssemblyData.face_sums`, :meth:`AssemblyData.jacobian`) in the
 system's factor order, the LU of such a matrix (:class:`OrderedLU`), the
 Newton loop (:func:`newton`) and adaptive stepping with snapshots and
-diagnostics (:func:`march`).
+diagnostics (:func:`march`), which alone keeps what passes from step to
+step: the predictor's last two states and the carried factorization.
 """
 
 from __future__ import annotations
@@ -338,6 +339,19 @@ def jacobian_wanted(want_jacobian, resid) -> bool:
     return want_jacobian(resid) if callable(want_jacobian) else bool(want_jacobian)
 
 
+class Carry:
+    """Holder of the factorization one accepted step hands to the next.
+
+    :meth:`take` empties it, so that :func:`newton` holds the only reference.
+    """
+
+    lu = None
+
+    def take(self):
+        lu, self.lu = self.lu, None
+        return lu
+
+
 @dataclass
 class MarchReport:
     state: object
@@ -349,27 +363,33 @@ class MarchReport:
 
 
 def march(state, intervals, settings: SolverSettings, step, accept,
-          sinks: OutputHooks | None = None) -> MarchReport:
+          sinks: OutputHooks | None = None, predict=None) -> MarchReport:
     """Advance ``state`` from t = 0 across consecutive intervals.
 
     ``intervals`` lists (t_end, ctx) pairs, ctx being the interval's well
     control or rate; an end before 0 or before the previous end raises
     DomainError before the first step (equal ends are empty intervals).
-    ``step(state, dt, ctx)`` returns (new_state, report), the report being
-    the step's :class:`NewtonResult`, which holds no factorization. Each
-    interval starts at dt_init and ends exactly on t_end. A failed step is retried with dt * dt_cut, and below
-    dt_min a ConvergenceError carries the last good state. dt grows by
-    dt_grow after a step that converged with at most _GROW_FACTORIZATIONS
-    factorizations, except in the first steps after a cut: the count of
-    factorizations, not of iterations, so that cheap updates with a kept
-    factorization do not hold dt back. A solve that factors at every
-    iterate has as many factorizations as iterations. The run counts the
-    iterations and factorizations of accepted steps. ``accept(t, dt,
-    state, report, ctx)`` books an accepted step and returns the solver's
-    entries of its diagnostics record, which follow dt, newton_iterations,
-    residual and factorizations. Snapshots are taken at t = 0, at the
-    cadence and at the end, each time once; a cadence of None or 0 takes
-    none in between, and a negative one raises DomainError.
+    Each interval starts at dt_init and ends exactly on t_end.
+
+    ``step(state, dt, ctx, guess, carry)`` returns (new_state, report), the
+    report being the step's :class:`NewtonResult`. Newton starts from
+    ``guess``: once a step is accepted ``predict(prev, state, dt / dt_prev)``,
+    prev being the accepted state before ``state`` and dt_prev the step
+    between them, else None. ``carry`` (:class:`Carry`) holds the
+    factorization the last accepted step ended with; the step takes it and
+    puts back its last one. A failed step's is dropped and the step retried
+    with dt * dt_cut; below dt_min a ConvergenceError carries the last good
+    state.
+
+    dt grows by dt_grow after a step that converged with at most
+    _GROW_FACTORIZATIONS factorizations (not iterations, so that cheap updates
+    with a kept factorization do not hold dt back), except in the first steps
+    after a cut. The run counts the iterations and factorizations of accepted
+    steps. ``accept(t, dt, state, report, ctx)`` books an accepted step and
+    returns the solver's entries of its diagnostics record, which follow dt,
+    newton_iterations, residual and factorizations. Snapshots are taken at
+    t = 0, at the cadence and at the end, each time once; a cadence of None
+    or 0 takes none in between, and a negative one raises DomainError.
     """
     settings.validate()
     sinks = sinks or OutputHooks()
@@ -380,6 +400,8 @@ def march(state, intervals, settings: SolverSettings, step, accept,
     if not all(b >= a for a, b in zip(ends, ends[1:])):  # NaN fails too
         raise DomainError(f"interval ends must not decrease from t = 0: {ends[1:]}")
     run = MarchReport(state)
+    prev = dt_prev = None  # the accepted state before run.state, the dt between
+    carry = Carry()
     if sinks.on_snapshot:
         sinks.on_snapshot(run.t, state)
     snapped = run.t  # time of the last snapshot
@@ -389,8 +411,11 @@ def march(state, intervals, settings: SolverSettings, step, accept,
         dt_cur = min(settings.dt_init, settings.dt_max)
         while t_end - run.t > _EPS * max(1.0, t_end):
             dt = min(dt_cur, t_end - run.t)
-            new_state, rep = step(run.state, dt, ctx)
+            guess = (None if predict is None or prev is None
+                     else predict(prev, run.state, dt / dt_prev))
+            new_state, rep = step(run.state, dt, ctx, guess, carry)
             if not rep.converged:
+                carry.lu = None
                 run.dt_failures += 1
                 cooldown = _GROW_COOLDOWN  # hold dt, avoid cut/grow cycles
                 dt_cur = dt * settings.dt_cut
@@ -399,6 +424,7 @@ def march(state, intervals, settings: SolverSettings, step, accept,
                         f"Newton failed at t = {run.t:.6g} s with dt below dt_min",
                         last_good_state=run.state, last_good_time=run.t)
                 continue
+            prev, dt_prev = run.state, dt
             run.state = new_state
             run.t += dt
             run.steps += 1

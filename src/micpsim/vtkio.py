@@ -6,7 +6,8 @@ zeros and flagged by the ``active`` cell field. Points and cells are
 listed in VTK order, x fastest, then y, then z: a cell field is the
 (nx, ny, nz) lattice array flattened with ``order="F"``, and it is read
 back with ``reshape(..., order="F")``. Output is byte-identical for
-identical input: floats are always written with repr-precision %.17g.
+identical input: floats are written as ``repr(float(v))``, the shortest
+form that reads back to the same double.
 """
 
 from __future__ import annotations

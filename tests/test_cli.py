@@ -97,6 +97,29 @@ class TestRunMicp:
         assert t.size > 0
         assert "newton_iterations" in cols
 
+    def test_summary_lines_keep_their_shape(self, tiny_config, capsys, tmp_path):
+        """The summary lines, matched as ``bench/run.py`` matches them."""
+        path, cfg = tiny_config
+        assert main(["run-micp", str(path)]) == 0
+        out = capsys.readouterr().out
+        done = re.search(r"treatment finished: t = (\S+) h in (\d+) steps "
+                         r"\((\d+) Newton iterations, (\d+) dt cuts\)", out)
+        ledgers = re.findall(r"^ledger (\w): injected=(\S+) kg .* closure=(\S+)$",
+                             out, re.M)
+        clamped = re.search(r"clamped mass total: (\S+) kg", out)
+        min_k = re.search(r"min K/K0 in leak: (\S+)", out)
+        assert done and clamped and min_k
+        t_h, steps, iters, cuts = done.groups()
+        assert float(t_h) == pytest.approx(cfg.schedule.periods[-1].end_time / 3600.0)
+        t, cols = read_timeseries(tmp_path / "out" / "micp_diagnostics.csv")
+        assert int(steps) == t.size > 1
+        assert int(iters) == cols["newton_iterations"].sum() > 0
+        assert int(cuts) == 0
+        assert [name for name, _, _ in ledgers] == ["m", "o", "u"]
+        assert all(float(inj) > 0.0 and float(c) >= 0.0 for _, inj, c in ledgers)
+        assert float(clamped.group(1)) >= 0.0
+        assert 0.0 < float(min_k.group(1)) <= 1.0
+
     def test_missing_config_file(self, capsys):
         assert main(["run-micp", "/does/not/exist.cfg"]) == 2
 

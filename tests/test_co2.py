@@ -129,12 +129,13 @@ class TestPredictor:
         rate, T = 1e-5, 5 * 86400.0
         rep = simulate_co2(grid, grid.perm0, rate, T, settings, TP, plane_z=2.0,
                            p_bdry=P0)
+        # the same carried factorization, but no predict: every guess is None
         sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
         plain = march(make_initial_twophase_state(grid, TP, P0), [(T, rate)],
                       settings,
-                      lambda st, dt, q: solve_twophase_step(
+                      lambda st, dt, q, guess, carry: solve_twophase_step(
                           grid, grid.perm0, st, dt, q, settings, TP, p_bdry=P0,
-                          _sys=sys),
+                          guess=guess, carry=carry, _sys=sys),
                       lambda *args: {})
         assert rep.steps == plain.steps and rep.dt_failures == plain.dt_failures == 0
         assert rep.newton_iterations < plain.newton_iterations
@@ -147,16 +148,28 @@ class TestCarriedFactorization:
     def test_failed_step_leaves_no_factorization(self):
         grid = _leaky_box()
         sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
-        state = make_initial_twophase_state(grid, TP, P0)
-        _, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 1e-5,
-                                     SolverSettings(), TP, p_bdry=P0, _sys=sys)
-        assert rep.converged and rep.factorizations > 0 and sys.lu is not None
-        state.s[3] = np.nan
-        new, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 1e-5,
-                                       SolverSettings(), TP, p_bdry=P0, _sys=sys)
-        assert not rep.converged and new is state
-        assert rep.factorizations == 0
-        assert sys.lu is None
+        settings = SolverSettings(dt_init=3600.0)
+        attempts = []  # (LU handed in, state returned is the one given, report)
+
+        def step(st, dt, q, guess, carry):
+            if len(attempts) == 1:  # the second attempt fails on a NaN saturation
+                st = st.copy()
+                st.s[3] = np.nan
+            handed = carry.lu is not None
+            new, rep = solve_twophase_step(grid, grid.perm0, st, dt, q, settings, TP,
+                                           p_bdry=P0, guess=guess, carry=carry,
+                                           _sys=sys)
+            attempts.append((handed, new is st, rep))
+            return new, rep
+
+        run = march(make_initial_twophase_state(grid, TP, P0), [(3 * 3600.0, 1e-5)],
+                    settings, step, lambda *args: {}, predict=_extrapolate)
+        (_, _, first), (handed, same, failed), (retry_handed, _, retry) = attempts[:3]
+        assert first.converged and first.factorizations > 0
+        assert handed and not failed.converged and same
+        assert failed.factorizations == 0
+        assert not retry_handed and retry.converged
+        assert run.dt_failures == 1
 
     def test_run_factors_less_than_cold_started_solves(self):
         grid = _leaky_box()
@@ -166,24 +179,20 @@ class TestCarriedFactorization:
         rep = simulate_co2(grid, grid.perm0, rate, T, settings, TP, plane_z=2.0,
                            p_bdry=P0, sinks=OutputHooks(
                                on_diagnostics=lambda t, info: times.append(t)))
-        # the same predictor, but no system kept from step to step
-        start = make_initial_twophase_state(grid, TP, P0)
-        prev, last, dt_last = None, start, 0.0
+        # the same predictor, but march's carry not handed to the step
         cold_times, cold_factors = [], []
 
-        def step(st, dt, q):
-            guess = None if prev is None else _extrapolate(prev, last, dt / dt_last)
+        def step(st, dt, q, guess, carry):
             return solve_twophase_step(grid, grid.perm0, st, dt, q, settings, TP,
                                        p_bdry=P0, guess=guess)
 
         def accept(t, dt, st, r, q):
-            nonlocal prev, last, dt_last
-            prev, last, dt_last = last, st, dt
             cold_times.append(t)
             cold_factors.append(r.factorizations)
             return {}
 
-        cold = march(start, [(T, rate)], settings, step, accept)
+        cold = march(make_initial_twophase_state(grid, TP, P0), [(T, rate)], settings,
+                     step, accept, predict=_extrapolate)
         assert times == cold_times
         assert rep.dt_failures == cold.dt_failures == 0
         assert 0 < rep.factorizations < sum(cold_factors)

@@ -94,7 +94,7 @@ class TestSingularJacobian:
         settings = SolverSettings(dt_init=1.0, dt_min=0.1, dt_max=8.0)
         tried = []
 
-        def step(state, dt, ctx):
+        def step(state, dt, ctx, guess, carry):
             tried.append(dt)
             res, _ = newton(_singular, state, np.ones(2), settings, splu)
             return state, res
@@ -432,24 +432,32 @@ class TestFillOrder:
 
 
 def _scripted_step(fails_at=(), iterations=1, factorizations=1):
-    """Step that adds dt to the state; fails at the listed call numbers."""
-    calls = []
+    """Step that adds dt to the state; fails at the listed call numbers.
 
-    def step(state, dt, ctx):
+    ``handed`` gets, per call, the guess and the carried factorization the
+    call was given. Each call leaves its own "factorization", its call
+    number, in the carry, as a solver's step does whether it converged or
+    not.
+    """
+    calls, handed = [], []
+
+    def step(state, dt, ctx, guess, carry):
         calls.append(dt)
+        handed.append((guess, carry.take()))
+        carry.lu = len(calls)
         ok = len(calls) not in fails_at
         rep = SimpleNamespace(converged=ok, iterations=iterations,
                               factorizations=factorizations, resid_norm=0.0)
         return (state + dt if ok else state), rep
 
-    return step, calls
+    return step, calls, handed
 
 
 class TestMarch:
     SETTINGS = SolverSettings(dt_init=1.0, dt_min=0.1, dt_max=8.0)
 
     def test_lands_on_every_interval_end(self):
-        step, calls = _scripted_step()
+        step, calls, _ = _scripted_step()
         ends = []
         run = march(0.0, [(5.0, "a"), (12.5, "b")], self.SETTINGS, step,
                     lambda t, dt, s, rep, ctx: ends.append((t, ctx)) or {})
@@ -459,7 +467,7 @@ class TestMarch:
         assert run.steps == len(calls) and run.dt_failures == 0
 
     def test_cut_then_hold_dt_for_three_steps(self):
-        step, calls = _scripted_step(fails_at=(2,))
+        step, calls, _ = _scripted_step(fails_at=(2,))
         run = march(0.0, [(100.0, None)], self.SETTINGS, step,
                     lambda *args: {})
         assert calls[:7] == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0]
@@ -467,7 +475,7 @@ class TestMarch:
 
     @pytest.mark.parametrize("factorizations, grows", [(5, True), (6, False)])
     def test_dt_grows_on_factorizations_not_iterations(self, factorizations, grows):
-        step, calls = _scripted_step(iterations=12, factorizations=factorizations)
+        step, calls, _ = _scripted_step(iterations=12, factorizations=factorizations)
         diags = []
         run = march(0.0, [(7.0, None)], self.SETTINGS, step, lambda *args: {"x": 0},
                     OutputHooks(on_diagnostics=lambda t, d: diags.append(d)))
@@ -478,7 +486,7 @@ class TestMarch:
         assert diags[0]["factorizations"] == factorizations
 
     def test_failure_below_dt_min_carries_last_good_state(self):
-        step, _ = _scripted_step(fails_at=range(2, 100))
+        step, _, _ = _scripted_step(fails_at=range(2, 100))
         with pytest.raises(ConvergenceError) as exc_info:
             march(0.0, [(100.0, None)], self.SETTINGS, step, lambda *args: {})
         assert exc_info.value.last_good_state == 1.0
@@ -488,20 +496,20 @@ class TestMarch:
         [(-3600.0, None)], [(10.0, "a"), (5.0, "b")], [(float("nan"), None)],
     ], ids=["before_zero", "decreasing", "nan"])
     def test_time_running_backwards_rejected_before_a_step(self, intervals):
-        def step(state, dt, ctx):
+        def step(state, dt, ctx, guess, carry):
             raise AssertionError("march stepped on intervals that run backwards")
 
         with pytest.raises(DomainError, match="interval ends"):
             march(0.0, intervals, self.SETTINGS, step, lambda *args: {})
 
     def test_equal_ends_are_empty_intervals(self):
-        step, calls = _scripted_step()
+        step, calls, _ = _scripted_step()
         run = march(0.0, [(0.0, "a"), (3.0, "b"), (3.0, "c")], self.SETTINGS, step,
                     lambda *args: {})
         assert run.t == 3.0 and calls == [1.0, 2.0]
 
     def test_negative_snapshot_cadence_rejected_before_a_step(self):
-        def step(state, dt, ctx):
+        def step(state, dt, ctx, guess, carry):
             raise AssertionError("march stepped with a negative snapshot cadence")
 
         hooks = OutputHooks(snapshot_cadence=-5.0, on_snapshot=lambda t, s: None)
@@ -509,7 +517,7 @@ class TestMarch:
             march(0.0, [(10.0, None)], self.SETTINGS, step, lambda *args: {}, hooks)
 
     def test_snapshots_and_diagnostics(self):
-        step, calls = _scripted_step()
+        step, calls, _ = _scripted_step()
         snaps, diags = [], []
         hooks = OutputHooks(snapshot_cadence=4.0,
                             on_snapshot=lambda t, s: snaps.append(t),
@@ -519,3 +527,23 @@ class TestMarch:
         assert snaps == [0.0, 7.0, 10.0]
         assert [d["dt"] for d in diags] == calls
         assert diags[-1]["state"] == pytest.approx(10.0)
+
+    def test_failed_step_retry_gets_no_carried_factorization(self):
+        step, calls, handed = _scripted_step(fails_at=(3,))
+        march(0.0, [(7.0, None)], self.SETTINGS, step, lambda *args: {})
+        assert calls == [1.0, 2.0, 4.0, 2.0, 2.0]
+        assert [lu for _, lu in handed] == [None, 1, 2, None, 4]
+
+    def test_retry_guess_from_last_two_accepted_states_at_retry_dt(self):
+        step, calls, handed = _scripted_step(fails_at=(3,))
+        march(0.0, [(7.0, None)], self.SETTINGS, step, lambda *args: {},
+              predict=lambda prev, last, ratio: (prev, last, ratio))
+        assert calls[:4] == [1.0, 2.0, 4.0, 2.0]
+        assert [guess for guess, _ in handed[:4]] == [
+            None, (0.0, 1.0, 2.0), (1.0, 3.0, 2.0), (1.0, 3.0, 1.0)]
+
+    def test_no_predict_gives_no_guess(self):
+        step, calls, handed = _scripted_step(fails_at=(2, 4))
+        march(0.0, [(7.0, None)], self.SETTINGS, step, lambda *args: {})
+        assert len(calls) > 4
+        assert all(guess is None for guess, _ in handed)
