@@ -136,12 +136,12 @@ def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport | int:
     if isinstance(report, int):
         return report
     if "vtk" in cfg.outputs.formats:
-        write_snapshot(grid, fields(report.final_state), report.t_end,
-                       out_dir / "micp_final.vtk")
+        write_snapshot(grid, fields(report.state), report.t, out_dir / "micp_final.vtk")
 
-    print(f"treatment finished: t = {report.t_end / 3600.0:.6g} h in "
+    print(f"treatment finished: t = {report.t / 3600.0:.6g} h in "
           f"{report.steps} steps ({report.newton_iterations} Newton iterations, "
-          f"{report.dt_failures} dt cuts), wall time {report.wall_time:.2f} s")
+          f"{report.dt_failures} dt cuts), {report.factorizations} factorizations, "
+          f"wall time {report.wall_time:.2f} s")
     worst = 0.0
     for name, L in sorted(report.species.items()):
         worst = max(worst, L.relative_closure_error)
@@ -180,7 +180,7 @@ def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
         write_timeseries(out_dir / f"co2_leakage_{label}.csv",
                          [(t, {"normalized_flux": v}) for t, v in report.series])
     if "vtk" in cfg.outputs.formats:
-        write_snapshot(grid, fields(report.final_state), cfg.co2.duration,
+        write_snapshot(grid, fields(report.state), report.t,
                        out_dir / f"co2_final_{label}.vtk")
     print(f"co2 assessment ({label}): injected={report.injected_volume:.6e} m^3 "
           f"produced={report.produced_volume:.6e} m^3 "
@@ -234,7 +234,7 @@ def _cmd_study(args) -> int:
     untreated = _assess(cfg, grid, out_dir, grid.perm0, grid.poro0, "untreated")
     if isinstance(untreated, int):
         return untreated
-    final = treatment.final_state
+    final = treatment.state
     treated = _assess(cfg, grid, out_dir, permeability_field(grid, cfg.rock, final),
                       porosity_field(grid, final), "treated")
     if isinstance(treated, int):

@@ -40,7 +40,6 @@ cells, divided by the injection rate.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,6 +58,7 @@ from .schedule import DEFAULT_BOUNDARY_PRESSURE
 from .stepping import (
     AssemblyData,
     Carry,
+    MarchReport,
     OrderedLU,
     OutputHooks,
     SolverSettings,
@@ -93,8 +93,9 @@ class _TwoPhaseSystem(AssemblyData):
         poro = np.asarray(poro_field, dtype=float)
         if perm.shape != (grid.n_active,) or poro.shape != (grid.n_active,):
             raise DomainError("perm/poro fields must have one value per active cell")
-        if np.any(perm <= 0.0) or np.any(poro <= 0.0):
-            raise DomainError("perm and poro must be > 0 in active cells")
+        for name, field in (("perm", perm), ("poro", poro)):
+            if not np.all(np.isfinite(field) & (field > 0.0)):  # NaN fails too
+                raise DomainError(f"{name} must be finite and > 0 in active cells")
         super().__init__(grid)
         self.params = params
         self.phi = poro
@@ -275,18 +276,14 @@ def _leak_plane(grid: Grid, plane_z: float, T) -> tuple[np.ndarray, np.ndarray]:
     return faces, T[faces]
 
 
-@dataclass
-class Co2Report:
+@dataclass(kw_only=True)
+class Co2Report(MarchReport):
+    """The assessment's run report with its leak-flux series and volume balance."""
+
     series: list  # (t, normalized upward leak flux)
-    final_state: TwoPhaseState
     injected_volume: float
     produced_volume: float
     in_place_volume: float
-    steps: int
-    newton_iterations: int
-    factorizations: int  # over the accepted steps, like newton_iterations
-    dt_failures: int
-    wall_time: float
 
     @property
     def volume_closure_error(self) -> float:
@@ -310,7 +307,6 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     ``plane_z`` defaults to the lower-aquifer/caprock interface. Returns
     the (t, normalized flux) series sampled at every accepted step.
     """
-    t_start = time.perf_counter()
     poro = grid.poro0 if poro_field is None else np.asarray(poro_field, dtype=float)
     sys = _TwoPhaseSystem(grid, perm_field, poro, params)
     if sys.closed and rate > 0.0:
@@ -350,9 +346,5 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
 
     run = march(state, [(duration, rate)], settings, step, accept, sinks, _extrapolate)
     in_place = float(np.sum(poro * run.state.s * grid.volumes))
-    return Co2Report(series=series, final_state=run.state,
-                     injected_volume=rate * run.t, produced_volume=produced,
-                     in_place_volume=in_place, steps=run.steps,
-                     newton_iterations=run.newton_iterations,
-                     factorizations=run.factorizations, dt_failures=run.dt_failures,
-                     wall_time=time.perf_counter() - t_start)
+    return Co2Report(**vars(run), series=series, injected_volume=rate * run.t,
+                     produced_volume=produced, in_place_volume=in_place)

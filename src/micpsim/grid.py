@@ -374,8 +374,8 @@ def face_transmissibility(grid: Grid, perm_field, face: int) -> float:
     """
     perm = np.asarray(perm_field, dtype=float)
     a, b = grid.iface_cells[face]
-    if perm[a] <= 0.0 or perm[b] <= 0.0:
-        raise DomainError("permeability must be > 0 on both sides of a face")
+    if not all(0.0 < perm[c] < np.inf for c in (a, b)):  # NaN fails too
+        raise DomainError("permeability must be finite and > 0 on both sides of a face")
     da, db = grid.iface_d[face]
     return float(grid.iface_area[face] / (da / perm[a] + db / perm[b]))
 
@@ -383,8 +383,8 @@ def face_transmissibility(grid: Grid, perm_field, face: int) -> float:
 def interior_transmissibilities(grid: Grid, perm_field) -> np.ndarray:
     """Vectorized TPFA transmissibilities of all interior faces."""
     perm = np.asarray(perm_field, dtype=float)
-    if np.any(perm <= 0.0):
-        raise DomainError("permeability must be > 0 everywhere")
+    if not np.all(np.isfinite(perm) & (perm > 0.0)):  # NaN fails too
+        raise DomainError("permeability must be finite and > 0 everywhere")
     a = grid.iface_cells[:, 0]
     b = grid.iface_cells[:, 1]
     return grid.iface_area / (grid.iface_d[:, 0] / perm[a] + grid.iface_d[:, 1] / perm[b])

@@ -57,7 +57,6 @@ identical results.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,6 +70,7 @@ from .params import KineticParams, RockLaw
 from .schedule import Schedule, WellControl, control_at
 from .stepping import (
     AssemblyData,
+    MarchReport,
     OrderedLU,
     OutputHooks,
     SolverSettings,
@@ -413,22 +413,17 @@ class SpeciesLedger:
         return abs(self.closure_error) / scale
 
 
-@dataclass
-class RunReport:
-    final_state: MicpState
-    t_end: float
+@dataclass(kw_only=True)
+class RunReport(MarchReport):
+    """The treatment's run report with its species ledgers and clamped mass."""
+
     species: dict
     clamped: dict
     water_injected: float
-    steps: int
-    newton_iterations: int
-    factorizations: int
-    dt_failures: int
-    wall_time: float
 
     def min_perm_ratio(self, grid: Grid, rock: RockLaw) -> float:
         """min over leak cells of K/K0 (over all cells when no leak)."""
-        K = permeability_field(grid, rock, self.final_state)
+        K = permeability_field(grid, rock, self.state)
         cells = grid.leak_cells
         if cells.size == 0:
             cells = np.arange(grid.n_active)
@@ -451,7 +446,6 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     the step is retried with dt * dt_cut until dt_min, then a
     ConvergenceError carrying the last good state is raised.
     """
-    t_start = time.perf_counter()
     sys = _System(grid, params, rock)
     state = (initial_state.copy() if initial_state is not None
              else make_initial_state(grid, params, schedule.p_bdry))
@@ -495,8 +489,5 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     final_mass = _solute_mass(sys, run.state)
     for name in SPECIES:
         ledgers[name].final_mass = final_mass[name]
-    return RunReport(final_state=run.state, t_end=run.t, species=ledgers,
-                     clamped=clamped, water_injected=water_in,
-                     steps=run.steps, newton_iterations=run.newton_iterations,
-                     factorizations=run.factorizations, dt_failures=run.dt_failures,
-                     wall_time=time.perf_counter() - t_start)
+    return RunReport(**vars(run), species=ledgers, clamped=clamped,
+                     water_injected=water_in)

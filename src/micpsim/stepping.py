@@ -12,11 +12,14 @@ system's factor order, the LU of such a matrix (:class:`OrderedLU`), the
 Newton loop (:func:`newton`) and adaptive stepping with snapshots and
 diagnostics (:func:`march`), which alone keeps what passes from step to
 step: the predictor's last two states and the carried factorization.
+:func:`march` returns the run report (:class:`MarchReport`) that both
+solvers' reports extend with their own results.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -354,12 +357,15 @@ class Carry:
 
 @dataclass
 class MarchReport:
+    """A run's final state and time, the work of its accepted steps, its dt cuts."""
+
     state: object
     t: float = 0.0
     steps: int = 0
     newton_iterations: int = 0
     factorizations: int = 0
     dt_failures: int = 0
+    wall_time: float = 0.0  # s from entering march to its return
 
 
 def march(state, intervals, settings: SolverSettings, step, accept,
@@ -391,6 +397,7 @@ def march(state, intervals, settings: SolverSettings, step, accept,
     t = 0, at the cadence and at the end, each time once; a cadence of None
     or 0 takes none in between, and a negative one raises DomainError.
     """
+    start = time.perf_counter()
     settings.validate()
     sinks = sinks or OutputHooks()
     if (sinks.snapshot_cadence or 0.0) < 0.0:
@@ -448,4 +455,5 @@ def march(state, intervals, settings: SolverSettings, step, accept,
         run.t = t_end
     if sinks.on_snapshot and run.t - snapped > _EPS * max(1.0, run.t):
         sinks.on_snapshot(run.t, run.state)
+    run.wall_time = time.perf_counter() - start
     return run

@@ -66,14 +66,17 @@ def read_snapshot_field(path, name: str, grid: Grid) -> np.ndarray:
     must match the grid's lattice dimensions. A field with fewer numeric
     values than lattice cells (a truncated file, or a word among the
     numbers) raises MicpSimError with the count found and the count
-    expected.
+    expected; a DIMENSIONS line that is not three integers raises it too.
     """
     nx, ny, nz = grid.domain.nx, grid.domain.ny, grid.domain.nz
     with open(path) as fh:
         lines = fh.read().splitlines()
     for ln in lines:
         if ln.startswith("DIMENSIONS"):
-            dims = tuple(int(x) for x in ln.split()[1:4])
+            try:
+                dims = tuple(int(x) for x in ln.split()[1:4])
+            except ValueError:
+                raise MicpSimError(f"{path}: bad lattice line {ln!r}") from None
             if dims != (nx + 1, ny + 1, nz + 1):
                 raise MicpSimError(
                     f"snapshot lattice {dims} does not match the grid "

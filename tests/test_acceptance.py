@@ -73,8 +73,8 @@ def ex3_results():
     start = time.perf_counter()
     micp = simulate_micp(grid, cfg.schedule, cfg.kinetics, cfg.rock,
                          SolverSettings(dt_max=7200.0))
-    K_treated = permeability_field(grid, cfg.rock, micp.final_state)
-    phi_treated = porosity_field(grid, micp.final_state)
+    K_treated = permeability_field(grid, cfg.rock, micp.state)
+    phi_treated = porosity_field(grid, micp.state)
     co2_settings = SolverSettings(dt_max=14400.0, newton_rel_tol=1e-10)
     rate, horizon = cfg.co2.rate, 25 * 86400.0
     untreated = simulate_co2(grid, grid.perm0, rate, horizon, co2_settings,
@@ -177,7 +177,7 @@ class TestCriterion5Example2:
         assert leak_connects_aquifers(grid)
         report = simulate_micp(grid, cfg.schedule, cfg.kinetics, cfg.rock,
                                SolverSettings(dt_max=7200.0))
-        K = permeability_field(grid, cfg.rock, report.final_state)
+        K = permeability_field(grid, cfg.rock, report.state)
         ratio = K[grid.leak_cells] / grid.perm0[grid.leak_cells]
         max_reduction = 1.0 - float(ratio.min())
         elapsed = time.perf_counter() - start
@@ -210,8 +210,8 @@ class TestCriterion7TwoPhaseSanity:
         assert untreated.volume_closure_error < 1e-6
         assert treated.volume_closure_error < 1e-6
         for rep in (untreated, treated):
-            assert np.all(rep.final_state.s >= 0.0)
-            assert np.all(rep.final_state.s <= 1.0)
+            assert np.all(rep.state.s >= 0.0)
+            assert np.all(rep.state.s <= 1.0)
 
     def test_buoyancy_monotonicity(self):
         from micpsim.grid import DomainSpec, ReservoirSpec

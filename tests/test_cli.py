@@ -104,16 +104,19 @@ class TestRunMicp:
         out = capsys.readouterr().out
         done = re.search(r"treatment finished: t = (\S+) h in (\d+) steps "
                          r"\((\d+) Newton iterations, (\d+) dt cuts\)", out)
+        factors = re.search(r"dt cuts\), (\d+) factorizations, wall time [0-9.]+ s$",
+                            out, re.M)
         ledgers = re.findall(r"^ledger (\w): injected=(\S+) kg .* closure=(\S+)$",
                              out, re.M)
         clamped = re.search(r"clamped mass total: (\S+) kg", out)
         min_k = re.search(r"min K/K0 in leak: (\S+)", out)
-        assert done and clamped and min_k
+        assert done and factors and clamped and min_k
         t_h, steps, iters, cuts = done.groups()
         assert float(t_h) == pytest.approx(cfg.schedule.periods[-1].end_time / 3600.0)
         t, cols = read_timeseries(tmp_path / "out" / "micp_diagnostics.csv")
         assert int(steps) == t.size > 1
         assert int(iters) == cols["newton_iterations"].sum() > 0
+        assert int(factors.group(1)) == cols["factorizations"].sum() > 0
         assert int(cuts) == 0
         assert [name for name, _, _ in ledgers] == ["m", "o", "u"]
         assert all(float(inj) > 0.0 and float(c) >= 0.0 for _, inj, c in ledgers)
@@ -193,7 +196,7 @@ class TestRunCo2:
         path, _ = tiny_config
         assert main(["run-co2", str(path), "--perm-from", "/nope.vtk"]) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "non_numeric"])
+    @pytest.mark.parametrize("damage", ["truncated", "non_numeric", "dimensions"])
     def test_damaged_snapshot_is_reported(self, tiny_config, tmp_path, capsys, damage):
         path, cfg = tiny_config
         grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
@@ -203,14 +206,34 @@ class TestRunCo2:
         at = lines.index("SCALARS K double 1") + 2
         if damage == "truncated":
             lines = lines[:at + 5]
-        else:
+        elif damage == "non_numeric":
             lines[at + 5] = "abc"
+        else:
+            lines[lines.index("DIMENSIONS 21 2 2")] = "DIMENSIONS 21 x 2"
         snap.write_text("\n".join(lines) + "\n")
         assert main(["run-co2", str(path), "--perm-from", str(snap)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: snapshot: ")
-        assert str(snap) in err and "'K'" in err
-        assert "has 5 numeric values, expected 20" in err
+        message = ("bad lattice line 'DIMENSIONS 21 x 2'" if damage == "dimensions"
+                   else "cell field 'K' has 5 numeric values, expected 20")
+        assert f"{snap}: {message}" in err
+
+    @pytest.mark.parametrize("name, field, bad", [
+        ("K", "perm", "nan"), ("K", "perm", "inf"), ("phi", "poro", "nan"),
+    ])
+    def test_nonfinite_snapshot_field_is_a_run_error(self, tiny_config, tmp_path,
+                                                      capsys, name, field, bad):
+        path, cfg = tiny_config
+        grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
+        fields = {"phi": grid.poro0.copy(), "K": grid.perm0.copy()}
+        fields[name][3] = float(bad)
+        snap = tmp_path / "treated.vtk"
+        write_snapshot(grid, fields, 0.0, snap)
+        out_dir = tmp_path / "out"
+        assert main(["run-co2", str(path), "--perm-from", str(snap)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: run: {field} must be finite and > 0 in active cells\n")
+        assert not list(out_dir.glob("co2_*"))
 
     def test_solver_failure_writes_last_good_state(self, failing_config, tmp_path,
                                                    capsys):
@@ -248,13 +271,20 @@ class TestRunCo2:
         assert np.all(cols["max_s"] > 0.0)
 
     def test_summary_shows_the_work(self, tiny_config, capsys, tmp_path):
-        path, _ = tiny_config
+        path, cfg = tiny_config
         assert main(["run-co2", str(path)]) == 0
+        out = capsys.readouterr().out
         done = re.search(r"peak normalized leakage flux: \S+ \((\d+) steps, "
                          r"(\d+) Newton iterations, (\d+) factorizations, "
-                         r"(\d+) dt cuts, wall time [0-9.]+ s\)$",
-                         capsys.readouterr().out, re.M)
-        assert done
+                         r"(\d+) dt cuts, wall time [0-9.]+ s\)$", out, re.M)
+        # the balance line as ``bench/run.py`` matches it
+        balance = re.search(r"co2 assessment \((\w+)\): .* closure=(\S+)$", out, re.M)
+        injected = re.search(r"co2 assessment \(\w+\): injected=(\S+) m\^3 ", out)
+        assert done and balance and injected
+        assert balance.group(1) == "untreated"
+        assert 0.0 <= float(balance.group(2)) < 1e-6
+        assert float(injected.group(1)) == pytest.approx(cfg.co2.rate * cfg.co2.duration,
+                                                         rel=1e-6)
         steps, iters, factors, cuts = (int(v) for v in done.groups())
         t, cols = read_timeseries(tmp_path / "out" / "co2_diagnostics_untreated.csv")
         assert steps == t.size > 1

@@ -139,7 +139,7 @@ class TestPredictor:
                       lambda *args: {})
         assert rep.steps == plain.steps and rep.dt_failures == plain.dt_failures == 0
         assert rep.newton_iterations < plain.newton_iterations
-        assert np.max(np.abs(rep.final_state.s - plain.state.s)) < 1e-6
+        assert np.max(np.abs(rep.state.s - plain.state.s)) < 1e-6
 
 
 class TestCarriedFactorization:
@@ -196,7 +196,7 @@ class TestCarriedFactorization:
         assert times == cold_times
         assert rep.dt_failures == cold.dt_failures == 0
         assert 0 < rep.factorizations < sum(cold_factors)
-        assert np.max(np.abs(rep.final_state.s - cold.state.s)) < 1e-6
+        assert np.max(np.abs(rep.state.s - cold.state.s)) < 1e-6
 
     def test_no_earlier_factorization_alive_at_a_fresh_one(self, monkeypatch):
         """A step report kept by march does not keep the carried LU alive."""
@@ -249,7 +249,7 @@ class TestFrontPosition:
         settings = SolverSettings(dt_init=2000.0, dt_max=2000.0)
         rep = simulate_co2(grid, grid.perm0, rate, T, settings, params,
                            p_bdry=P0)
-        s = rep.final_state.s
+        s = rep.state.s
         x = grid.centers[:, 0]
         crossing = np.interp(0.5, s[::-1], x[::-1])
         expected = rate * T / (ROCK.phi0 * 1.0)
@@ -314,7 +314,7 @@ class TestLeakageFlux:
         grid = _leaky_box()
         rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
                            plane_z=2.0, p_bdry=P0)
-        state = rep.final_state
+        state = rep.state
         sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
         plane = _leak_plane(grid, 2.0, sys.T)
         faces = plane[0]
@@ -359,6 +359,19 @@ class TestSimulateCo2:
         with pytest.raises(DomainError, match="interval ends"):
             simulate_co2(grid, grid.perm0, 1e-5, -3600.0, SolverSettings(), TP,
                          p_bdry=P0)
+
+    @pytest.mark.parametrize("field", ["perm", "poro"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_field_rejected_before_a_step(self, field, bad):
+        grid = conduit_grid()
+        fields = {"perm": grid.perm0.copy(), "poro": grid.poro0.copy()}
+        fields[field][1] = bad
+        records = []
+        with pytest.raises(DomainError, match=f"{field} must be finite and > 0"):
+            simulate_co2(grid, fields["perm"], 1e-5, 3600.0, SolverSettings(), TP,
+                         p_bdry=P0, poro_field=fields["poro"],
+                         sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
+        assert records == []
 
     def test_volume_ledger_closes(self):
         grid = line_grid(nx=40)
@@ -431,11 +444,11 @@ class TestFactor:
         grid = _leaky_box()
         rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
                            plane_z=2.0, p_bdry=P0)
-        assert rep.final_state.s.max() > 0.1
+        assert rep.state.s.max() > 0.1
         sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
         old = make_initial_twophase_state(grid, TP, P0)
-        J = _newton_matrix(sys, rep.final_state, old)
-        b = -_eval_twophase(sys, _vector(rep.final_state), old, 3600.0, 1e-5, P0,
+        J = _newton_matrix(sys, rep.state, old)
+        b = -_eval_twophase(sys, _vector(rep.state), old, 3600.0, 1e-5, P0,
                             False)[0]
         x = sys.factor(J).solve(b)
         assert (np.linalg.norm(sys.in_natural_order(J) @ x - b)
@@ -462,7 +475,7 @@ def system_at_scale():
     rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
                        plane_z=2.0, p_bdry=P0)
     sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
-    return sys, _newton_matrix(sys, rep.final_state,
+    return sys, _newton_matrix(sys, rep.state,
                                make_initial_twophase_state(grid, TP, P0))
 
 

@@ -178,6 +178,14 @@ class TestTransmissibility:
         with pytest.raises(DomainError):
             interior_transmissibilities(self.grid, np.array([1e-14, -1e-15, 1e-14]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_permeability_raises(self, bad):
+        perm = np.array([bad, 1e-14, 1e-14])
+        with pytest.raises(DomainError, match="permeability must be finite"):
+            face_transmissibility(self.grid, perm, 0)
+        with pytest.raises(DomainError, match="permeability must be finite"):
+            interior_transmissibilities(self.grid, perm)
+
     @given(st.floats(1e-20, 1e-10), st.floats(1e-20, 1e-10))
     @settings(max_examples=100)
     def test_symmetry_under_cell_swap(self, ka, kb):

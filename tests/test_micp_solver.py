@@ -283,9 +283,9 @@ class TestSimulateMicp:
         grid = line_grid()
         schedule = Schedule(periods=(), p_bdry=P0)
         report = simulate_micp(grid, schedule, PARAMS, ROCK, SolverSettings())
-        assert report.t_end == 0.0
+        assert report.t == 0.0
         assert report.steps == 0
-        assert np.all(report.final_state.phi_c == 0.0)
+        assert np.all(report.state.phi_c == 0.0)
         assert all(L.injected == 0.0 for L in report.species.values())
 
     def test_example1_quick_run(self):
@@ -293,8 +293,8 @@ class TestSimulateMicp:
         schedule = builtin_schedule("ex1", p_bdry=P0)
         settings = SolverSettings(newton_rel_tol=1e-8, dt_max=14400.0)
         report = simulate_micp(grid, schedule, PARAMS, ROCK, settings)
-        assert report.final_state.phi_c.max() > 0.0
-        K = permeability_field(grid, ROCK, report.final_state)
+        assert report.state.phi_c.max() > 0.0
+        K = permeability_field(grid, ROCK, report.state)
         assert K.min() < ROCK.K0
         for name, L in report.species.items():
             assert L.relative_closure_error < 1e-6, name
@@ -314,7 +314,7 @@ class TestSimulateMicp:
         periods = builtin_schedule("ex1", p_bdry=P0).periods[:3]
         schedule = Schedule(periods=periods, p_bdry=P0)
         report = simulate_micp(grid, schedule, INERT, ROCK, SolverSettings())
-        c = report.final_state.c_m
+        c = report.state.c_m
         assert np.all(c >= -1e-12)
         assert np.all(c <= 0.01 + 1e-9)
 
@@ -329,7 +329,7 @@ class TestSimulateMicp:
         schedule = Schedule(periods=periods, p_bdry=P0)
         report = simulate_micp(grid, schedule, PARAMS, ROCK,
                                SolverSettings(dt_max=14400.0))
-        full = grid.full_field(report.final_state.c_m, fill=np.nan)
+        full = grid.full_field(report.state.c_m, fill=np.nan)
         mirrored = full[:, ::-1, :]
         both = np.isfinite(full)
         assert np.allclose(full[both], mirrored[both], rtol=1e-10, atol=1e-18)
@@ -341,7 +341,7 @@ class TestSimulateMicp:
             schedule = builtin_schedule("ex1", p_bdry=P0)
             report = simulate_micp(grid, schedule, PARAMS, ROCK,
                                    SolverSettings(dt_max=14400.0))
-            totals.append(float(np.sum(report.final_state.phi_c * grid.volumes))
+            totals.append(float(np.sum(report.state.phi_c * grid.volumes))
                           * PARAMS.rho_c)
         assert abs(totals[1] - totals[0]) / totals[0] < 0.05
 

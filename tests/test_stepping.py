@@ -1,4 +1,5 @@
 import gc
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -465,6 +466,14 @@ class TestMarch:
         assert calls == [1.0, 2.0, 2.0, 1.0, 2.0, 4.0, 0.5]
         assert (5.0, "a") in ends and ends[-1] == (12.5, "b")
         assert run.steps == len(calls) and run.dt_failures == 0
+
+    def test_wall_time_spans_the_run(self):
+        step, calls, _ = _scripted_step()
+        start = time.perf_counter()
+        run = march(0.0, [(5.0, None)], self.SETTINGS, step, lambda *args: {})
+        span = time.perf_counter() - start
+        assert run.steps == len(calls) >= 1
+        assert 0.0 < run.wall_time <= span
 
     def test_cut_then_hold_dt_for_three_steps(self):
         step, calls, _ = _scripted_step(fails_at=(2,))

@@ -135,6 +135,15 @@ class TestSnapshot:
         with pytest.raises(MicpSimError):
             read_snapshot_field(path, "K", grid)
 
+    def test_damaged_dimensions_line_raises(self, tmp_path):
+        grid = two_cell_grid()
+        path = tmp_path / "snap.vtk"
+        write_snapshot(grid, {"phi": np.array([0.15, 0.15])}, 0.0, path)
+        path.write_text(path.read_text().replace("DIMENSIONS 3 2 2", "DIMENSIONS 3 x 2"))
+        with pytest.raises(MicpSimError) as err:
+            read_snapshot_field(path, "phi", grid)
+        assert f"{path}: bad lattice line 'DIMENSIONS 3 x 2'" in str(err.value)
+
     def test_grid_mismatch_raises(self, tmp_path):
         grid = two_cell_grid()
         path = tmp_path / "snap.vtk"
