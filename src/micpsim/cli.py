@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,32 +40,34 @@ from .stepping import OutputHooks, SolverSettings
 from .vtkio import read_snapshot_field, write_snapshot, write_timeseries
 
 
-def _err(kind: str, message: str) -> None:
-    print(f"error: {kind}: {message}", file=sys.stderr)
+class _Exit(Exception):
+    """Ends a command with the exit code ``args[0]``; :func:`main` returns it."""
 
 
-def _prepare_run(args) -> tuple[SimulationConfig, Path, Grid] | int:
-    """Config, output directory and grid of a run command, or an exit code."""
+def _fail(code: int, kind: str, *messages: str) -> NoReturn:
+    """Print each message as an error of ``kind`` and end the command with ``code``."""
+    for message in messages:
+        print(f"error: {kind}: {message}", file=sys.stderr)
+    raise _Exit(code)
+
+
+def _prepare_run(args) -> tuple[SimulationConfig, Path, Grid]:
+    """Config, output directory and grid of a run command."""
     try:
         cfg = parse_config(Path(args.config).read_text())
     except OSError as exc:
-        _err("io", str(exc))
-        return 2
+        _fail(2, "io", str(exc))
     except ConfigError as exc:
-        for p in exc.problems:
-            _err("config", p)
-        return 2
+        _fail(2, "config", *exc.problems)
     try:
         grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
     except MicpSimError as exc:
-        _err("geometry", str(exc))
-        return 2
+        _fail(2, "geometry", str(exc))
     out_dir = Path(args.out or cfg.outputs.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        _err("io", str(exc))
-        return 2
+        _fail(2, "io", str(exc))
     return cfg, out_dir, grid
 
 
@@ -79,42 +82,41 @@ def _cmd_preset(args) -> int:
     try:
         print(format_config(preset(args.name)), end="")
     except ConfigError as exc:
-        _err("config", str(exc))
-        return 2
+        _fail(2, "config", str(exc))
     return 0
 
 
 def _run_solver(cfg: SimulationConfig, grid: Grid, solve, fields, last_good_path: Path,
                 diagnostics_path: Path):
-    """Report of ``solve(on_diagnostics)``, or the exit code when it failed.
+    """Report of ``solve(on_diagnostics)``.
 
     A hard failure writes ``fields(state)`` of the last good state to
-    ``last_good_path`` and gives 3; any other run error gives 2. A finished
+    ``last_good_path`` and exits 3; any other run error exits 2. A finished
     run, and a hard failure, write the records of the accepted steps to
     ``diagnostics_path``.
     """
     records = []
+
+    def write_records():
+        if "csv" in cfg.outputs.formats and records:
+            write_timeseries(diagnostics_path, records)
+
     try:
         report = solve(lambda t, info: records.append((t, info)))
     except ConvergenceError as exc:
         if exc.last_good_state is not None and "vtk" in cfg.outputs.formats:
             write_snapshot(grid, fields(exc.last_good_state), exc.last_good_time or 0.0,
                            last_good_path)
-        _err("solver-failure", str(exc))
-        report = 3
+        write_records()
+        _fail(3, "solver-failure", str(exc))
     except MicpSimError as exc:
-        _err("run", str(exc))
-        return 2
-    if "csv" in cfg.outputs.formats and records:
-        write_timeseries(diagnostics_path, records)
+        _fail(2, "run", str(exc))
+    write_records()
     return report
 
 
-def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport | int:
-    """Run the sealing treatment, write its outputs and print its ledger.
-
-    Returns the run's report, or the exit code when the run failed.
-    """
+def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport:
+    """Run the sealing treatment, write its outputs and print its ledger."""
     snapshots = cfg.outputs.snapshot_cadence > 0 and "vtk" in cfg.outputs.formats
 
     def fields(state):
@@ -133,8 +135,6 @@ def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport | int:
 
     report = _run_solver(cfg, grid, solve, fields, out_dir / "micp_last_good.vtk",
                          out_dir / "micp_diagnostics.csv")
-    if isinstance(report, int):
-        return report
     if "vtk" in cfg.outputs.formats:
         write_snapshot(grid, fields(report.state), report.t, out_dir / "micp_final.vtk")
 
@@ -157,11 +157,10 @@ def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport | int:
 
 
 def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
-            label: str) -> Co2Report | int:
+            label: str) -> Co2Report:
     """Run the CO2 leakage assessment on one K/phi field and write its outputs.
 
-    ``label`` names the output files. Returns the run's report, or the
-    exit code when the run failed.
+    ``label`` names the output files.
     """
     def fields(state):
         return {"s_co2": state.s, "p": state.p, "K": perm, "phi": poro}
@@ -174,8 +173,6 @@ def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
 
     report = _run_solver(cfg, grid, solve, fields, out_dir / "co2_last_good.vtk",
                          out_dir / f"co2_diagnostics_{label}.csv")
-    if isinstance(report, int):
-        return report
     if "csv" in cfg.outputs.formats:
         write_timeseries(out_dir / f"co2_leakage_{label}.csv",
                          [(t, {"normalized_flux": v}) for t, v in report.series])
@@ -194,51 +191,33 @@ def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
 
 
 def _cmd_run_micp(args) -> int:
-    prepared = _prepare_run(args)
-    if isinstance(prepared, int):
-        return prepared
-    cfg, out_dir, grid = prepared
-    report = _treat(cfg, grid, out_dir)
-    return report if isinstance(report, int) else 0
+    cfg, out_dir, grid = _prepare_run(args)
+    _treat(cfg, grid, out_dir)
+    return 0
 
 
 def _cmd_run_co2(args) -> int:
-    prepared = _prepare_run(args)
-    if isinstance(prepared, int):
-        return prepared
-    cfg, out_dir, grid = prepared
+    cfg, out_dir, grid = _prepare_run(args)
     perm, poro, label = grid.perm0, grid.poro0, "untreated"
     if args.perm_from:
         try:
             perm = read_snapshot_field(args.perm_from, "K", grid)
             poro = read_snapshot_field(args.perm_from, "phi", grid)
         except OSError as exc:
-            _err("io", str(exc))
-            return 2
+            _fail(2, "io", str(exc))
         except MicpSimError as exc:
-            _err("snapshot", str(exc))
-            return 2
+            _fail(2, "snapshot", str(exc))
         label = "treated"
-    report = _assess(cfg, grid, out_dir, perm, poro, label)
-    return report if isinstance(report, int) else 0
+    _assess(cfg, grid, out_dir, perm, poro, label)
+    return 0
 
 
 def _cmd_study(args) -> int:
-    prepared = _prepare_run(args)
-    if isinstance(prepared, int):
-        return prepared
-    cfg, out_dir, grid = prepared
-    treatment = _treat(cfg, grid, out_dir)
-    if isinstance(treatment, int):
-        return treatment
+    cfg, out_dir, grid = _prepare_run(args)
+    final = _treat(cfg, grid, out_dir).state
     untreated = _assess(cfg, grid, out_dir, grid.perm0, grid.poro0, "untreated")
-    if isinstance(untreated, int):
-        return untreated
-    final = treatment.state
     treated = _assess(cfg, grid, out_dir, permeability_field(grid, cfg.rock, final),
                       porosity_field(grid, final), "treated")
-    if isinstance(treated, int):
-        return treated
     peak_u, peak_t = untreated.peak_flux, treated.peak_flux
     ratio = peak_t / peak_u if peak_u > 0 else math.nan
     print(f"treated/untreated peak leakage ratio: {ratio:.3e}")
@@ -405,7 +384,10 @@ def main(argv=None) -> int:
     handlers = {"run-micp": _cmd_run_micp, "run-co2": _cmd_run_co2,
                 "study": _cmd_study, "verify": _cmd_verify,
                 "preset": _cmd_preset}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _Exit as exc:
+        return exc.args[0]
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ the phases. The discretization follows the reactive solver: TPFA,
 backward Euler, analytic Jacobian, constant-pressure hydrostatic
 boundary (pure water beyond the boundary), pressure pin on closed
 domains. Newton, Jacobian assembly and adaptive stepping are the shared
-machinery of :mod:`micpsim.stepping`.
+machinery of :mod:`micpsim.stepping`; the transmissibilities and potential
+differences are the reactive solver's too (:func:`micpsim.grid.transmissibilities`,
+:meth:`micpsim.stepping.AssemblyData.potential_differences`). :func:`_phase_flux`
+upwinds a phase's flux, for the residual and the leakage diagnostic alike.
 
 Each Newton matrix is built in one order of the unknowns that the
 system computes when it assembles its first Jacobian: SuperLU's
@@ -47,12 +50,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, GeometryError
-from .grid import (
-    Grid,
-    Region,
-    boundary_transmissibilities,
-    interior_transmissibilities,
-)
+from .grid import Grid, Region, transmissibilities
 from .params import TwoPhaseParams
 from .schedule import DEFAULT_BOUNDARY_PRESSURE
 from .stepping import (
@@ -99,8 +97,7 @@ class _TwoPhaseSystem(AssemblyData):
         super().__init__(grid)
         self.params = params
         self.phi = poro
-        self.T = interior_transmissibilities(grid, perm)
-        self.Tb = boundary_transmissibilities(grid, perm)
+        self.T, self.Tb = transmissibilities(grid, perm)
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -112,6 +109,19 @@ class _TwoPhaseSystem(AssemblyData):
         return OrderedLU(splu, J, self.order)
 
 
+def _phase_flux(sys, T, dpot, sat, mu, faces=slice(None)):
+    """Upwinded flux T lambda(s_up) dpot of one phase on the interior faces ``faces``.
+
+    ``T`` and ``dpot`` are the faces' transmissibilities and the phase's
+    potential differences, ``sat`` its saturation in every cell; the
+    mobility sat / mu is taken from the face's cell a where dpot >= 0, else
+    from its cell b. Returns (flux, T lambda, upwind cell) of each face.
+    """
+    up = np.where(dpot >= 0.0, sys.fa[faces], sys.fb[faces])
+    T_lam = T * (sat[up] / mu)
+    return T_lam * dpot, T_lam, up
+
+
 def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
                    want_jacobian=True):
     pr = sys.params
@@ -121,19 +131,13 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     se = np.clip(s, 0.0, 1.0)
     V = sys.V
 
-    dw = (p[sys.fa] - p[sys.fb]) - pr.rho_w * sys.g * sys.f_dz
-    dc = (p[sys.fa] - p[sys.fb]) - pr.rho_co2 * sys.g * sys.f_dz
-    up_w = np.where(dw >= 0.0, sys.fa, sys.fb)
-    up_c = np.where(dc >= 0.0, sys.fa, sys.fb)
-    lam_w = (1.0 - se[up_w]) / pr.mu_w
-    lam_c = se[up_c] / pr.mu_co2
-    Fw = sys.T * lam_w * dw
-    Fc = sys.T * lam_c * dc
+    # beyond the boundary a water column, p_ghost(z) = p_bdry - rho_w g z
+    dw, bdw = sys.potential_differences(p, pr.rho_w, p_bdry)
+    dc, bdc = sys.potential_differences(
+        p, pr.rho_co2, p_bdry - (pr.rho_w - pr.rho_co2) * sys.g * sys.b_z)
+    Fw, T_lam_w, up_w = _phase_flux(sys, sys.T, dw, 1.0 - se, pr.mu_w)
+    Fc, T_lam_c, up_c = _phase_flux(sys, sys.T, dc, se, pr.mu_co2)
 
-    # ghost water column: p_ghost(z) = p_bdry - rho_w g z
-    bdw = p[sys.bc] + pr.rho_w * sys.g * sys.z[sys.bc] - p_bdry
-    bdc = (p[sys.bc] + pr.rho_co2 * sys.g * sys.z[sys.bc]
-           - (p_bdry - (pr.rho_w - pr.rho_co2) * sys.g * sys.b_z))
     out_w = bdw >= 0.0
     out_c = bdc >= 0.0
     blam_w = np.where(out_w, (1.0 - se[sys.bc]) / pr.mu_w, 1.0 / pr.mu_w)
@@ -163,8 +167,8 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     face_a = np.zeros((Fw.size, NV2, NV2))
     face_b = np.zeros((Fw.size, NV2, NV2))
     for row, T_lam, dpot, upwind, dlam in (
-            (JP, sys.T * lam_w, dw, up_w, -1.0 / pr.mu_w),
-            (JS, sys.T * lam_c, dc, up_c, 1.0 / pr.mu_co2)):
+            (JP, T_lam_w, dw, up_w, -1.0 / pr.mu_w),
+            (JS, T_lam_c, dc, up_c, 1.0 / pr.mu_co2)):
         face_a[:, row, JP] = T_lam
         face_b[:, row, JP] = -T_lam
         dF_ds = sys.T * np.where(in_bounds[upwind], dlam, 0.0) * dpot
@@ -221,25 +225,6 @@ def _extrapolate(prev: TwoPhaseState, last: TwoPhaseState, ratio: float) -> TwoP
                          s=np.clip(last.s + ratio * (last.s - prev.s), 0.0, 1.0))
 
 
-def co2_face_fluxes(grid: Grid, perm_field, state: TwoPhaseState,
-                    params: TwoPhaseParams) -> np.ndarray:
-    """CO2 volumetric flux (m^3/s) on every interior face, oriented a->b."""
-    return _co2_fluxes(grid, slice(None), interior_transmissibilities(grid, perm_field),
-                       state, params)
-
-
-def _co2_fluxes(grid: Grid, faces, T, state: TwoPhaseState,
-                params: TwoPhaseParams) -> np.ndarray:
-    """CO2 flux on the interior faces ``faces``, whose transmissibilities are T."""
-    fa = grid.iface_cells[faces, 0]
-    fb = grid.iface_cells[faces, 1]
-    dz = grid.centers[fb, 2] - grid.centers[fa, 2]
-    dc = (state.p[fa] - state.p[fb]) - params.rho_co2 * grid.gravity_accel * dz
-    up_c = np.where(dc >= 0.0, fa, fb)
-    lam_c = np.clip(state.s, 0.0, 1.0)[up_c] / params.mu_co2
-    return T * lam_c * dc
-
-
 def leakage_flux(grid: Grid, state: TwoPhaseState, plane_z: float,
                  normalize_by: float, perm_field, params: TwoPhaseParams,
                  _plane=None) -> float:
@@ -247,25 +232,31 @@ def leakage_flux(grid: Grid, state: TwoPhaseState, plane_z: float,
 
     Sums the positive (upward) CO2 volumetric flux over the vertical faces
     the plane cuts whose upper or lower cell is leak-tagged, and divides by
-    ``normalize_by`` (conventionally the CO2 injection rate). ``_plane``
-    is the :func:`_leak_plane` of plane_z and perm_field, which a run
-    computes once.
+    ``normalize_by`` (conventionally the CO2 injection rate). The flux on
+    those faces alone is the one :func:`_eval_twophase` puts in the
+    residual. ``_plane`` is the :func:`_leak_plane` of plane_z and
+    perm_field, which a run computes once.
     """
     if not normalize_by > 0.0:
         raise DomainError("normalize_by must be > 0")
     if _plane is None:
-        _plane = _leak_plane(grid, plane_z, interior_transmissibilities(grid, perm_field))
-    Fc = _co2_fluxes(grid, *_plane, state, params)
+        perm = np.asarray(perm_field, dtype=float)
+        if not np.all(np.isfinite(perm) & (perm > 0.0)):  # NaN fails too
+            raise DomainError("permeability must be finite and > 0 everywhere")
+        _plane = _leak_plane(AssemblyData(grid), plane_z, transmissibilities(grid, perm)[0])
+    sys, faces, T = _plane
+    dc = sys.face_potential_differences(state.p, params.rho_co2, faces)
+    Fc, *_ = _phase_flux(sys, T, dc, np.clip(state.s, 0.0, 1.0), params.mu_co2, faces)
     return float(np.sum(np.maximum(Fc, 0.0))) / normalize_by
 
 
-def _leak_plane(grid: Grid, plane_z: float, T) -> tuple[np.ndarray, np.ndarray]:
-    """Leak-tagged faces cut by plane_z and their transmissibilities, from all T."""
+def _leak_plane(sys: AssemblyData, plane_z: float, T):
+    """(sys, faces, T[faces]): the leak-tagged faces cut by plane_z, from all T."""
+    grid = sys.grid
     if not 0.0 < plane_z < grid.domain.lz:
         raise GeometryError(f"plane z = {plane_z} m outside the domain")
-    fa = grid.iface_cells[:, 0]
-    fb = grid.iface_cells[:, 1]
-    face_z = 0.5 * (grid.centers[fa, 2] + grid.centers[fb, 2])
+    fa, fb = sys.fa, sys.fb
+    face_z = 0.5 * (sys.z[fa] + sys.z[fb])
     on_plane = (grid.iface_axis == 2) & (np.abs(face_z - plane_z) < 1e-6 * grid.domain.dz)
     leak_touch = (grid.region[fa] == Region.LEAK) | (grid.region[fb] == Region.LEAK)
     faces = np.flatnonzero(on_plane & leak_touch)
@@ -273,7 +264,7 @@ def _leak_plane(grid: Grid, plane_z: float, T) -> tuple[np.ndarray, np.ndarray]:
         raise GeometryError(
             f"plane z = {plane_z} m does not cut any leak-tagged face; "
             "pick a layer interface crossed by the leak")
-    return faces, T[faces]
+    return sys, faces, T[faces]
 
 
 @dataclass(kw_only=True)
@@ -283,13 +274,14 @@ class Co2Report(MarchReport):
     series: list  # (t, normalized upward leak flux)
     injected_volume: float
     produced_volume: float
-    in_place_volume: float
+    in_place_volume: float  # at the end
+    initial_volume: float  # in place at the start
 
     @property
     def volume_closure_error(self) -> float:
-        scale = max(self.injected_volume, self.in_place_volume, 1e-30)
+        scale = max(self.injected_volume, self.in_place_volume, self.initial_volume, 1e-30)
         return abs(self.injected_volume - self.produced_volume
-                   - self.in_place_volume) / scale
+                   - (self.in_place_volume - self.initial_volume)) / scale
 
     @property
     def peak_flux(self) -> float:
@@ -317,7 +309,7 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     plane = None
     if grid.leak_cells.size > 0:
         try:
-            plane = _leak_plane(grid, plane_z, sys.T)
+            plane = _leak_plane(sys, plane_z, sys.T)
         except GeometryError:
             if plane_given:
                 raise
@@ -344,7 +336,9 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
             info["leak_flux"] = flux
         return info
 
+    initial = float(np.sum(poro * state.s * grid.volumes))
     run = march(state, [(duration, rate)], settings, step, accept, sinks, _extrapolate)
     in_place = float(np.sum(poro * run.state.s * grid.volumes))
     return Co2Report(**vars(run), series=series, injected_volume=rate * run.t,
-                     produced_volume=produced, in_place_volume=in_place)
+                     produced_volume=produced, in_place_volume=in_place,
+                     initial_volume=initial)

@@ -9,9 +9,13 @@ the slab, tested with the signed perpendicular distance s of the center
 from the leak centerline plane, -a/2 <= s < a/2 (half-open so that a slab
 boundary that falls exactly on a row of cell centers counts them once).
 
-Flux discretization is cell-centered two-point flux approximation; the
-face transmissibility is T = A / (d1/K1 + d2/K2) with center-to-face
-distances d and cell permeabilities K.
+Flux discretization is cell-centered two-point flux approximation (TPFA).
+:func:`transmissibilities` is its one implementation, which both solvers
+and the leakage diagnostic read: interior face T = A / (d1/K1 + d2/K2)
+with center-to-face distances d and cell permeabilities K, boundary face
+T = A K / d. The potential differences across the faces live in
+:class:`micpsim.stepping.AssemblyData`, the upwinded CO2 phase flux in
+:func:`micpsim.co2._phase_flux`.
 """
 
 from __future__ import annotations
@@ -366,34 +370,33 @@ def _well_cells(domain, reservoir, active_index, h_cap):
     return np.array(sorted(c for c in cells if c >= 0), dtype=np.int64)
 
 
+def transmissibilities(grid: Grid, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TPFA transmissibilities (m^3) from the cell permeabilities ``perm``.
+
+    Returns (T, Tb): T = A / (d_a/K_a + d_b/K_b) of each interior face and
+    Tb = A K / d of each constant-pressure boundary face, d being the
+    distance from a cell center to the face. Checks nothing, so that a
+    NaN iterate gives NaN fluxes and fails its Newton step instead of
+    raising; the public entry points check their fields themselves.
+    """
+    a = grid.iface_cells[:, 0]
+    b = grid.iface_cells[:, 1]
+    T = grid.iface_area / (grid.iface_d[:, 0] / perm[a] + grid.iface_d[:, 1] / perm[b])
+    return T, grid.bface_area * perm[grid.bface_cell] / grid.bface_d
+
+
 def face_transmissibility(grid: Grid, perm_field, face: int) -> float:
     """TPFA transmissibility of one interior face, m^3.
 
     T = A / (d1/K1 + d2/K2); symmetric in the two cells and linear in the
-    face area.
+    face area. Only the permeabilities of the face's two cells matter.
     """
     perm = np.asarray(perm_field, dtype=float)
     a, b = grid.iface_cells[face]
     if not all(0.0 < perm[c] < np.inf for c in (a, b)):  # NaN fails too
         raise DomainError("permeability must be finite and > 0 on both sides of a face")
-    da, db = grid.iface_d[face]
-    return float(grid.iface_area[face] / (da / perm[a] + db / perm[b]))
-
-
-def interior_transmissibilities(grid: Grid, perm_field) -> np.ndarray:
-    """Vectorized TPFA transmissibilities of all interior faces."""
-    perm = np.asarray(perm_field, dtype=float)
-    if not np.all(np.isfinite(perm) & (perm > 0.0)):  # NaN fails too
-        raise DomainError("permeability must be finite and > 0 everywhere")
-    a = grid.iface_cells[:, 0]
-    b = grid.iface_cells[:, 1]
-    return grid.iface_area / (grid.iface_d[:, 0] / perm[a] + grid.iface_d[:, 1] / perm[b])
-
-
-def boundary_transmissibilities(grid: Grid, perm_field) -> np.ndarray:
-    """Half-cell transmissibilities of the constant-pressure boundary faces."""
-    perm = np.asarray(perm_field, dtype=float)
-    return grid.bface_area * perm[grid.bface_cell] / grid.bface_d
+    with np.errstate(divide="ignore"):  # other cells may hold zeros
+        return float(transmissibilities(grid, perm)[0][face])
 
 
 def leak_connects_aquifers(grid: Grid) -> bool:

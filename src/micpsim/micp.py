@@ -11,7 +11,10 @@ backward-Euler step solves the coupled residual
 
 with TPFA face fluxes F_w = T/mu_w (Phi_a - Phi_b), Phi = p + rho_w g z,
 first-order upwinding of the solutes, and every nonlinearity (porosity,
-permeability, reactions, upwind directions) evaluated at n+1.
+permeability, reactions, upwind directions) evaluated at n+1. T and
+Phi_a - Phi_b come from the code the CO2 solver uses too
+(:func:`micpsim.grid.transmissibilities` of each iterate's K,
+:meth:`micpsim.stepping.AssemblyData.potential_differences`).
 
 Reactions and permeability are defined for physical arguments only
 (c_x >= 0, phi_b, phi_c in [0, phi0], phi in [0, phi0]). Newton iterates
@@ -64,7 +67,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError
-from .grid import Grid
+from .grid import Grid, transmissibilities
 from .kinetics import _rate_jacobian, _rates, permeability, permeability_derivative
 from .params import KineticParams, RockLaw
 from .schedule import Schedule, WellControl, control_at
@@ -149,20 +152,15 @@ class _System(AssemblyData):
         self.rock = rock
         self.phi0 = grid.poro0
         self.K0 = grid.perm0
-        self.f_area = grid.iface_area
-        self.f_da = grid.iface_d[:, 0]
-        self.f_db = grid.iface_d[:, 1]
-        self.b_area = grid.bface_area
-        self.b_d = grid.bface_d
         # each face's area in the column of its axis, outward-signed on the
         # boundary, and inf in the other two: flux / axis_area puts a face's
         # Darcy velocity in its axis's column and zero in the others
         self.axis_area = np.full((grid.n_ifaces, 3), np.inf)
-        self.axis_area[np.arange(grid.n_ifaces), grid.iface_axis] = self.f_area
+        self.axis_area[np.arange(grid.n_ifaces), grid.iface_axis] = grid.iface_area
         self.b_axis_area = np.full((self.bc.size, 3), np.inf)
         for side, (axis, sign) in _SIDE_AXIS_SIGN.items():
             on_side = grid.bface_side == side
-            self.b_axis_area[on_side, axis] = sign * self.b_area[on_side]
+            self.b_axis_area[on_side, axis] = sign * grid.bface_area[on_side]
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -196,6 +194,7 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     derivatives of this residual.
     """
     n = sys.n
+    grid = sys.grid
     p = x[IP::NVAR]
     m = x[IM::NVAR]
     o = x[IO::NVAR]
@@ -205,8 +204,6 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
 
     V = sys.V
     mu_w = sys.params.mu_w
-    rho_w = sys.params.rho_w
-    g = sys.g
 
     phi = sys.phi0 - b - c
     phi_old = sys.phi0 - old.phi_b - old.phi_c
@@ -214,16 +211,12 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     dK = np.asarray(permeability_derivative(sys.rock, phi_k, K0=sys.K0))
     K = permeability(sys.rock, phi_k, K0=sys.K0) + dK * (phi - phi_k)
 
-    # interior face fluxes
-    T = sys.f_area / (sys.f_da / K[sys.fa] + sys.f_db / K[sys.fb])
-    dpot = (p[sys.fa] - p[sys.fb]) - rho_w * g * sys.f_dz
+    # interior and boundary face fluxes (boundary: positive = out of the domain)
+    T, Tb = transmissibilities(grid, K)
+    dpot, dpot_b = sys.potential_differences(p, sys.params.rho_w, control.p_bdry)
     F = T / mu_w * dpot
     up_is_a = F >= 0.0
     upw = np.where(up_is_a, sys.fa, sys.fb)
-
-    # boundary face fluxes (positive = out of the domain)
-    Tb = sys.b_area * K[sys.bc] / sys.b_d
-    dpot_b = p[sys.bc] + rho_w * g * sys.b_z - control.p_bdry
     Fb = Tb / mu_w * dpot_b
     out_mask = Fb >= 0.0
 
@@ -297,8 +290,8 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
         cell[:, _RATE_ROW[rname], _RATE_VAR[vname]] -= dR * V
 
     # flux derivatives: w (x) dF/dx, plus F on the upwind cell's own concentration
-    dT_dKa = T * T * sys.f_da / (sys.f_area * K[sys.fa] ** 2)
-    dT_dKb = T * T * sys.f_db / (sys.f_area * K[sys.fb] ** 2)
+    dT_dKa = T * T * grid.iface_d[:, 0] / (grid.iface_area * K[sys.fa] ** 2)
+    dT_dKb = T * T * grid.iface_d[:, 1] / (grid.iface_area * K[sys.fb] ** 2)
     dF_da = np.zeros((F.size, NVAR))
     dF_db = np.zeros((F.size, NVAR))
     dF_da[:, IP] = T / mu_w
@@ -307,7 +300,7 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     dF_db[:, IB] = dF_db[:, IC] = dpot / mu_w * dT_dKb * (-dK[sys.fb])
     dFb = np.zeros((Fb.size, NVAR))
     dFb[:, IP] = Tb / mu_w
-    dFb[:, IB] = dFb[:, IC] = dpot_b / mu_w * sys.b_area / sys.b_d * (-dK[sys.bc])
+    dFb[:, IB] = dFb[:, IC] = dpot_b / mu_w * grid.bface_area / grid.bface_d * (-dK[sys.bc])
     face_a = w[:, :, None] * dF_da[:, None, :]
     face_b = w[:, :, None] * dF_db[:, None, :]
     bface = wb[:, :, None] * dFb[:, None, :]
@@ -368,6 +361,8 @@ def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
     the result's ``x`` with solutes clamped to >= 0 and phi_b, phi_c to
     [0, phi0] with phi_b + phi_c <= phi0.
     """
+    if not dt > 0.0:
+        raise DomainError("dt must be > 0")
     settings.validate()
     sys = _sys if _sys is not None else _System(grid, params, rock)
     if conc_scales is None:

@@ -3,8 +3,10 @@
 The solvers supply only their physics, as callables: residual and
 Jacobian evaluation, the finish of a converged step, and the booking of
 an accepted one. This module owns the rest: the grid data both
-assemblies read (:class:`AssemblyData`), the well source and the
-closed-domain pressure pin (:meth:`AssemblyData.well_source`,
+assemblies read (:class:`AssemblyData`), the potential differences across
+its faces (:meth:`AssemblyData.potential_differences`; the transmissibilities
+are :func:`micpsim.grid.transmissibilities`), the well source and
+the closed-domain pressure pin (:meth:`AssemblyData.well_source`,
 :meth:`AssemblyData.pin_pressure`), the sums of face fluxes into cells
 and the scatter of derivative blocks into the Newton matrix
 (:meth:`AssemblyData.face_sums`, :meth:`AssemblyData.jacobian`) in the
@@ -81,6 +83,7 @@ class AssemblyData:
     order = None
 
     def __init__(self, grid):
+        self.grid = grid
         self.n = grid.n_active
         self.V = grid.volumes
         self.z = grid.centers[:, 2]
@@ -106,6 +109,25 @@ class AssemblyData:
         if rate != 0.0:
             q[self.well] = rate * self.well_frac
         return q
+
+    def face_potential_differences(self, p, rho, faces=slice(None)):
+        """(p_a - p_b) - rho g (z_b - z_a) on the interior faces ``faces``.
+
+        The potential difference that drives a phase of density rho from
+        each face's cell a to its cell b.
+        """
+        return (p[self.fa[faces]] - p[self.fb[faces]]) - rho * self.g * self.f_dz[faces]
+
+    def potential_differences(self, p, rho, datum):
+        """Interior and boundary potential differences of a phase of density rho.
+
+        Returns (interior, boundary): :meth:`face_potential_differences` of
+        every interior face, and on boundary face k p + rho g z of its cell
+        less ``datum``, the phase's potential in the ghost beyond the face
+        (a scalar or one value per boundary face), positive for outflow.
+        """
+        return (self.face_potential_differences(p, rho),
+                p[self.bc] + rho * self.g * self.b_z - datum)
 
     def pin_pressure(self, resid, p0, p_bdry, phi, dt):
         """On a closed domain, replace equation 0 of cell 0 by the pressure pin.

@@ -1,5 +1,10 @@
 import dataclasses
+import importlib.util
+import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +55,30 @@ def leaky_config(tmp_path):
     path = tmp_path / "leaky.cfg"
     path.write_text(format_config(cfg))
     return path, cfg
+
+
+def test_benchmark_trace_sees_every_layer(leaky_config, tmp_path, monkeypatch):
+    """bench/child.py's trace mode still finds every name it wraps, and each
+    span that bench/run.py's layers read records calls on a study."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)
+    spec.loader.exec_module(run)
+    path, _ = leaky_config
+    record = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(bench / "child.py"), "trace", str(record), "--",
+         "study", str(path), "--out", str(tmp_path / "traced")],
+        cwd=bench.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    assert rec["missing"] == []
+    spans = {span for names, _ in run.LAYERS.values() for span in names}
+    assert "co2.leak" in spans
+    calls = {span: rec["spans"].get(span, {"calls": 0})["calls"] for span in spans}
+    assert all(n > 0 for n in calls.values()), calls
+    assert rec["counts"]["micp.jacobians"] == calls["micp.lu_factor"]
 
 
 @pytest.fixture

@@ -13,12 +13,12 @@ from micpsim.co2 import (
     _extrapolate,
     _leak_plane,
     _TwoPhaseSystem,
-    co2_face_fluxes,
     leakage_flux,
     make_initial_twophase_state,
     simulate_co2,
     solve_twophase_step,
 )
+from micpsim.config import preset
 from micpsim.errors import ConvergenceError, DomainError, GeometryError
 from micpsim.grid import DomainSpec, LeakSpec, ReservoirSpec, build_domain
 from micpsim.params import RockLaw, TwoPhaseParams
@@ -316,10 +316,13 @@ class TestLeakageFlux:
                            plane_z=2.0, p_bdry=P0)
         state = rep.state
         sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
-        plane = _leak_plane(grid, 2.0, sys.T)
-        faces = plane[0]
-        every_face = np.sum(np.maximum(
-            co2_face_fluxes(grid, grid.perm0, state, TP)[faces], 0.0)) / 1e-5
+        plane = _leak_plane(sys, 2.0, sys.T)
+        faces = plane[1]
+        # the residual's own CO2 flux on every face, at the final state
+        x = np.empty(NV2 * grid.n_active)
+        x[0::NV2], x[1::NV2] = state.p, state.s
+        _, _, aux = _eval_twophase(sys, x, state, 3600.0, 1e-5, P0, False)
+        every_face = np.sum(np.maximum(aux["Fc"][faces], 0.0)) / 1e-5
         alone = leakage_flux(grid, state, 2.0, 1e-5, grid.perm0, TP)
         assert alone > 0.0
         assert alone == every_face
@@ -338,6 +341,15 @@ class TestLeakageFlux:
         state = make_initial_twophase_state(grid, TP, P0)
         with pytest.raises(GeometryError):
             leakage_flux(grid, state, 0.5, 1e-4, grid.perm0, TP)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-14, np.nan, np.inf])
+    def test_bad_permeability_raises(self, bad):
+        grid = conduit_grid()
+        state = make_initial_twophase_state(grid, TP, P0)
+        perm = grid.perm0.copy()
+        perm[2] = bad
+        with pytest.raises(DomainError, match="permeability must be finite and > 0 everywhere"):
+            leakage_flux(grid, state, 1.0, 1e-4, perm, TP)
 
     def test_bad_normalization_raises(self):
         grid = conduit_grid()
@@ -372,6 +384,18 @@ class TestSimulateCo2:
                          p_bdry=P0, poro_field=fields["poro"],
                          sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
         assert records == []
+
+    @pytest.mark.parametrize("rate", [1e-5, 0.0])
+    def test_volume_closure_counts_co2_in_place_at_the_start(self, rate):
+        cfg = preset("ex1")
+        grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
+        start = make_initial_twophase_state(grid, TP, P0)
+        start.s[:10] = 0.3
+        rep = simulate_co2(grid, grid.perm0, rate, 86400.0, SolverSettings(), TP,
+                           p_bdry=P0, initial_state=start)
+        assert rep.initial_volume == pytest.approx(10 * 0.3 * cfg.rock.phi0, rel=1e-12)
+        assert rep.in_place_volume > 0.0
+        assert rep.volume_closure_error < 1e-9
 
     def test_volume_ledger_closes(self):
         grid = line_grid(nx=40)

@@ -12,10 +12,9 @@ from micpsim.grid import (
     Region,
     ReservoirSpec,
     build_domain,
-    boundary_transmissibilities,
     face_transmissibility,
-    interior_transmissibilities,
     leak_connects_aquifers,
+    transmissibilities,
 )
 from micpsim.params import RockLaw
 
@@ -176,15 +175,21 @@ class TestTransmissibility:
         with pytest.raises(DomainError):
             face_transmissibility(self.grid, np.array([1e-14, 0.0, 1e-14]), 0)
         with pytest.raises(DomainError):
-            interior_transmissibilities(self.grid, np.array([1e-14, -1e-15, 1e-14]))
+            face_transmissibility(self.grid, np.array([1e-14, -1e-15, 1e-14]), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_permeability_raises(self, bad):
         perm = np.array([bad, 1e-14, 1e-14])
         with pytest.raises(DomainError, match="permeability must be finite"):
             face_transmissibility(self.grid, perm, 0)
-        with pytest.raises(DomainError, match="permeability must be finite"):
-            interior_transmissibilities(self.grid, perm)
+        # only the face's own cells are checked
+        assert face_transmissibility(self.grid, perm, 1) == pytest.approx(1e-14, rel=1e-14)
+
+    def test_shared_transmissibilities_pass_nan_through(self):
+        # a NaN Newton iterate must fail its step, not raise
+        T, Tb = transmissibilities(self.grid, np.array([np.nan, 1e-14, 1e-14]))
+        assert np.isnan(T[0]) and T[1] == pytest.approx(1e-14, rel=1e-14)
+        assert Tb[0] == pytest.approx(2e-14, rel=1e-14)
 
     @given(st.floats(1e-20, 1e-10), st.floats(1e-20, 1e-10))
     @settings(max_examples=100)
@@ -196,13 +201,15 @@ class TestTransmissibility:
 
     def test_vectorized_matches_scalar(self):
         perm = np.array([1e-14, 3e-15, 7e-16])
-        all_T = interior_transmissibilities(self.grid, perm)
+        all_T, _ = transmissibilities(self.grid, perm)
         for f in range(self.grid.n_ifaces):
             assert all_T[f] == face_transmissibility(self.grid, perm, f)
+            a, b = self.grid.iface_cells[f]
+            assert all_T[f] == 1.0 / (0.5 / perm[a] + 0.5 / perm[b])
 
     def test_boundary_transmissibility(self):
         perm = np.array([1e-14, 1e-14, 4e-14])
-        Tb = boundary_transmissibilities(self.grid, perm)
+        _, Tb = transmissibilities(self.grid, perm)
         assert Tb.shape == (1,)
         assert Tb[0] == pytest.approx(4e-14 / 0.5, rel=1e-14)
 

@@ -1,11 +1,14 @@
 """Every entry of both assembled Jacobians against central differences
-of the residual, on a small 3D open grid with flow and in-bounds iterates.
+of the residual, on a small 3D grid with flow and in-bounds iterates: open
+on two sides with injection, and closed (no boundary faces, the pressure
+pin in the first row, no injection).
 
 The pressure step is a tenth of the smallest face potential difference,
 so no face changes its upwind direction between the two evaluations.
 """
 
 import numpy as np
+import pytest
 
 from micpsim.co2 import NV2, TwoPhaseState, _eval_twophase, _TwoPhaseSystem
 from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
@@ -18,10 +21,15 @@ P0 = 1.0e7
 DT = 600.0
 
 
-def open_box():
+# (outflow sides, injection rate) of the box
+BOXES = pytest.mark.parametrize("sides, rate", [(("x+", "y-"), 1e-5), ((), 0.0)],
+                                ids=["open", "closed"])
+
+
+def box(sides):
     domain = DomainSpec(nx=3, ny=2, nz=2, dx=1.0, dy=1.0, dz=1.0)
     res = ReservoirSpec(aquifer_height=2.0, caprock_height=0.0, well_x=0.5,
-                        outflow_sides=("x+", "y-"))
+                        outflow_sides=sides)
     return build_domain(domain, None, res, ROCK)
 
 
@@ -60,10 +68,11 @@ def assert_entries_match(sys, evaluate, x, steps):
         assert rows.size == 0, (col, rows)
 
 
-def test_micp_jacobian_matches_central_differences():
+@BOXES
+def test_micp_jacobian_matches_central_differences(sides, rate):
     # k_str = 0 removes the shear coupling the Newton matrix leaves out
     params = KineticParams(k_str=0.0)
-    grid = open_box()
+    grid = box(sides)
     n = grid.n_active
     rng = np.random.default_rng(7)
     sys = _System(grid, params, ROCK)
@@ -74,7 +83,7 @@ def test_micp_jacobian_matches_central_differences():
     x = MicpState(p=p, c_m=rng.uniform(2e-3, 1e-2, n), c_o=rng.uniform(5e-3, 3e-2, n),
                   c_u=rng.uniform(10.0, 60.0, n), phi_b=rng.uniform(5e-3, 2e-2, n),
                   phi_c=rng.uniform(5e-3, 3e-2, n)).to_vector()
-    control = WellControl(rate=1e-5, c_m=0.01, c_u=30.0, p_bdry=P0)
+    control = WellControl(rate=rate, c_m=0.01, c_u=30.0, p_bdry=P0)
     dpot = smallest_potential_difference(
         sys, p, params.rho_w, p[sys.bc] + params.rho_w * sys.g * sys.b_z - P0)
     steps = 1e-5 * np.abs(x)
@@ -83,9 +92,10 @@ def test_micp_jacobian_matches_central_differences():
         sys, lambda y, want: _eval_system(sys, y, old, DT, control, want), x, steps)
 
 
-def test_co2_jacobian_matches_central_differences():
+@BOXES
+def test_co2_jacobian_matches_central_differences(sides, rate):
     params = TwoPhaseParams()
-    grid = open_box()
+    grid = box(sides)
     n = grid.n_active
     rng = np.random.default_rng(11)
     sys = _TwoPhaseSystem(grid, grid.perm0 * rng.uniform(0.5, 2.0, n), grid.poro0, params)
@@ -106,4 +116,4 @@ def test_co2_jacobian_matches_central_differences():
     steps = np.full(NV2 * n, 1e-6)
     steps[0::NV2] = 0.1 * dpot
     assert_entries_match(
-        sys, lambda y, want: _eval_twophase(sys, y, old, DT, 1e-5, P0, want), x, steps)
+        sys, lambda y, want: _eval_twophase(sys, y, old, DT, rate, P0, want), x, steps)

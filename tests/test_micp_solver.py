@@ -5,7 +5,7 @@ import pytest
 
 import micpsim.micp as micp
 from micpsim.config import preset
-from micpsim.errors import ConvergenceError
+from micpsim.errors import ConvergenceError, DomainError
 from micpsim.grid import DomainSpec, LeakSpec, ReservoirSpec, build_domain
 from micpsim.kinetics import CellChemState, batch_oracle
 from micpsim.micp import (
@@ -267,6 +267,15 @@ class TestSolveTimestep:
                                 WellControl(rate=0.0, p_bdry=P0),
                                 SolverSettings(), PARAMS, ROCK)
         assert not rep.converged
+
+    @pytest.mark.parametrize("dt", [0.0, -600.0, np.nan])
+    def test_nonpositive_dt_raises(self, dt):
+        # a negative dt would converge and run time backwards
+        grid = example1_grid()
+        state = make_initial_state(grid, PARAMS, P0)
+        control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
+        with pytest.raises(DomainError, match="dt must be > 0"):
+            solve_timestep(grid, state, dt, control, SolverSettings(), PARAMS, ROCK)
 
     def test_nonconvergence_reported_not_raised(self):
         grid = example1_grid(nx=25)
