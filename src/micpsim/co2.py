@@ -200,6 +200,7 @@ def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
     """
     if not dt > 0.0:
         raise DomainError("dt must be > 0")
+    settings.validate()
     sys = _sys if _sys is not None else _TwoPhaseSystem(
         grid, perm_field, grid.poro0 if poro_field is None else poro_field, params)
     escale = np.repeat(sys.phi * sys.V / dt, NV2)  # pin row: |p_0 - p_bdry| / 1e5 Pa
@@ -297,7 +298,9 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     """Inject CO2 at the well for ``duration`` and track the leak flux.
 
     ``plane_z`` defaults to the lower-aquifer/caprock interface. Returns
-    the (t, normalized flux) series sampled at every accepted step.
+    the (t, normalized flux) series sampled at every accepted step. A
+    given plane that cuts no leak-tagged face raises GeometryError; the
+    default one leaves the series empty there.
     """
     poro = grid.poro0 if poro_field is None else np.asarray(poro_field, dtype=float)
     sys = _TwoPhaseSystem(grid, perm_field, poro, params)
@@ -307,7 +310,7 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     if plane_z is None:
         plane_z = grid.reservoir.aquifer_height
     plane = None
-    if grid.leak_cells.size > 0:
+    if plane_given or grid.leak_cells.size > 0:
         try:
             plane = _leak_plane(sys, plane_z, sys.T)
         except GeometryError:

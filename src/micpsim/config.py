@@ -24,10 +24,11 @@ sections or keys are rejected; all problems are reported at once.
 (by default the preset's) at the given ``rate`` and injected ``c_m``,
 ``c_o``, ``c_u``; with ``period.N`` lines those keys are errors, and so
 is ``phases`` without them. ``[leak] enabled = false`` drops the leak
-after checking the other ``[leak]`` keys given. ``format_config`` writes
-a fully resolved, canonical file (schedules as explicit ``period.N =
-end_s label rate c_m c_o c_u`` lines) that parses back to an identical
-configuration.
+after checking the other ``[leak]`` keys given. ``[leak] g_u`` is read
+and written but changes no grid (:class:`micpsim.grid.LeakSpec`).
+``format_config`` writes a fully resolved, canonical file (schedules as
+explicit ``period.N = end_s label rate c_m c_o c_u`` lines) that parses
+back to an identical configuration.
 
 The three presets reproduce the published experiment setups exactly
 (domain sizes, rates, times, Table-1/Table-2 parameters). ex2 is the 2D

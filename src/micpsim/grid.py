@@ -34,7 +34,9 @@ from .params import RockLaw
 
 logger = logging.getLogger(__name__)
 
-SIDES = ("x-", "x+", "y-", "y+")
+# each open boundary side's axis and outward sign
+_SIDE_AXIS_SIGN = {"x-": (0, -1.0), "x+": (0, 1.0), "y-": (1, -1.0), "y+": (1, 1.0)}
+SIDES = tuple(_SIDE_AXIS_SIGN)
 
 
 class Region(IntEnum):
@@ -88,6 +90,9 @@ class LeakSpec:
     injection well; when omitted it defaults to gap_lower + gap_leak. The
     tilt angle is measured from the horizontal, so 90 deg is a vertical
     slab and angles in (90, 180) lean back over the well with height.
+    ``gap_upper`` (g_u) places nothing: the lower end and the tilt fix the
+    slab, so grids that differ only in it are identical. It is kept
+    because saved configuration files set it.
     """
 
     aperture: float = 1.0  # a, m
@@ -153,7 +158,7 @@ class Grid:
     def __init__(self, domain, leak, reservoir, shape_region, active_index,
                  cell_ijk, centers, volumes, region, perm0, poro0,
                  iface_cells, iface_axis, iface_area, iface_d,
-                 bface_cell, bface_area, bface_d, bface_z, bface_side,
+                 bface_cell, bface_area, bface_d, bface_z, bface_axis, bface_sign,
                  well_cells, gravity_accel):
         self.domain = domain
         self.leak = leak
@@ -174,7 +179,8 @@ class Grid:
         self.bface_area = bface_area
         self.bface_d = bface_d
         self.bface_z = bface_z
-        self.bface_side = bface_side
+        self.bface_axis = bface_axis
+        self.bface_sign = bface_sign  # +1 where the outward normal points along +axis
         self.well_cells = well_cells
         self.gravity_accel = gravity_accel  # positive magnitude, m/s^2
 
@@ -301,10 +307,15 @@ def _check_leak_fits(domain, leak, foot_x, foot_z, h_cap):
             f"domain [0, {domain.lx:g}] m")
 
 
+def _axis_geometry(domain):
+    """Per axis: the area of a face normal to it, half a cell's size along it."""
+    return ((domain.dy * domain.dz, domain.dx * domain.dz, domain.dx * domain.dy),
+            (0.5 * domain.dx, 0.5 * domain.dy, 0.5 * domain.dz))
+
+
 def _interior_faces(domain, active_index):
     cells, axes, areas, dists = [], [], [], []
-    sizes = (domain.dx, domain.dy, domain.dz)
-    face_area = (domain.dy * domain.dz, domain.dx * domain.dz, domain.dx * domain.dy)
+    face_area, half = _axis_geometry(domain)
     for axis in range(3):
         lo = active_index[_slab(axis, slice(None, -1))]
         hi = active_index[_slab(axis, slice(1, None))]
@@ -314,7 +325,7 @@ def _interior_faces(domain, active_index):
         cells.append(np.column_stack([a, b]))
         axes.append(np.full(a.size, axis, dtype=np.int8))
         areas.append(np.full(a.size, face_area[axis]))
-        dists.append(np.full((a.size, 2), 0.5 * sizes[axis]))
+        dists.append(np.full((a.size, 2), half[axis]))
     return (np.concatenate(cells) if cells else np.empty((0, 2), dtype=np.int64),
             np.concatenate(axes), np.concatenate(areas), np.concatenate(dists))
 
@@ -326,26 +337,20 @@ def _slab(axis, sl):
 
 
 def _boundary_faces(domain, reservoir, active_index, region, centers):
-    cell, area, dist, side_names = [], [], [], []
-    specs = {
-        "x-": (active_index[0, :, :], region[0, :, :], domain.dy * domain.dz, 0.5 * domain.dx),
-        "x+": (active_index[-1, :, :], region[-1, :, :], domain.dy * domain.dz, 0.5 * domain.dx),
-        "y-": (active_index[:, 0, :], region[:, 0, :], domain.dx * domain.dz, 0.5 * domain.dy),
-        "y+": (active_index[:, -1, :], region[:, -1, :], domain.dx * domain.dz, 0.5 * domain.dy),
-    }
+    """Cell, area, distance, z, axis and outward sign of each open boundary face."""
+    face_area, half = _axis_geometry(domain)
+    cell, axes, signs = [np.empty(0, np.int64)], [np.empty(0, np.int8)], [np.empty(0)]
     for side in reservoir.outflow_sides:
-        idx, reg, a, d = specs[side]
-        mask = (idx >= 0) & np.isin(reg, AQUIFER_REGIONS)
-        chosen = idx[mask]
+        axis, sign = _SIDE_AXIS_SIGN[side]
+        end = _slab(axis, 0 if sign < 0.0 else -1)
+        idx = active_index[end]
+        chosen = idx[(idx >= 0) & np.isin(region[end], AQUIFER_REGIONS)]
         cell.append(chosen)
-        area.append(np.full(chosen.size, a))
-        dist.append(np.full(chosen.size, d))
-        side_names.extend([side] * chosen.size)
-    bcell = np.concatenate(cell) if cell else np.empty(0, dtype=np.int64)
-    barea = np.concatenate(area) if area else np.empty(0)
-    bdist = np.concatenate(dist) if dist else np.empty(0)
-    bz = centers[bcell, 2] if bcell.size else np.empty(0)
-    return bcell, barea, bdist, bz, np.array(side_names)
+        axes.append(np.full(chosen.size, axis, dtype=np.int8))
+        signs.append(np.full(chosen.size, sign))
+    bcell, baxis, bsign = map(np.concatenate, (cell, axes, signs))
+    return (bcell, np.take(face_area, baxis), np.take(half, baxis), centers[bcell, 2],
+            baxis, bsign)
 
 
 def _well_cells(domain, reservoir, active_index, h_cap):

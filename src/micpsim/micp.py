@@ -92,8 +92,6 @@ _RATE_ROW = dict(zip(RATES, (IM, IO, IU, IB, IC)))  # equation of each rate
 _RATE_VAR = dict(zip("moubc", (IM, IO, IU, IB, IC)))  # unknown of each rate argument
 _CONC_FLOOR = {"m": 1e-3, "o": 1e-3, "u": 1e-1}  # kg/m^3, convergence scales
 
-_SIDE_AXIS_SIGN = {"x-": (0, -1.0), "x+": (0, 1.0), "y-": (1, -1.0), "y+": (1, 1.0)}
-
 
 @dataclass
 class MicpState:
@@ -158,9 +156,8 @@ class _System(AssemblyData):
         self.axis_area = np.full((grid.n_ifaces, 3), np.inf)
         self.axis_area[np.arange(grid.n_ifaces), grid.iface_axis] = grid.iface_area
         self.b_axis_area = np.full((self.bc.size, 3), np.inf)
-        for side, (axis, sign) in _SIDE_AXIS_SIGN.items():
-            on_side = grid.bface_side == side
-            self.b_axis_area[on_side, axis] = sign * grid.bface_area[on_side]
+        self.b_axis_area[np.arange(self.bc.size), grid.bface_axis] = (
+            grid.bface_sign * grid.bface_area)
 
     @cached_property
     def order(self) -> np.ndarray:

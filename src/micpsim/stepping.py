@@ -66,7 +66,7 @@ class SolverSettings:
 class OutputHooks:
     """Optional sinks invoked during a run."""
 
-    snapshot_cadence: float | None = None  # s of simulated time
+    snapshot_cadence: float = 0.0  # s of simulated time; 0 takes none
     on_snapshot: object = None  # fn(t, state)
     on_diagnostics: object = None  # fn(t, dict), once per accepted step
 
@@ -281,10 +281,11 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
            damped=(), max_step=np.inf, lu=None) -> tuple[NewtonResult, object]:
     """Solve evaluate(x) = 0 from the initial iterate x.
 
-    ``evaluate(x, want_jacobian)`` returns (residual, J or None, aux) and
-    builds J only if ``want_jacobian(residual)``, that is, only for an
-    iterate that ``factor(J).solve`` will be applied to; the scaled norm
-    ``want_jacobian`` takes of the residual is the one Newton uses.
+    Each iterate is evaluated once: ``evaluate(x, want_jacobian)`` returns
+    (residual, J or None, aux) and should build J only if
+    ``want_jacobian(residual)``, that is, only for an iterate that
+    ``factor(J).solve`` will be applied to; any J returned for an iterate
+    that Newton updates is factored.
     Convergence is max |residual / escale| < newton_rel_tol; a NaN norm,
     reaching newton_max_iter or an exactly singular Jacobian (SuperLU's
     zero pivot) fails. An update whose largest entry in the slices
@@ -309,16 +310,14 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
     tol = settings.newton_rel_tol
     iters = factorizations = 0
     reuse = lu is not None
-    rnorm = np.inf
-    seen = None  # (residual, norm) of the evaluation under way, from will_factor
+    rnorm = np.inf  # scaled norm; while evaluate runs, the previous iterate's
 
     def norm(resid):
         return float(np.max(np.abs(resid / escale)))
 
     def will_factor(resid):
-        nonlocal lu, seen
+        nonlocal lu
         new = norm(resid)
-        seen = resid, new
         if not (np.isfinite(new) and new >= tol and iters < settings.newton_max_iter):
             return False
         if reuse and new <= _CONTRACTION * rnorm:
@@ -326,17 +325,11 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
         lu = None  # free the old factorization before the Jacobian is built
         return True
 
-    def evaluated(x):
-        """evaluate(x, will_factor) and the scaled norm, taken once."""
-        nonlocal seen
-        seen = None
+    while True:
         resid, J, aux = evaluate(x, will_factor)
-        if seen is None or seen[0] is not resid:  # want_jacobian not asked of it
-            seen = resid, norm(resid)
-        return resid, J, aux, seen[1]
-
-    resid, J, aux, rnorm = evaluated(x)
-    while not rnorm < tol:  # a NaN norm fails the step, it never converges
+        rnorm = norm(resid)
+        if rnorm < tol:
+            return NewtonResult(True, x, iters, rnorm, aux, factorizations), lu
         if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
             return NewtonResult(False, x, iters, rnorm, aux, factorizations), lu
         if J is not None:
@@ -355,8 +348,6 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
             delta *= max_step / dmax
         x = x + delta
         iters += 1
-        resid, J, aux, rnorm = evaluated(x)
-    return NewtonResult(True, x, iters, rnorm, aux, factorizations), lu
 
 
 def jacobian_wanted(want_jacobian, resid) -> bool:
@@ -416,13 +407,15 @@ def march(state, intervals, settings: SolverSettings, step, accept,
     steps. ``accept(t, dt, state, report, ctx)`` books an accepted step and
     returns the solver's entries of its diagnostics record, which follow dt,
     newton_iterations, residual and factorizations. Snapshots are taken at
-    t = 0, at the cadence and at the end, each time once; a cadence of None
-    or 0 takes none in between, and a negative one raises DomainError.
+    t = 0, at the cadence and at the end, each time once; a cadence of 0
+    takes none in between, and a negative or NaN one raises DomainError.
+    A step that crosses several cadence marks takes one snapshot.
     """
     start = time.perf_counter()
     settings.validate()
     sinks = sinks or OutputHooks()
-    if (sinks.snapshot_cadence or 0.0) < 0.0:
+    cadence = sinks.snapshot_cadence
+    if not cadence >= 0.0:  # NaN fails too
         raise DomainError("snapshot_cadence must be >= 0")
     intervals = list(intervals)
     ends = [0.0] + [t_end for t_end, _ in intervals]
@@ -434,10 +427,10 @@ def march(state, intervals, settings: SolverSettings, step, accept,
     if sinks.on_snapshot:
         sinks.on_snapshot(run.t, state)
     snapped = run.t  # time of the last snapshot
-    next_snap = sinks.snapshot_cadence or None
+    next_snap = cadence  # the first cadence mark after snapped
     cooldown = 0
     for t_end, ctx in intervals:
-        dt_cur = min(settings.dt_init, settings.dt_max)
+        dt_cur = settings.dt_init
         while t_end - run.t > _EPS * max(1.0, t_end):
             dt = min(dt_cur, t_end - run.t)
             guess = (None if predict is None or prev is None
@@ -469,11 +462,11 @@ def march(state, intervals, settings: SolverSettings, step, accept,
                     "dt": dt, "newton_iterations": rep.iterations,
                     "residual": rep.resid_norm, "factorizations": rep.factorizations,
                     **extra})
-            if next_snap is not None and sinks.on_snapshot and run.t >= next_snap - _EPS:
+            if cadence and sinks.on_snapshot and run.t >= next_snap - _EPS:
                 sinks.on_snapshot(run.t, run.state)
                 snapped = run.t
-                while next_snap <= run.t + _EPS:
-                    next_snap += sinks.snapshot_cadence
+                gone = run.t + _EPS - next_snap  # by fmod: gone / cadence may overflow
+                next_snap += cadence + (gone - math.fmod(gone, cadence))
         run.t = t_end
     if sinks.on_snapshot and run.t - snapped > _EPS * max(1.0, run.t):
         sinks.on_snapshot(run.t, run.state)

@@ -225,6 +225,13 @@ class TestRunCo2:
         path, _ = tiny_config
         assert main(["run-co2", str(path), "--perm-from", "/nope.vtk"]) == 2
 
+    def test_given_plane_without_leak_is_a_run_error(self, tmp_path, capsys):
+        path = tmp_path / "no_leak.cfg"
+        path.write_text("[experiment]\npreset = ex1\n[leak]\nenabled = false\n"
+                        "[twophase]\nplane_z = 0.5\n")
+        assert main(["run-co2", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "does not cut any leak-tagged face" in capsys.readouterr().err
+
     @pytest.mark.parametrize("damage", ["truncated", "non_numeric", "dimensions"])
     def test_damaged_snapshot_is_reported(self, tiny_config, tmp_path, capsys, damage):
         path, cfg = tiny_config

@@ -372,6 +372,12 @@ class TestSimulateCo2:
             simulate_co2(grid, grid.perm0, 1e-5, -3600.0, SolverSettings(), TP,
                          p_bdry=P0)
 
+    def test_given_plane_on_a_grid_without_leak_raises(self):
+        grid = line_grid(nx=4)
+        with pytest.raises(GeometryError, match="leak-tagged"):
+            simulate_co2(grid, grid.perm0, 1e-5, 3600.0, SolverSettings(), TP,
+                         plane_z=0.5, p_bdry=P0)
+
     @pytest.mark.parametrize("field", ["perm", "poro"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_field_rejected_before_a_step(self, field, bad):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from micpsim.config import preset
 from micpsim.errors import DomainError, EmptyDomainError, GeometryError
 from micpsim.grid import (
     DomainSpec,
@@ -139,6 +141,29 @@ class TestBuildDomain:
         assert np.all(np.isin(g.region[g.bface_cell],
                               (Region.LOWER_AQUIFER, Region.UPPER_AQUIFER)))
         assert np.all(g.cell_ijk[g.bface_cell, 0] == g.domain.nx - 1)
+
+    @pytest.mark.parametrize("side, axis, sign", [
+        ("x-", 0, -1.0), ("x+", 0, 1.0), ("y-", 1, -1.0), ("y+", 1, 1.0)])
+    def test_boundary_face_axis_and_sign(self, side, axis, sign):
+        domain = DomainSpec(nx=4, ny=3, nz=2, dx=1.1, dy=0.7, dz=0.3)
+        res = ReservoirSpec(aquifer_height=0.6, caprock_height=0.0, well_x=0.55,
+                            outflow_sides=(side,))
+        g = build_domain(domain, None, res, ROCK)
+        cells_along = (domain.nx, domain.ny)[axis]
+        assert g.bface_cell.size == 4 * 3 * 2 // cells_along
+        assert np.all(g.bface_axis == axis) and np.all(g.bface_sign == sign)
+        end = 0 if sign < 0.0 else cells_along - 1
+        assert np.all(g.cell_ijk[g.bface_cell, axis] == end)
+        assert np.all(g.bface_area == (domain.dy * domain.dz, domain.dx * domain.dz)[axis])
+        assert np.all(g.bface_d == 0.5 * (domain.dx, domain.dy)[axis])
+
+    def test_gap_upper_changes_no_grid(self):
+        cfg = preset("ex3")
+        grids = [build_domain(cfg.domain, replace(cfg.leak, gap_upper=g_u),
+                              cfg.reservoir, cfg.rock) for g_u in (5.0, 40.0)]
+        assert grids[0].leak_cells.size > 0
+        assert np.array_equal(grids[0].shape_region, grids[1].shape_region)
+        assert np.array_equal(grids[0].perm0, grids[1].perm0)
 
     def test_volume_closure(self):
         g = table2_3d_grid(dx=2.5, dz=2.5)

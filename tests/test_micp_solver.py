@@ -15,7 +15,6 @@ from micpsim.micp import (
     IO,
     IU,
     NVAR,
-    _SIDE_AXIS_SIGN,
     MicpState,
     SolverSettings,
     _eval_system,
@@ -113,8 +112,7 @@ class TestShearNorm:
                                  WellControl(rate=1e-5, p_bdry=P0), want_jacobian=False)
         # the shear norm summed over boolean masks of each axis's faces
         F, Fb, n = aux["F"], aux["Fb"], grid.n_active
-        b_axis = np.array([_SIDE_AXIS_SIGN[s][0] for s in grid.bface_side])
-        b_sign = np.array([_SIDE_AXIS_SIGN[s][1] for s in grid.bface_side])
+        b_axis, b_sign = grid.bface_axis, grid.bface_sign
         v2 = np.zeros(n)
         for axis in range(3):
             fmask = grid.iface_axis == axis

@@ -50,6 +50,22 @@ class TestNewton:
         assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
         assert len(factored) == res.iterations
 
+    def test_evaluator_that_never_asks_has_every_jacobian_factored(self):
+        target = np.array([4.0, 9.0])
+        evaluated, factored = [], []
+
+        def evaluate(x, want_jacobian):
+            evaluated.append(x)
+            return x * x - target, sparse.diags(2.0 * x, format="csc"), {}
+
+        res, _ = newton(evaluate, np.array([1.0, 1.0]), np.ones(2),
+                        SolverSettings(newton_rel_tol=1e-12),
+                        lambda J: factored.append(J) or splu(J))
+        assert res.converged
+        assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
+        assert res.factorizations == res.iterations == len(factored) > 1
+        assert len(evaluated) == res.iterations + 1  # each iterate once
+
     def test_nan_norm_fails(self):
         res, _ = newton(_quadratic(np.array([4.0])), np.array([np.nan]), np.ones(1),
                         SolverSettings(), splu)
@@ -517,13 +533,24 @@ class TestMarch:
                     lambda *args: {})
         assert run.t == 3.0 and calls == [1.0, 2.0]
 
-    def test_negative_snapshot_cadence_rejected_before_a_step(self):
+    @pytest.mark.parametrize("cadence", [-5.0, float("nan")], ids=["negative", "nan"])
+    def test_bad_snapshot_cadence_rejected_before_a_step(self, cadence):
         def step(state, dt, ctx, guess, carry):
-            raise AssertionError("march stepped with a negative snapshot cadence")
+            raise AssertionError(f"march stepped with snapshot cadence {cadence}")
 
-        hooks = OutputHooks(snapshot_cadence=-5.0, on_snapshot=lambda t, s: None)
+        hooks = OutputHooks(snapshot_cadence=cadence, on_snapshot=lambda t, s: None)
         with pytest.raises(DomainError, match="snapshot_cadence"):
             march(0.0, [(10.0, None)], self.SETTINGS, step, lambda *args: {}, hooks)
+
+    @pytest.mark.parametrize("cadence", [1e-20, 1e-310])
+    def test_tiny_cadence_snaps_once_per_accepted_step(self, cadence):
+        step, calls, _ = _scripted_step()
+        snaps = []
+        hooks = OutputHooks(snapshot_cadence=cadence, on_snapshot=lambda t, s: snaps.append(t))
+        run = march(0.0, [(3600.0, None)], SolverSettings(), step, lambda *args: {},
+                    hooks)
+        assert calls == [600.0, 1200.0, 1800.0]
+        assert snaps == [0.0, 600.0, 1800.0, 3600.0] and run.steps == 3
 
     def test_snapshots_and_diagnostics(self):
         step, calls, _ = _scripted_step()
@@ -556,3 +583,30 @@ class TestMarch:
         march(0.0, [(7.0, None)], self.SETTINGS, step, lambda *args: {})
         assert len(calls) > 4
         assert all(guess is None for guess, _ in handed)
+
+
+def _micp_step(settings):
+    grid = _line(("x+",)).grid
+    params = KineticParams()
+    state = micp.make_initial_state(grid, params, 1e7)
+    return micp.solve_timestep(grid, state, 600.0, WellControl(rate=1e-5, p_bdry=1e7),
+                               settings, params, RockLaw())
+
+
+def _co2_step(settings):
+    grid = _line(("x+",)).grid
+    state = co2.make_initial_twophase_state(grid, TwoPhaseParams(), 1e7)
+    return co2.solve_twophase_step(grid, grid.perm0, state, 600.0, 1e-5, settings,
+                                   TwoPhaseParams(), p_bdry=1e7)
+
+
+class TestStepSettings:
+    @pytest.mark.parametrize("step", [_micp_step, _co2_step], ids=["micp", "co2"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"newton_max_iter": 0}, "newton_max_iter"),
+        ({"newton_rel_tol": -1.0}, "newton_rel_tol"),
+        ({"dt_min": 1000.0}, "dt_min <= dt_init"),
+    ], ids=["max_iter_0", "negative_tol", "dt_min_above_dt_init"])
+    def test_invalid_settings_raise(self, step, bad, message):
+        with pytest.raises(DomainError, match=message):
+            step(SolverSettings(**bad))
