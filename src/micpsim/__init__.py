@@ -8,6 +8,8 @@ and assesses the result with an immiscible two-phase CO2/water solver.
 from .co2 import (
     Co2Report,
     TwoPhaseState,
+    TwoPhaseSystem,
+    leak_plane,
     leakage_flux,
     make_initial_twophase_state,
     simulate_co2,
@@ -35,6 +37,7 @@ from .kinetics import (
 )
 from .micp import (
     MicpState,
+    MicpSystem,
     RunReport,
     assemble_residual,
     make_initial_state,
@@ -58,16 +61,16 @@ from .vtkio import read_snapshot_field, write_snapshot, write_timeseries
 
 __all__ = [
     "CellChemState", "Co2Report", "DomainSpec", "Grid", "KineticParams",
-    "LeakSpec", "MicpState", "OutputHooks", "Period", "ReactionRates",
-    "Region", "ReservoirSpec", "RockLaw", "RunReport", "Schedule",
-    "SimulationConfig", "SlugType", "SolverSettings", "TwoPhaseParams",
-    "TwoPhaseState", "WellControl", "assemble_residual", "batch_oracle",
-    "build_domain", "builtin_schedule", "control_at", "effective_porosity",
-    "face_transmissibility", "format_config", "leak_connects_aquifers",
-    "leakage_flux", "make_initial_state", "make_initial_twophase_state",
-    "monod", "parse_config", "permeability", "permeability_field",
-    "porosity_field", "preset", "reaction_rates", "read_snapshot_field",
-    "shear_norm_field", "simulate_co2", "simulate_micp", "solve_timestep",
-    "solve_twophase_step", "write_snapshot", "write_timeseries",
+    "LeakSpec", "MicpState", "MicpSystem", "OutputHooks", "Period",
+    "ReactionRates", "Region", "ReservoirSpec", "RockLaw", "RunReport",
+    "Schedule", "SimulationConfig", "SlugType", "SolverSettings",
+    "TwoPhaseParams", "TwoPhaseState", "TwoPhaseSystem", "WellControl",
+    "assemble_residual", "batch_oracle", "build_domain", "builtin_schedule",
+    "control_at", "effective_porosity", "face_transmissibility", "format_config",
+    "leak_connects_aquifers", "leak_plane", "leakage_flux", "make_initial_state",
+    "make_initial_twophase_state", "monod", "parse_config", "permeability",
+    "permeability_field", "porosity_field", "preset", "reaction_rates",
+    "read_snapshot_field", "shear_norm_field", "simulate_co2", "simulate_micp",
+    "solve_timestep", "solve_twophase_step", "write_snapshot", "write_timeseries",
 ]
 __version__ = "0.1.0"

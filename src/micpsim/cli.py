@@ -29,6 +29,7 @@ from .grid import Grid, build_domain, face_transmissibility
 from .kinetics import CellChemState, batch_oracle, monod, permeability
 from .micp import (
     MicpState,
+    MicpSystem,
     RunReport,
     permeability_field,
     porosity_field,
@@ -322,11 +323,11 @@ def _cmd_verify(args) -> int:
     st0 = MicpState(p=np.array([1e7]), c_m=np.zeros(1), c_o=np.zeros(1),
                     c_u=np.array([300.0]), phi_b=np.array([0.01]),
                     phi_c=np.zeros(1))
+    sys1 = MicpSystem(g1, params, rock)
     settings = SolverSettings()
     s_be = st0
     for _ in range(24):
-        s_be, rep = solve_timestep(g1, s_be, 300.0, WellControl(rate=0.0),
-                                   settings, params, rock)
+        s_be, rep = solve_timestep(sys1, s_be, 300.0, WellControl(rate=0.0), settings)
         if not rep.converged:
             break
     ref = batch_oracle(CellChemState(c_u=300.0, phi_b=0.01), params, rock,

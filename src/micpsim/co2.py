@@ -38,7 +38,9 @@ factorizations; the predictor alone took 124 and 124, neither 164 and 164.
 
 The headline diagnostic is the normalized leakage flux: the upward CO2
 volumetric flux through a horizontal plane restricted to leak-tagged
-cells, divided by the injection rate.
+cells, divided by the injection rate. A :class:`TwoPhaseSystem` holds
+one checked K/phi field: a run builds one, :func:`solve_twophase_step`
+takes it, and :func:`leakage_flux` the :func:`leak_plane` of it.
 """
 
 from __future__ import annotations
@@ -85,10 +87,13 @@ def make_initial_twophase_state(grid: Grid, params: TwoPhaseParams,
     return TwoPhaseState(p=p, s=np.zeros(grid.n_active))
 
 
-class _TwoPhaseSystem(AssemblyData):
-    def __init__(self, grid: Grid, perm_field, poro_field, params: TwoPhaseParams):
+class TwoPhaseSystem(AssemblyData):
+    """Assembly data of one checked K/phi field; phi defaults to ``grid.poro0``."""
+
+    def __init__(self, grid: Grid, perm_field, params: TwoPhaseParams,
+                 poro_field=None):
         perm = np.asarray(perm_field, dtype=float)
-        poro = np.asarray(poro_field, dtype=float)
+        poro = np.asarray(grid.poro0 if poro_field is None else poro_field, dtype=float)
         if perm.shape != (grid.n_active,) or poro.shape != (grid.n_active,):
             raise DomainError("perm/poro fields must have one value per active cell")
         for name, field in (("perm", perm), ("poro", poro)):
@@ -185,24 +190,21 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     return resid, sys.jacobian(cell, face_a, face_b, bface, pin_scale), aux
 
 
-def solve_twophase_step(grid: Grid, perm_field, state_old: TwoPhaseState,
+def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
                         dt: float, rate: float, settings: SolverSettings,
-                        params: TwoPhaseParams,
                         p_bdry: float = DEFAULT_BOUNDARY_PRESSURE,
-                        poro_field=None, guess: TwoPhaseState | None = None,
-                        carry: Carry | None = None, _sys=None):
-    """One implicit step; returns (state_new, Newton's result).
+                        guess: TwoPhaseState | None = None,
+                        carry: Carry | None = None):
+    """One implicit step of ``sys``; returns (state_new, Newton's result).
 
     A step that fails, or converges outside the saturation bounds, returns
     state_old and ``converged`` False. Newton starts from ``guess``
     (``state_old`` if None) with the factorization it takes out of
-    ``carry``, where it leaves its last one. ``_sys`` is the run's system.
+    ``carry``, where it leaves its last one.
     """
     if not dt > 0.0:
         raise DomainError("dt must be > 0")
     settings.validate()
-    sys = _sys if _sys is not None else _TwoPhaseSystem(
-        grid, perm_field, grid.poro0 if poro_field is None else poro_field, params)
     escale = np.repeat(sys.phi * sys.V / dt, NV2)  # pin row: |p_0 - p_bdry| / 1e5 Pa
 
     start = state_old if guess is None else guess
@@ -226,33 +228,28 @@ def _extrapolate(prev: TwoPhaseState, last: TwoPhaseState, ratio: float) -> TwoP
                          s=np.clip(last.s + ratio * (last.s - prev.s), 0.0, 1.0))
 
 
-def leakage_flux(grid: Grid, state: TwoPhaseState, plane_z: float,
-                 normalize_by: float, perm_field, params: TwoPhaseParams,
-                 _plane=None) -> float:
-    """Upward CO2 flux through plane_z inside the leak footprint, normalized.
+def leakage_flux(plane, state: TwoPhaseState, normalize_by: float) -> float:
+    """Upward CO2 flux through a :func:`leak_plane`, normalized.
 
-    Sums the positive (upward) CO2 volumetric flux over the vertical faces
-    the plane cuts whose upper or lower cell is leak-tagged, and divides by
-    ``normalize_by`` (conventionally the CO2 injection rate). The flux on
-    those faces alone is the one :func:`_eval_twophase` puts in the
-    residual. ``_plane`` is the :func:`_leak_plane` of plane_z and
-    perm_field, which a run computes once.
+    Sums the positive (upward) CO2 volumetric flux over the plane's faces
+    and divides by ``normalize_by`` (conventionally the CO2 injection
+    rate). The flux on those faces alone is the one :func:`_eval_twophase`
+    puts in the residual.
     """
     if not normalize_by > 0.0:
         raise DomainError("normalize_by must be > 0")
-    if _plane is None:
-        perm = np.asarray(perm_field, dtype=float)
-        if not np.all(np.isfinite(perm) & (perm > 0.0)):  # NaN fails too
-            raise DomainError("permeability must be finite and > 0 everywhere")
-        _plane = _leak_plane(AssemblyData(grid), plane_z, transmissibilities(grid, perm)[0])
-    sys, faces, T = _plane
-    dc = sys.face_potential_differences(state.p, params.rho_co2, faces)
-    Fc, *_ = _phase_flux(sys, T, dc, np.clip(state.s, 0.0, 1.0), params.mu_co2, faces)
+    sys, faces, T = plane
+    pr = sys.params
+    dc = sys.face_potential_differences(state.p, pr.rho_co2, faces)
+    Fc, *_ = _phase_flux(sys, T, dc, np.clip(state.s, 0.0, 1.0), pr.mu_co2, faces)
     return float(np.sum(np.maximum(Fc, 0.0))) / normalize_by
 
 
-def _leak_plane(sys: AssemblyData, plane_z: float, T):
-    """(sys, faces, T[faces]): the leak-tagged faces cut by plane_z, from all T."""
+def leak_plane(sys: TwoPhaseSystem, plane_z: float):
+    """The plane of :func:`leakage_flux` at height plane_z: (sys, faces, sys.T[faces]).
+
+    ``faces`` are the vertical faces it cuts that have a leak-tagged cell.
+    """
     grid = sys.grid
     if not 0.0 < plane_z < grid.domain.lz:
         raise GeometryError(f"plane z = {plane_z} m outside the domain")
@@ -265,7 +262,7 @@ def _leak_plane(sys: AssemblyData, plane_z: float, T):
         raise GeometryError(
             f"plane z = {plane_z} m does not cut any leak-tagged face; "
             "pick a layer interface crossed by the leak")
-    return sys, faces, T[faces]
+    return sys, faces, sys.T[faces]
 
 
 @dataclass(kw_only=True)
@@ -302,17 +299,15 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     given plane that cuts no leak-tagged face raises GeometryError; the
     default one leaves the series empty there.
     """
-    poro = grid.poro0 if poro_field is None else np.asarray(poro_field, dtype=float)
-    sys = _TwoPhaseSystem(grid, perm_field, poro, params)
-    if sys.closed and rate > 0.0:
-        raise DomainError("cannot inject into a domain with no open boundary")
+    sys = TwoPhaseSystem(grid, perm_field, params, poro_field)
+    sys.check_injection(rate)
     plane_given = plane_z is not None
     if plane_z is None:
         plane_z = grid.reservoir.aquifer_height
     plane = None
     if plane_given or grid.leak_cells.size > 0:
         try:
-            plane = _leak_plane(sys, plane_z, sys.T)
+            plane = leak_plane(sys, plane_z)
         except GeometryError:
             if plane_given:
                 raise
@@ -325,23 +320,21 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     produced = 0.0
 
     def step(st, dt, rate, guess, carry):
-        return solve_twophase_step(grid, perm_field, st, dt, rate, settings, params,
-                                   p_bdry, poro, guess=guess, carry=carry, _sys=sys)
+        return solve_twophase_step(sys, st, dt, rate, settings, p_bdry, guess, carry)
 
     def accept(t, dt, st, rep, rate):
         nonlocal produced
         produced += float(np.sum(np.maximum(rep.aux["Fbc"], 0.0))) * dt
         info = {"max_s": float(st.s.max(initial=0.0))}
         if plane is not None:
-            flux = leakage_flux(grid, st, plane_z, rate if rate > 0.0 else 1.0,
-                                perm_field, params, _plane=plane)
+            flux = leakage_flux(plane, st, rate if rate > 0.0 else 1.0)
             series.append((t, flux))
             info["leak_flux"] = flux
         return info
 
-    initial = float(np.sum(poro * state.s * grid.volumes))
+    initial = float(np.sum(sys.phi * state.s * sys.V))
     run = march(state, [(duration, rate)], settings, step, accept, sinks, _extrapolate)
-    in_place = float(np.sum(poro * run.state.s * grid.volumes))
+    in_place = float(np.sum(sys.phi * run.state.s * sys.V))
     return Co2Report(**vars(run), series=series, injected_volume=rate * run.t,
                      produced_volume=produced, in_place_volume=in_place,
                      initial_volume=initial)

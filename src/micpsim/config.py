@@ -173,7 +173,6 @@ def _names(kind: str, allowed) -> _Codec:
 _FLOAT = _Codec(_finite, repr)  # repr: the shortest lossless form
 _INT = _Codec(_integer, str)
 _STR = _Codec(str, str)
-_GZ = _Codec(lambda text: (0.0, 0.0, _finite(text)), lambda g: repr(g[2]))
 
 
 class _Key(NamedTuple):
@@ -193,8 +192,7 @@ def _same_names(section: str, cls) -> list[_Key]:
 _KEYS = (
     _Key("experiment", "preset", "experiment", "preset", _Codec(str, None)),
     *(_Key("domain", k, "domain", k, _INT) for k in ("nx", "ny", "nz")),
-    *(_Key("domain", k, "domain", k, _FLOAT) for k in ("dx", "dy", "dz")),
-    _Key("domain", "gz", "domain", "gravity", _GZ),
+    *(_Key("domain", k, "domain", k, _FLOAT) for k in ("dx", "dy", "dz", "gz")),
     _Key("reservoir", "K_A", "reservoir", "perm_aquifer", _FLOAT),
     _Key("reservoir", "H", "reservoir", "aquifer_height", _FLOAT),
     _Key("reservoir", "h", "reservoir", "caprock_height", _FLOAT),

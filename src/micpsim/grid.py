@@ -51,7 +51,7 @@ AQUIFER_REGIONS = (Region.LOWER_AQUIFER, Region.UPPER_AQUIFER)
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Cell counts and sizes of the structured box, plus gravity."""
+    """Cell counts and sizes of the structured box, plus gravity along z."""
 
     nx: int
     ny: int
@@ -59,7 +59,7 @@ class DomainSpec:
     dx: float
     dy: float
     dz: float
-    gravity: tuple[float, float, float] = (0.0, 0.0, -9.81)
+    gz: float = -9.81  # m/s^2, z points up
 
     @property
     def lx(self) -> float:
@@ -78,7 +78,7 @@ class DomainSpec:
             raise DomainError("cell counts must be >= 1")
         if min(self.dx, self.dy, self.dz) <= 0.0:
             raise DomainError("cell sizes must be > 0")
-        if self.gravity[2] > 0.0:
+        if not self.gz <= 0.0:  # NaN fails too
             raise DomainError("gravity must point downward (gz <= 0)")
 
 
@@ -284,7 +284,7 @@ def build_domain(domain: DomainSpec, leak: LeakSpec | None,
     grid = Grid(domain, leak, reservoir, region, active_index, ijk, centers,
                 volumes, region_a, perm0, poro0,
                 iface_cells, iface_axis, iface_area, iface_d,
-                *bface, well_cells, abs(domain.gravity[2]))
+                *bface, well_cells, abs(domain.gz))
 
     if leak is not None and h_cap > 0.0 and not leak_connects_aquifers(grid):
         logger.warning(

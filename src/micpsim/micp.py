@@ -50,12 +50,15 @@ faces against a hydrostatic ghost with datum potential p_bdry; inflow
 from the boundary carries zero concentrations, outflow carries resident
 ones. A grid with no boundary faces gets the water equation of cell 0
 replaced by a pressure pin, which turns a shut-in single cell into the
-plain backward-Euler form of the batch reaction ODEs.
+plain backward-Euler form of the batch reaction ODEs; injection into it
+raises DomainError.
 
-One simulation advances one state; separate instances share nothing but
-the immutable grid and parameter objects and may run in parallel.
-Assembly is single-threaded and deterministic: identical inputs produce
-identical results.
+A :class:`MicpSystem` holds the assembly data of one (grid, params,
+rock): a run builds one, and :func:`solve_timestep`, :func:`assemble_residual`
+and :func:`shear_norm_field` take it. One simulation advances one state;
+separate instances share nothing but the immutable grid and parameter
+objects and may run in parallel. Assembly is single-threaded and
+deterministic: identical inputs produce identical results.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ def permeability_field(grid: Grid, rock: RockLaw, state: MicpState) -> np.ndarra
     return permeability(rock, phi, K0=grid.perm0)
 
 
-class _System(AssemblyData):
+class MicpSystem(AssemblyData):
     """Precomputed immutable assembly data for one (grid, params, rock)."""
 
     def __init__(self, grid: Grid, params: KineticParams, rock: RockLaw):
@@ -177,7 +180,7 @@ class _System(AssemblyData):
         return scales
 
 
-def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
+def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
                  want_jacobian=True):
     """Residual, optional Jacobian and flux/rate diagnostics at x.
 
@@ -309,7 +312,7 @@ def _eval_system(sys: _System, x, old: MicpState, dt, control: WellControl,
     return resid, sys.jacobian(cell, face_a, face_b, bface, pin_scale), aux
 
 
-def _error_scales(sys: _System, dt, conc_scales) -> np.ndarray:
+def _error_scales(sys: MicpSystem, dt, conc_scales) -> np.ndarray:
     base = sys.V * sys.phi0 / dt
     e = np.empty(NVAR * sys.n)
     e[IP::NVAR] = base  # on a closed domain's pin row: |p0 - p_bdry| / 1e5 Pa
@@ -321,9 +324,8 @@ def _error_scales(sys: _System, dt, conc_scales) -> np.ndarray:
     return e
 
 
-def assemble_residual(grid: Grid, state_new: MicpState, state_old: MicpState,
-                      dt: float, control: WellControl, params: KineticParams,
-                      rock: RockLaw):
+def assemble_residual(sys: MicpSystem, state_new: MicpState, state_old: MicpState,
+                      dt: float, control: WellControl):
     """Public assembly: residual vector and sparse Jacobian at state_new.
 
     The Jacobian has unknown v of cell i in row and column 6 i + v, as
@@ -331,37 +333,33 @@ def assemble_residual(grid: Grid, state_new: MicpState, state_old: MicpState,
     """
     if not dt > 0.0:
         raise DomainError("dt must be > 0")
-    sys = _System(grid, params, rock)
     resid, J, _ = _eval_system(sys, state_new.to_vector(), state_old, dt, control)
     return resid, sys.in_natural_order(J)
 
 
-def shear_norm_field(grid: Grid, state: MicpState, params: KineticParams,
-                     rock: RockLaw, p_bdry: float | None = None) -> np.ndarray:
+def shear_norm_field(sys: MicpSystem, state: MicpState,
+                     p_bdry: float | None = None) -> np.ndarray:
     """||grad p_w - rho_w g|| per cell, from reconstructed Darcy velocities."""
-    sys = _System(grid, params, rock)
     control = WellControl() if p_bdry is None else WellControl(p_bdry=p_bdry)
     _, _, aux = _eval_system(sys, state.to_vector(), state, 1.0, control,
                              want_jacobian=False)
     return aux["shear"]
 
 
-def solve_timestep(grid: Grid, state_old: MicpState, dt: float,
+def solve_timestep(sys: MicpSystem, state_old: MicpState, dt: float,
                    control: WellControl, settings: SolverSettings,
-                   params: KineticParams, rock: RockLaw,
-                   conc_scales: dict | None = None,
-                   _sys: _System | None = None):
+                   conc_scales: dict | None = None):
     """One backward-Euler step via Newton; returns (state_new, Newton's result).
 
     On Newton failure state_new is state_old and ``converged`` is False;
     the caller decides whether to cut dt and retry. A converged state is
     the result's ``x`` with solutes clamped to >= 0 and phi_b, phi_c to
-    [0, phi0] with phi_b + phi_c <= phi0.
+    [0, phi0] with phi_b + phi_c <= phi0. ``conc_scales`` defaults to
+    ``sys.conc_scales`` of state_old and control.
     """
     if not dt > 0.0:
         raise DomainError("dt must be > 0")
     settings.validate()
-    sys = _sys if _sys is not None else _System(grid, params, rock)
     if conc_scales is None:
         conc_scales = sys.conc_scales(state_old, [control])
     res, _ = newton(
@@ -422,7 +420,7 @@ class RunReport(MarchReport):
         return float(np.min(K[cells] / grid.perm0[cells]))
 
 
-def _solute_mass(sys: _System, state: MicpState) -> dict[str, float]:
+def _solute_mass(sys: MicpSystem, state: MicpState) -> dict[str, float]:
     phi = sys.phi0 - state.phi_b - state.phi_c
     return {name: float(np.sum(getattr(state, f"c_{name}") * phi * sys.V))
             for name in SPECIES}
@@ -438,11 +436,10 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     the step is retried with dt * dt_cut until dt_min, then a
     ConvergenceError carrying the last good state is raised.
     """
-    sys = _System(grid, params, rock)
+    sys = MicpSystem(grid, params, rock)
     state = (initial_state.copy() if initial_state is not None
              else make_initial_state(grid, params, schedule.p_bdry))
-    if sys.closed and any(p.rate > 0.0 for p in schedule.periods):
-        raise DomainError("cannot inject into a domain with no open boundary")
+    sys.check_injection(max((p.rate for p in schedule.periods), default=0.0))
     controls = [control_at(schedule, p.end_time) for p in schedule.periods]
     conc_scales = sys.conc_scales(state, controls)
 
@@ -452,8 +449,7 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     water_in = 0.0
 
     def step(st, dt, control, _guess, _carry):  # no predictor, no carried LU
-        return solve_timestep(grid, st, dt, control, settings, params, rock,
-                              conc_scales, _sys=sys)
+        return solve_timestep(sys, st, dt, control, settings, conc_scales)
 
     def accept(t, dt, st, res, control):
         """Book the step from Newton's iterate res.x and the clamped state st."""

@@ -103,8 +103,14 @@ class AssemblyData:
             for cells in (self.fa, self.fb, self.bc))
         self._structure = {}  # nvar -> _block_structure in self.order, pin entries
 
+    def check_injection(self, rate):
+        """Refuse injection into a closed domain: its pin replaces a water equation."""
+        if self.closed and rate > 0.0:
+            raise DomainError("cannot inject into a domain with no open boundary")
+
     def well_source(self, rate):
         """Per-cell injection, rate split over the well cells by volume."""
+        self.check_injection(rate)
         q = np.zeros(self.n)
         if rate != 0.0:
             q[self.well] = rate * self.well_frac

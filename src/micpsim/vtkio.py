@@ -117,7 +117,7 @@ def write_timeseries(path, records) -> None:
     prev = -np.inf
     rows = []
     for t, values in records:
-        if t < prev:
+        if not t >= prev:  # NaN fails too
             raise DomainError("time-series records must be time-ordered")
         prev = t
         if list(values.keys()) != keys:

@@ -15,12 +15,18 @@ import time
 import numpy as np
 import pytest
 
-from micpsim.co2 import make_initial_twophase_state, simulate_co2, solve_twophase_step
+from micpsim.co2 import (
+    TwoPhaseSystem,
+    make_initial_twophase_state,
+    simulate_co2,
+    solve_twophase_step,
+)
 from micpsim.config import preset
 from micpsim.grid import build_domain, leak_connects_aquifers
 from micpsim.kinetics import CellChemState, batch_oracle, permeability, reaction_rates
 from micpsim.micp import (
     MicpState,
+    MicpSystem,
     SolverSettings,
     make_initial_state,
     permeability_field,
@@ -93,11 +99,11 @@ class TestCriterion1KineticsOracle:
         state = MicpState(p=np.array([1e7]), c_m=np.zeros(1), c_o=np.zeros(1),
                           c_u=np.array([300.0]), phi_b=np.array([0.01]),
                           phi_c=np.zeros(1))
+        sys = MicpSystem(grid, PARAMS, ROCK)
         settings = SolverSettings()
         control = WellControl(rate=0.0, p_bdry=1e7)
         for _ in range(100):  # 100 h at dt = 1 h
-            state, rep = solve_timestep(grid, state, HOUR, control, settings,
-                                        PARAMS, ROCK)
+            state, rep = solve_timestep(sys, state, HOUR, control, settings)
             assert rep.converged
         oracle = batch_oracle(CellChemState(c_u=300.0, phi_b=0.01), PARAMS,
                               ROCK, 100 * HOUR, 1.0)
@@ -224,10 +230,10 @@ class TestCriterion7TwoPhaseSanity:
         state.s[:] = 0.5
         z = grid.centers[:, 2]
         com = [float(np.sum(state.s * z) / np.sum(state.s))]
+        sys = TwoPhaseSystem(grid, grid.perm0, tp)
         settings = SolverSettings(dt_init=HOUR, dt_max=HOUR)
         for _ in range(20):
-            state, rep = solve_twophase_step(grid, grid.perm0, state, HOUR,
-                                             0.0, settings, tp, p_bdry=1e7)
+            state, rep = solve_twophase_step(sys, state, HOUR, 0.0, settings, p_bdry=1e7)
             assert rep.converged
             com.append(float(np.sum(state.s * z) / np.sum(state.s)))
         assert np.all(np.diff(np.array(com)) > 0.0)

@@ -9,10 +9,10 @@ from micpsim import co2
 from micpsim.co2 import (
     NV2,
     TwoPhaseState,
+    TwoPhaseSystem,
     _eval_twophase,
     _extrapolate,
-    _leak_plane,
-    _TwoPhaseSystem,
+    leak_plane,
     leakage_flux,
     make_initial_twophase_state,
     simulate_co2,
@@ -56,18 +56,18 @@ class TestStep:
     def test_no_co2_no_injection_unchanged(self):
         grid = line_grid(nx=20)
         state = make_initial_twophase_state(grid, TP, P0)
-        new, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 0.0,
-                                       SolverSettings(), TP, p_bdry=P0)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
+        new, rep = solve_twophase_step(sys, state, 3600.0, 0.0, SolverSettings(), p_bdry=P0)
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(new.s, state.s)
 
     def test_saturation_bounds_kept(self):
         grid = line_grid(nx=30)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         state = make_initial_twophase_state(grid, TP, P0)
         for _ in range(20):
-            state, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0,
-                                             2.31e-4, SolverSettings(), TP,
-                                             p_bdry=P0)
+            state, rep = solve_twophase_step(sys, state, 3600.0, 2.31e-4,
+                                             SolverSettings(), p_bdry=P0)
             assert rep.converged
             assert np.all(state.s >= 0.0) and np.all(state.s <= 1.0)
 
@@ -75,8 +75,8 @@ class TestStep:
         grid = line_grid(nx=20)
         state = make_initial_twophase_state(grid, TP, P0)
         state.s[3] = np.nan
-        new, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 0.0,
-                                       SolverSettings(), TP, p_bdry=P0)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
+        new, rep = solve_twophase_step(sys, state, 3600.0, 0.0, SolverSettings(), p_bdry=P0)
         assert not rep.converged
         assert new is state
 
@@ -88,18 +88,18 @@ class TestPredictor:
         grid = _leaky_box()
         tol = 1e-8
         settings = SolverSettings(newton_rel_tol=tol)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         states = [make_initial_twophase_state(grid, TP, P0)]
         for _ in range(6):  # a CO2 plume spreading from the well
-            new, rep = solve_twophase_step(grid, grid.perm0, states[-1], 3600.0,
-                                           1e-5, settings, TP, p_bdry=P0)
+            new, rep = solve_twophase_step(sys, states[-1], 3600.0, 1e-5, settings,
+                                           p_bdry=P0)
             assert rep.converged
             states.append(new)
-        plain, rep_plain = solve_twophase_step(grid, grid.perm0, states[-1], 3600.0,
-                                               1e-5, settings, TP, p_bdry=P0)
+        plain, rep_plain = solve_twophase_step(sys, states[-1], 3600.0, 1e-5, settings,
+                                               p_bdry=P0)
         guess = _extrapolate(states[-2], states[-1], 1.0)
-        guessed, rep_guessed = solve_twophase_step(
-            grid, grid.perm0, states[-1], 3600.0, 1e-5, settings, TP, p_bdry=P0,
-            guess=guess)
+        guessed, rep_guessed = solve_twophase_step(sys, states[-1], 3600.0, 1e-5,
+                                                   settings, p_bdry=P0, guess=guess)
         assert plain.s.max() > 0.1
         assert rep_plain.converged and rep_guessed.converged
         assert rep_guessed.iterations < rep_plain.iterations
@@ -108,11 +108,11 @@ class TestPredictor:
 
     def test_equilibrium_takes_no_iteration(self):
         grid = _leaky_box()
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         state = make_initial_twophase_state(grid, TP, P0)
         for guess in (None, state):
-            new, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0, 0.0,
-                                           SolverSettings(), TP, p_bdry=P0,
-                                           guess=guess)
+            new, rep = solve_twophase_step(sys, state, 3600.0, 0.0, SolverSettings(),
+                                           p_bdry=P0, guess=guess)
             assert rep.converged and rep.iterations == 0
             assert np.array_equal(new.p, state.p) and np.array_equal(new.s, state.s)
 
@@ -130,12 +130,11 @@ class TestPredictor:
         rep = simulate_co2(grid, grid.perm0, rate, T, settings, TP, plane_z=2.0,
                            p_bdry=P0)
         # the same carried factorization, but no predict: every guess is None
-        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         plain = march(make_initial_twophase_state(grid, TP, P0), [(T, rate)],
                       settings,
                       lambda st, dt, q, guess, carry: solve_twophase_step(
-                          grid, grid.perm0, st, dt, q, settings, TP, p_bdry=P0,
-                          guess=guess, carry=carry, _sys=sys),
+                          sys, st, dt, q, settings, P0, guess, carry),
                       lambda *args: {})
         assert rep.steps == plain.steps and rep.dt_failures == plain.dt_failures == 0
         assert rep.newton_iterations < plain.newton_iterations
@@ -147,7 +146,7 @@ class TestCarriedFactorization:
 
     def test_failed_step_leaves_no_factorization(self):
         grid = _leaky_box()
-        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         settings = SolverSettings(dt_init=3600.0)
         attempts = []  # (LU handed in, state returned is the one given, report)
 
@@ -156,9 +155,7 @@ class TestCarriedFactorization:
                 st = st.copy()
                 st.s[3] = np.nan
             handed = carry.lu is not None
-            new, rep = solve_twophase_step(grid, grid.perm0, st, dt, q, settings, TP,
-                                           p_bdry=P0, guess=guess, carry=carry,
-                                           _sys=sys)
+            new, rep = solve_twophase_step(sys, st, dt, q, settings, P0, guess, carry)
             attempts.append((handed, new is st, rep))
             return new, rep
 
@@ -180,11 +177,11 @@ class TestCarriedFactorization:
                            p_bdry=P0, sinks=OutputHooks(
                                on_diagnostics=lambda t, info: times.append(t)))
         # the same predictor, but march's carry not handed to the step
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         cold_times, cold_factors = [], []
 
         def step(st, dt, q, guess, carry):
-            return solve_twophase_step(grid, grid.perm0, st, dt, q, settings, TP,
-                                       p_bdry=P0, guess=guess)
+            return solve_twophase_step(sys, st, dt, q, settings, P0, guess)
 
         def accept(t, dt, st, r, q):
             cold_times.append(t)
@@ -264,10 +261,10 @@ class TestBuoyancy:
         state.s[:] = 0.5
         z = grid.centers[:, 2]
         settings = SolverSettings(dt_init=3600.0, dt_max=3600.0)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         com = [float(np.sum(state.s * z) / np.sum(state.s))]
         for _ in range(25):
-            state, rep = solve_twophase_step(grid, grid.perm0, state, 3600.0,
-                                             0.0, settings, TP, p_bdry=P0)
+            state, rep = solve_twophase_step(sys, state, 3600.0, 0.0, settings, p_bdry=P0)
             assert rep.converged
             assert np.all(state.s >= 0.0) and np.all(state.s <= 1.0)
             com.append(float(np.sum(state.s * z) / np.sum(state.s)))
@@ -279,7 +276,8 @@ class TestLeakageFlux:
     def test_zero_co2_gives_zero(self):
         grid = conduit_grid()
         state = make_initial_twophase_state(grid, TP, P0)
-        assert leakage_flux(grid, state, 1.0, 2.31e-4, grid.perm0, TP) == 0.0
+        plane = leak_plane(TwoPhaseSystem(grid, grid.perm0, TP), 1.0)
+        assert leakage_flux(plane, state, 2.31e-4) == 0.0
 
     def test_steady_conduit_normalization(self):
         grid = conduit_grid()
@@ -304,10 +302,11 @@ class TestLeakageFlux:
             dz = 1.0
             p[k] = p[k - 1] - TP.rho_co2 * 9.81 * dz - Q / (T * lam)
         state = TwoPhaseState(p=p, s=np.ones(4))
-        flux = leakage_flux(grid, state, 1.0, Q, grid.perm0, TP)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
+        flux = leakage_flux(leak_plane(sys, 1.0), state, Q)
         assert flux == pytest.approx(1.0, rel=1e-12)
         # the same flux crosses the mid-caprock plane
-        flux2 = leakage_flux(grid, state, 2.0, Q, grid.perm0, TP)
+        flux2 = leakage_flux(leak_plane(sys, 2.0), state, Q)
         assert flux2 == pytest.approx(1.0, rel=1e-12)
 
     def test_run_plane_gives_the_same_bits(self):
@@ -315,47 +314,44 @@ class TestLeakageFlux:
         rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
                            plane_z=2.0, p_bdry=P0)
         state = rep.state
-        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
-        plane = _leak_plane(sys, 2.0, sys.T)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
+        plane = leak_plane(sys, 2.0)
         faces = plane[1]
         # the residual's own CO2 flux on every face, at the final state
         x = np.empty(NV2 * grid.n_active)
         x[0::NV2], x[1::NV2] = state.p, state.s
         _, _, aux = _eval_twophase(sys, x, state, 3600.0, 1e-5, P0, False)
         every_face = np.sum(np.maximum(aux["Fc"][faces], 0.0)) / 1e-5
-        alone = leakage_flux(grid, state, 2.0, 1e-5, grid.perm0, TP)
-        assert alone > 0.0
-        assert alone == every_face
-        assert leakage_flux(grid, state, 2.0, 1e-5, grid.perm0, TP,
-                            _plane=plane) == alone
-        assert rep.series[-1][1] == alone
+        flux = leakage_flux(plane, state, 1e-5)
+        assert flux > 0.0
+        assert flux == every_face
+        assert rep.series[-1][1] == flux
 
     def test_plane_outside_domain_raises(self):
         grid = conduit_grid()
-        state = make_initial_twophase_state(grid, TP, P0)
         with pytest.raises(GeometryError):
-            leakage_flux(grid, state, 99.0, 1e-4, grid.perm0, TP)
+            leak_plane(TwoPhaseSystem(grid, grid.perm0, TP), 99.0)
 
     def test_plane_missing_leak_raises(self):
         grid = line_grid(nx=4)
-        state = make_initial_twophase_state(grid, TP, P0)
         with pytest.raises(GeometryError):
-            leakage_flux(grid, state, 0.5, 1e-4, grid.perm0, TP)
+            leak_plane(TwoPhaseSystem(grid, grid.perm0, TP), 0.5)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-14, np.nan, np.inf])
     def test_bad_permeability_raises(self, bad):
         grid = conduit_grid()
-        state = make_initial_twophase_state(grid, TP, P0)
         perm = grid.perm0.copy()
         perm[2] = bad
-        with pytest.raises(DomainError, match="permeability must be finite and > 0 everywhere"):
-            leakage_flux(grid, state, 1.0, 1e-4, perm, TP)
+        with pytest.raises(DomainError,
+                           match="perm must be finite and > 0 in active cells"):
+            TwoPhaseSystem(grid, perm, TP)
 
     def test_bad_normalization_raises(self):
         grid = conduit_grid()
         state = make_initial_twophase_state(grid, TP, P0)
-        with pytest.raises(DomainError):
-            leakage_flux(grid, state, 1.0, 0.0, grid.perm0, TP)
+        plane = leak_plane(TwoPhaseSystem(grid, grid.perm0, TP), 1.0)
+        with pytest.raises(DomainError, match="normalize_by"):
+            leakage_flux(plane, state, 0.0)
 
 
 class TestSimulateCo2:
@@ -458,7 +454,7 @@ class TestFactor:
 
     def test_freed_by_reference_counting_alone(self):
         grid = _leaky_box()
-        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         state = make_initial_twophase_state(grid, TP, P0)
         J = _newton_matrix(sys, state, state)
         gc.disable()
@@ -475,7 +471,7 @@ class TestFactor:
         rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
                            plane_z=2.0, p_bdry=P0)
         assert rep.state.s.max() > 0.1
-        sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+        sys = TwoPhaseSystem(grid, grid.perm0, TP)
         old = make_initial_twophase_state(grid, TP, P0)
         J = _newton_matrix(sys, rep.state, old)
         b = -_eval_twophase(sys, _vector(rep.state), old, 3600.0, 1e-5, P0,
@@ -504,7 +500,7 @@ def system_at_scale():
     grid = build_domain(domain, leak, res, ROCK)
     rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
                        plane_z=2.0, p_bdry=P0)
-    sys = _TwoPhaseSystem(grid, grid.perm0, grid.poro0, TP)
+    sys = TwoPhaseSystem(grid, grid.perm0, TP)
     return sys, _newton_matrix(sys, rep.state,
                                make_initial_twophase_state(grid, TP, P0))
 

@@ -27,7 +27,6 @@ FILE_FORMAT_KEYS = {
 # What each key changes in SimulationConfig, as "part" (whether it is there)
 # or "part.field"; a key absent here sets the field [section] key.
 CHANGES = {
-    ("domain", "gz"): {"domain.gravity"},
     ("reservoir", "K_A"): {"reservoir.perm_aquifer"},
     ("reservoir", "H"): {"reservoir.aquifer_height"},
     ("reservoir", "h"): {"reservoir.caprock_height"},
@@ -52,7 +51,7 @@ CHANGES = {
 
 # Valid non-default values of the keys whose value is not a plain number.
 NEW_TEXT = {
-    ("domain", "gz"): "-9.0", ("reservoir", "outflow"): "x-",
+    ("reservoir", "outflow"): "x-",
     ("leak", "enabled"): "false", ("schedule", "builtin"): "ex2",
     ("schedule", "rate"): "1e-3", ("schedule", "c_m"): "0.02",
     ("schedule", "c_o"): "0.03", ("schedule", "c_u"): "200",

@@ -165,6 +165,14 @@ class TestBuildDomain:
         assert np.array_equal(grids[0].shape_region, grids[1].shape_region)
         assert np.array_equal(grids[0].perm0, grids[1].perm0)
 
+    def test_gravity_is_its_z_component(self):
+        cfg = preset("ex1")
+        g = build_domain(replace(cfg.domain, gz=-9.0), None, cfg.reservoir, cfg.rock)
+        assert g.gravity_accel == 9.0
+        for bad in (0.5, np.nan):
+            with pytest.raises(DomainError, match="gravity must point downward"):
+                build_domain(replace(cfg.domain, gz=bad), None, cfg.reservoir, cfg.rock)
+
     def test_volume_closure(self):
         g = table2_3d_grid(dx=2.5, dz=2.5)
         cell_vol = g.domain.dx * g.domain.dy * g.domain.dz

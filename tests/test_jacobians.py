@@ -10,9 +10,9 @@ so no face changes its upwind direction between the two evaluations.
 import numpy as np
 import pytest
 
-from micpsim.co2 import NV2, TwoPhaseState, _eval_twophase, _TwoPhaseSystem
+from micpsim.co2 import NV2, TwoPhaseState, TwoPhaseSystem, _eval_twophase
 from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
-from micpsim.micp import IP, NVAR, MicpState, _eval_system, _System, make_initial_state
+from micpsim.micp import IP, NVAR, MicpState, MicpSystem, _eval_system, make_initial_state
 from micpsim.params import KineticParams, RockLaw, TwoPhaseParams
 from micpsim.schedule import WellControl
 
@@ -75,7 +75,7 @@ def test_micp_jacobian_matches_central_differences(sides, rate):
     grid = box(sides)
     n = grid.n_active
     rng = np.random.default_rng(7)
-    sys = _System(grid, params, ROCK)
+    sys = MicpSystem(grid, params, ROCK)
     p = perturbed_pressure(grid, rng, params.rho_w)
     old = make_initial_state(grid, params, P0)
     old.c_u[:] = 40.0
@@ -98,7 +98,7 @@ def test_co2_jacobian_matches_central_differences(sides, rate):
     grid = box(sides)
     n = grid.n_active
     rng = np.random.default_rng(11)
-    sys = _TwoPhaseSystem(grid, grid.perm0 * rng.uniform(0.5, 2.0, n), grid.poro0, params)
+    sys = TwoPhaseSystem(grid, grid.perm0 * rng.uniform(0.5, 2.0, n), params)
     p = perturbed_pressure(grid, rng, params.rho_w)
     s = rng.uniform(0.05, 0.95, n)
     old = TwoPhaseState(p=p.copy(), s=0.9 * s)

@@ -17,8 +17,8 @@ from micpsim.micp import (
     NVAR,
     MicpState,
     SolverSettings,
+    MicpSystem,
     _eval_system,
-    _System,
     assemble_residual,
     make_initial_state,
     permeability_field,
@@ -63,8 +63,9 @@ def steady_flow_state(grid, rate):
     """Inert single long step: pressure relaxes to its steady profile."""
     settings = SolverSettings(dt_init=3600.0, dt_max=3600.0)
     control = WellControl(rate=rate, p_bdry=P0)
-    state, rep = solve_timestep(grid, make_initial_state(grid, INERT, P0),
-                                3600.0, control, settings, INERT, ROCK)
+    state, rep = solve_timestep(MicpSystem(grid, INERT, ROCK),
+                                make_initial_state(grid, INERT, P0), 3600.0, control,
+                                settings)
     assert rep.converged
     return state
 
@@ -75,7 +76,7 @@ class TestShearNorm:
         res = ReservoirSpec(aquifer_height=5.0, caprock_height=0.0, well_x=0.5)
         grid = build_domain(domain, None, res, ROCK)
         state = make_initial_state(grid, PARAMS, P0)
-        shear = shear_norm_field(grid, state, PARAMS, ROCK, p_bdry=P0)
+        shear = shear_norm_field(MicpSystem(grid, PARAMS, ROCK), state, p_bdry=P0)
         # zero up to float cancellation in p + rho g z (p is ~1e7 Pa, so
         # potential differences carry ~1e-9 Pa of roundoff)
         assert np.all(shear < 1e-8)
@@ -84,7 +85,7 @@ class TestShearNorm:
         grid = line_grid(nx=20)
         rate = 1e-5  # m^3/s through 1 m^2 -> v = 1e-5 m/s
         state = steady_flow_state(grid, rate)
-        shear = shear_norm_field(grid, state, INERT, ROCK, p_bdry=P0)
+        shear = shear_norm_field(MicpSystem(grid, INERT, ROCK), state, p_bdry=P0)
         expected = rate * INERT.mu_w / 1e-14  # 2.54e5 Pa/m
         assert expected == pytest.approx(2.54e5, rel=1e-12)
         # interior cells average two equal face fluxes
@@ -94,10 +95,9 @@ class TestShearNorm:
 
     def test_linearity_in_gradient(self):
         grid = line_grid(nx=20)
-        s1 = shear_norm_field(grid, steady_flow_state(grid, 1e-5), INERT, ROCK,
-                              p_bdry=P0)
-        s2 = shear_norm_field(grid, steady_flow_state(grid, 2e-5), INERT, ROCK,
-                              p_bdry=P0)
+        sys = MicpSystem(grid, INERT, ROCK)
+        s1 = shear_norm_field(sys, steady_flow_state(grid, 1e-5), p_bdry=P0)
+        s2 = shear_norm_field(sys, steady_flow_state(grid, 2e-5), p_bdry=P0)
         assert s2[1:] == pytest.approx(2.0 * s1[1:], rel=1e-6)
 
     def test_per_axis_sums_match_masked_reference(self):
@@ -105,7 +105,7 @@ class TestShearNorm:
         res = ReservoirSpec(aquifer_height=0.6, caprock_height=0.0, well_x=0.55,
                             outflow_sides=("x+", "y-"))
         grid = build_domain(domain, None, res, ROCK)
-        sys = _System(grid, PARAMS, ROCK)
+        sys = MicpSystem(grid, PARAMS, ROCK)
         state = make_initial_state(grid, PARAMS, P0)
         state.p += np.random.default_rng(0).uniform(0.0, 1e4, grid.n_active)
         _, _, aux = _eval_system(sys, state.to_vector(), state, 600.0,
@@ -134,8 +134,8 @@ class TestAssembleResidual:
     def test_steady_no_flow_zero_residual(self):
         grid = line_grid()
         state = make_initial_state(grid, PARAMS, P0)
-        r, J = assemble_residual(grid, state, state, 600.0,
-                                 WellControl(rate=0.0, p_bdry=P0), PARAMS, ROCK)
+        r, J = assemble_residual(MicpSystem(grid, PARAMS, ROCK), state, state, 600.0,
+                                 WellControl(rate=0.0, p_bdry=P0))
         assert np.all(r == 0.0)
         assert J.shape == (6 * grid.n_active, 6 * grid.n_active)
 
@@ -155,6 +155,7 @@ class TestAssembleResidual:
         start = MicpState(p=np.array([P0]), c_m=np.zeros(1), c_o=np.zeros(1),
                           c_u=np.array([300.0]), phi_b=np.array([0.01]),
                           phi_c=np.zeros(1))
+        sys = MicpSystem(grid, PARAMS, ROCK)
         settings = SolverSettings(dt_min=1e-3)
         control = WellControl(rate=0.0, p_bdry=P0)
         errs = []
@@ -162,8 +163,7 @@ class TestAssembleResidual:
             state = start.copy()
             t = 0.0
             while t < 1200.0 - 1e-9:
-                state, rep = solve_timestep(grid, state, dt, control, settings,
-                                            PARAMS, ROCK)
+                state, rep = solve_timestep(sys, state, dt, control, settings)
                 assert rep.converged
                 t += dt
             ref = batch_oracle(CellChemState(c_u=300.0, phi_b=0.01), PARAMS,
@@ -190,7 +190,7 @@ class TestOutOfBoundsJacobian:
                       phi_b=np.array([0.012, -1e-3, -4e-4]),
                       phi_c=np.array([0.021, 0.02, 0.019])).to_vector()
         control = WellControl(rate=0.0, p_bdry=P0)
-        sys = _System(grid, PARAMS, ROCK)
+        sys = MicpSystem(grid, PARAMS, ROCK)
         _, J, aux = _eval_system(sys, x, old, 600.0, control)
         assert np.all(aux["shear"] == 0.0)
         J = sys.in_natural_order(J).toarray()
@@ -217,9 +217,8 @@ class TestSolveTimestep:
     def test_zero_rate_zero_kinetics_identity(self):
         grid = line_grid()
         state = make_initial_state(grid, INERT, P0)
-        new, rep = solve_timestep(grid, state, 600.0,
-                                  WellControl(rate=0.0, p_bdry=P0),
-                                  SolverSettings(), INERT, ROCK)
+        new, rep = solve_timestep(MicpSystem(grid, INERT, ROCK), state, 600.0,
+                                  WellControl(rate=0.0, p_bdry=P0), SolverSettings())
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(new.p, state.p)
         assert np.array_equal(new.phi_b, state.phi_b)
@@ -228,8 +227,8 @@ class TestSolveTimestep:
         grid = example1_grid()
         state = make_initial_state(grid, PARAMS, P0)
         control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
-        new, rep = solve_timestep(grid, state, 3600.0, control,
-                                  SolverSettings(), PARAMS, ROCK)
+        new, rep = solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, 3600.0,
+                                  control, SolverSettings())
         assert rep.converged
         assert rep.iterations <= 15
         assert new.c_m.max() > 0.0
@@ -239,11 +238,11 @@ class TestSolveTimestep:
         state = make_initial_state(grid, PARAMS, P0)
         control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
         settings = SolverSettings()
-        new, rep = solve_timestep(grid, state, 1800.0, control, settings,
-                                  PARAMS, ROCK)
+        sys = MicpSystem(grid, PARAMS, ROCK)
+        new, rep = solve_timestep(sys, state, 1800.0, control, settings)
         assert rep.converged
         assert rep.resid_norm < settings.newton_rel_tol
-        r, _ = assemble_residual(grid, new, state, 1800.0, control, PARAMS, ROCK)
+        r, _ = assemble_residual(sys, new, state, 1800.0, control)
         # pre-clamp converged residual was below tol; clamping moved nothing
         assert np.array_equal(new.to_vector(), rep.x)
         assert np.max(np.abs(r)) < 1e-6
@@ -252,8 +251,8 @@ class TestSolveTimestep:
         grid = example1_grid(nx=25)
         state = make_initial_state(grid, PARAMS, P0)
         control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
-        _, rep = solve_timestep(grid, state, 1800.0, control, SolverSettings(),
-                                PARAMS, ROCK)
+        _, rep = solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, 1800.0, control,
+                                SolverSettings())
         assert rep.converged
         assert rep.factorizations == rep.iterations > 0
 
@@ -261,9 +260,8 @@ class TestSolveTimestep:
         grid = line_grid()
         state = make_initial_state(grid, PARAMS, P0)
         state.c_u[3] = np.nan
-        _, rep = solve_timestep(grid, state, 600.0,
-                                WellControl(rate=0.0, p_bdry=P0),
-                                SolverSettings(), PARAMS, ROCK)
+        _, rep = solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, 600.0,
+                                WellControl(rate=0.0, p_bdry=P0), SolverSettings())
         assert not rep.converged
 
     @pytest.mark.parametrize("dt", [0.0, -600.0, np.nan])
@@ -273,15 +271,16 @@ class TestSolveTimestep:
         state = make_initial_state(grid, PARAMS, P0)
         control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
         with pytest.raises(DomainError, match="dt must be > 0"):
-            solve_timestep(grid, state, dt, control, SolverSettings(), PARAMS, ROCK)
+            solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, dt, control,
+                           SolverSettings())
 
     def test_nonconvergence_reported_not_raised(self):
         grid = example1_grid(nx=25)
         state = make_initial_state(grid, PARAMS, P0)
         control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
         settings = SolverSettings(newton_max_iter=1)
-        _, rep = solve_timestep(grid, state, 7200.0, control, settings,
-                                PARAMS, ROCK)
+        _, rep = solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, 7200.0, control,
+                                settings)
         assert not rep.converged
 
 
@@ -419,14 +418,14 @@ class TestFactorOrder:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_lu_solves_the_natural_order_matrix(self, name):
         grid = desk_grid(name)
-        sys = _System(grid, PARAMS, ROCK)
+        sys = MicpSystem(grid, PARAMS, ROCK)
         old, new = treated_states(grid, seed=3)
         self.assert_solves(sys, new.to_vector(), old, self.CONTROL)
         assert not np.array_equal(sys.order, np.arange(NVAR * grid.n_active))
 
     def test_lu_solves_at_out_of_bounds_iterates(self):
         grid = example1_grid(nx=25)
-        sys = _System(grid, PARAMS, ROCK)
+        sys = MicpSystem(grid, PARAMS, ROCK)
         old, new = treated_states(grid, seed=5)
         x = new.to_vector()
         x[IM::NVAR][::3] = -1e-4
@@ -438,7 +437,7 @@ class TestFactorOrder:
 
     def test_pin_lands_on_entry_zero_zero(self):
         grid = closed_cell_grid()
-        sys = _System(grid, PARAMS, ROCK)
+        sys = MicpSystem(grid, PARAMS, ROCK)
         state = MicpState(p=np.array([P0 + 1e3]), c_m=np.array([1e-3]),
                           c_o=np.array([0.01]), c_u=np.array([300.0]),
                           phi_b=np.array([0.01]), phi_c=np.array([0.002]))
@@ -449,8 +448,8 @@ class TestFactorOrder:
 
     def test_two_systems_on_one_grid_share_the_order(self):
         grid = desk_grid("ex3")
-        first = _System(grid, PARAMS, ROCK).order
-        second = _System(grid, PARAMS, INERT).order
+        first = MicpSystem(grid, PARAMS, ROCK).order
+        second = MicpSystem(grid, PARAMS, INERT).order
         assert np.array_equal(first, second)
         assert np.array_equal(np.sort(first), np.arange(NVAR * grid.n_active))
 

@@ -404,7 +404,7 @@ class TestAssemblyOracle:
 
 def _micp_newton_matrix(grid, rng):
     """micp's system on grid and a Newton matrix of it, in natural order."""
-    sys = micp._System(grid, KineticParams(), RockLaw())
+    sys = micp.MicpSystem(grid, KineticParams(), RockLaw())
     state = micp.make_initial_state(grid, sys.params, 1e7)
     for name, top in (("c_m", 0.01), ("c_o", 0.04), ("c_u", 60.0),
                       ("phi_b", 0.005), ("phi_c", 0.01)):
@@ -416,7 +416,7 @@ def _micp_newton_matrix(grid, rng):
 
 def _co2_newton_matrix(grid, rng):
     """co2's system on grid and a Newton matrix of it, in natural order."""
-    sys = co2._TwoPhaseSystem(grid, grid.perm0, grid.poro0, TwoPhaseParams())
+    sys = co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams())
     state = co2.make_initial_twophase_state(grid, sys.params, 1e7)
     state.s[:] = rng.uniform(0.0, 1.0, grid.n_active)
     x = np.column_stack((state.p, state.s)).ravel()
@@ -585,19 +585,21 @@ class TestMarch:
         assert all(guess is None for guess, _ in handed)
 
 
-def _micp_step(settings):
-    grid = _line(("x+",)).grid
+def _micp_step(settings, sides=("x+",)):
+    """One 600 s micp step that injects 1e-5 m^3/s into _line(sides)."""
+    grid = _line(sides).grid
     params = KineticParams()
     state = micp.make_initial_state(grid, params, 1e7)
-    return micp.solve_timestep(grid, state, 600.0, WellControl(rate=1e-5, p_bdry=1e7),
-                               settings, params, RockLaw())
+    return micp.solve_timestep(micp.MicpSystem(grid, params, RockLaw()), state, 600.0,
+                               WellControl(rate=1e-5, p_bdry=1e7), settings)
 
 
-def _co2_step(settings):
-    grid = _line(("x+",)).grid
+def _co2_step(settings, sides=("x+",)):
+    """One 600 s co2 step that injects 1e-5 m^3/s into _line(sides)."""
+    grid = _line(sides).grid
     state = co2.make_initial_twophase_state(grid, TwoPhaseParams(), 1e7)
-    return co2.solve_twophase_step(grid, grid.perm0, state, 600.0, 1e-5, settings,
-                                   TwoPhaseParams(), p_bdry=1e7)
+    return co2.solve_twophase_step(co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams()),
+                                   state, 600.0, 1e-5, settings, p_bdry=1e7)
 
 
 class TestStepSettings:
@@ -610,3 +612,12 @@ class TestStepSettings:
     def test_invalid_settings_raise(self, step, bad, message):
         with pytest.raises(DomainError, match=message):
             step(SolverSettings(**bad))
+
+
+class TestStepWell:
+    @pytest.mark.parametrize("step", [_micp_step, _co2_step], ids=["micp", "co2"])
+    def test_injection_into_closed_domain_raises(self, step):
+        # the pressure pin takes the place of the well cell's water equation
+        assert step(SolverSettings())[1].converged
+        with pytest.raises(DomainError, match="no open boundary"):
+            step(SolverSettings(), sides=())

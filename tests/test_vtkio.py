@@ -178,6 +178,11 @@ class TestTimeseries:
             write_timeseries(tmp_path / "s.csv",
                              [(1.0, {"a": 1.0}), (0.5, {"a": 2.0})])
 
+    @pytest.mark.parametrize("times", [(1.0, np.nan, 0.5), (np.nan, 1.0)])
+    def test_nan_time_rejected(self, tmp_path, times):
+        with pytest.raises(DomainError, match="time-ordered"):
+            write_timeseries(tmp_path / "s.csv", [(t, {"a": 1.0}) for t in times])
+
     def test_inconsistent_columns_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             write_timeseries(tmp_path / "s.csv",
