@@ -8,11 +8,12 @@ pressure. Each phase is upwinded by the sign of its own potential
 difference, which keeps saturations in [0, 1] and lets gravity segregate
 the phases. The discretization follows the reactive solver: TPFA,
 backward Euler, analytic Jacobian, constant-pressure hydrostatic
-boundary (pure water beyond the boundary), pressure pin on closed
-domains. Newton, Jacobian assembly and adaptive stepping are the shared
-machinery of :mod:`micpsim.stepping`; the transmissibilities and potential
+boundary faces to ghost cells that hold the water column beyond them
+(p_bdry - rho_w g z, s = 0), pressure pin on closed domains. Newton,
+Jacobian assembly and adaptive stepping are the shared machinery of
+:mod:`micpsim.stepping`; the transmissibilities and potential
 differences are the reactive solver's too (:func:`micpsim.grid.transmissibilities`,
-:meth:`micpsim.stepping.AssemblyData.potential_differences`). :func:`_phase_flux`
+:meth:`micpsim.stepping.AssemblyData.face_potential_differences`). :func:`_phase_flux`
 upwinds a phase's flux, for the residual and the leakage diagnostic alike.
 
 Each Newton matrix is built in one order of the unknowns that the
@@ -102,7 +103,7 @@ class TwoPhaseSystem(AssemblyData):
         super().__init__(grid)
         self.params = params
         self.phi = poro
-        self.T, self.Tb = transmissibilities(grid, perm)
+        self.T = transmissibilities(grid, perm)
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -115,10 +116,11 @@ class TwoPhaseSystem(AssemblyData):
 
 
 def _phase_flux(sys, T, dpot, sat, mu, faces=slice(None)):
-    """Upwinded flux T lambda(s_up) dpot of one phase on the interior faces ``faces``.
+    """Upwinded flux T lambda(s_up) dpot of one phase on the faces ``faces``.
 
     ``T`` and ``dpot`` are the faces' transmissibilities and the phase's
-    potential differences, ``sat`` its saturation in every cell; the
+    potential differences, ``sat`` its saturation in every cell (and
+    ghost, unless ``faces`` are interior faces only); the
     mobility sat / mu is taken from the face's cell a where dpot >= 0, else
     from its cell b. Returns (flux, T lambda, upwind cell) of each face.
     """
@@ -133,34 +135,28 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     n = sys.n
     p = x[JP::NV2]
     s = x[JS::NV2]
-    se = np.clip(s, 0.0, 1.0)
     V = sys.V
 
     # beyond the boundary a water column, p_ghost(z) = p_bdry - rho_w g z
-    dw, bdw = sys.potential_differences(p, pr.rho_w, p_bdry)
-    dc, bdc = sys.potential_differences(
-        p, pr.rho_co2, p_bdry - (pr.rho_w - pr.rho_co2) * sys.g * sys.b_z)
+    p_all = sys.with_ghosts(p, p_bdry - pr.rho_w * sys.g * sys.z[n:])
+    s_all = sys.with_ghosts(s, 0.0)
+    se = np.clip(s_all, 0.0, 1.0)
+    dw = sys.face_potential_differences(p_all, pr.rho_w)
+    dc = sys.face_potential_differences(p_all, pr.rho_co2)
     Fw, T_lam_w, up_w = _phase_flux(sys, sys.T, dw, 1.0 - se, pr.mu_w)
     Fc, T_lam_c, up_c = _phase_flux(sys, sys.T, dc, se, pr.mu_co2)
-
-    out_w = bdw >= 0.0
-    out_c = bdc >= 0.0
-    blam_w = np.where(out_w, (1.0 - se[sys.bc]) / pr.mu_w, 1.0 / pr.mu_w)
-    blam_c = np.where(out_c, se[sys.bc] / pr.mu_co2, 0.0)
-    Fbw = sys.Tb * blam_w * bdw
-    Fbc = sys.Tb * blam_c * bdc
 
     q_c = sys.well_source(rate)
 
     fluxes = np.stack((Fw, Fc), axis=1)  # one column per equation: JP water, JS CO2
-    div = sys.face_sums(fluxes, fluxes, np.stack((Fbw, Fbc), axis=1))
+    div = sys.face_sums(fluxes, fluxes)
     resid = np.zeros(NV2 * n)
     resid[JP::NV2] = -sys.phi * (s - old.s) * V / dt + div[:, JP]
     resid[JS::NV2] = sys.phi * (s - old.s) * V / dt + div[:, JS] - q_c
 
     pin_scale = sys.pin_pressure(resid, p[0], p_bdry, sys.phi, dt)
 
-    aux = {"Fc": Fc, "Fw": Fw, "Fbc": Fbc, "Fbw": Fbw}
+    aux = {"Fc": Fc, "Fw": Fw}
     if not jacobian_wanted(want_jacobian, resid):
         return resid, None, aux
 
@@ -168,7 +164,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     cell[:, JP, JS] = -sys.phi * V / dt
     cell[:, JS, JS] = sys.phi * V / dt
 
-    in_bounds = (s >= 0.0) & (s <= 1.0)
+    in_bounds = (s_all >= 0.0) & (s_all <= 1.0)
     face_a = np.zeros((Fw.size, NV2, NV2))
     face_b = np.zeros((Fw.size, NV2, NV2))
     for row, T_lam, dpot, upwind, dlam in (
@@ -180,14 +176,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
         face_a[:, row, JS] = np.where(dpot >= 0.0, dF_ds, 0.0)
         face_b[:, row, JS] = np.where(dpot >= 0.0, 0.0, dF_ds)
 
-    sb_in = in_bounds[sys.bc]
-    bface = np.zeros((Fbw.size, NV2, NV2))
-    bface[:, JP, JP] = sys.Tb * blam_w
-    bface[:, JS, JP] = sys.Tb * blam_c
-    bface[:, JP, JS] = np.where(out_w & sb_in, -sys.Tb / pr.mu_w * bdw, 0.0)
-    bface[:, JS, JS] = np.where(out_c & sb_in, sys.Tb / pr.mu_co2 * bdc, 0.0)
-
-    return resid, sys.jacobian(cell, face_a, face_b, bface, pin_scale), aux
+    return resid, sys.jacobian(cell, face_a, face_b, pin_scale), aux
 
 
 def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
@@ -253,7 +242,7 @@ def leak_plane(sys: TwoPhaseSystem, plane_z: float):
     grid = sys.grid
     if not 0.0 < plane_z < grid.domain.lz:
         raise GeometryError(f"plane z = {plane_z} m outside the domain")
-    fa, fb = sys.fa, sys.fb
+    fa, fb = sys.fa[sys.interior], sys.fb[sys.interior]
     face_z = 0.5 * (sys.z[fa] + sys.z[fb])
     on_plane = (grid.iface_axis == 2) & (np.abs(face_z - plane_z) < 1e-6 * grid.domain.dz)
     leak_touch = (grid.region[fa] == Region.LEAK) | (grid.region[fb] == Region.LEAK)
@@ -324,7 +313,7 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
 
     def accept(t, dt, st, rep, rate):
         nonlocal produced
-        produced += float(np.sum(np.maximum(rep.aux["Fbc"], 0.0))) * dt
+        produced += float(np.sum(np.maximum(rep.aux["Fc"][sys.boundary], 0.0))) * dt
         info = {"max_s": float(st.s.max(initial=0.0))}
         if plane is not None:
             flux = leakage_flux(plane, st, rate if rate > 0.0 else 1.0)

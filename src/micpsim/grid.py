@@ -10,12 +10,14 @@ from the leak centerline plane, -a/2 <= s < a/2 (half-open so that a slab
 boundary that falls exactly on a row of cell centers counts them once).
 
 Flux discretization is cell-centered two-point flux approximation (TPFA).
-:func:`transmissibilities` is its one implementation, which both solvers
-and the leakage diagnostic read: interior face T = A / (d1/K1 + d2/K2)
-with center-to-face distances d and cell permeabilities K, boundary face
-T = A K / d. The potential differences across the faces live in
-:class:`micpsim.stepping.AssemblyData`, the upwinded CO2 phase flux in
-:func:`micpsim.co2._phase_flux`.
+An open boundary face is a face from its cell to a ghost beyond it, so
+both solvers read one face list: the interior faces, then the open
+boundary faces. :func:`transmissibilities` is its one implementation,
+which both solvers and the leakage diagnostic read: interior face
+T = A / (d1/K1 + d2/K2) with center-to-face distances d and cell
+permeabilities K, boundary face T = A K / d. The potential differences
+across the faces live in :class:`micpsim.stepping.AssemblyData`, the
+upwinded CO2 phase flux in :func:`micpsim.co2._phase_flux`.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class LeakSpec:
             raise DomainError("leak width must satisfy 0 < w <= W")
         if not (self.tilt_deg == 90.0 or 90.0 < self.tilt_deg < 180.0):
             raise DomainError("tilt angle must be 90 deg or in (90, 180) deg")
-        if not self.perm > 0.0:
-            raise DomainError("leak permeability must be > 0")
+        if not 0.0 < self.perm < math.inf:  # NaN fails too
+            raise DomainError("leak permeability must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,8 @@ class ReservoirSpec:
     outflow_sides: tuple[str, ...] = ("x+",)
 
     def validate(self) -> None:
-        if not self.perm_aquifer > 0.0:
-            raise DomainError("aquifer permeability must be > 0")
+        if not 0.0 < self.perm_aquifer < math.inf:  # NaN fails too
+            raise DomainError("aquifer permeability must be finite and > 0")
         if self.aquifer_height < 0.0 or self.caprock_height < 0.0:
             raise DomainError("layer heights must be >= 0")
         if self.caprock_height == 0.0 and not self.aquifer_height > 0.0:
@@ -275,7 +277,7 @@ def build_domain(domain: DomainSpec, leak: LeakSpec | None,
     poro0 = np.full(n_active, rock.phi0)
 
     iface_cells, iface_axis, iface_area, iface_d = _interior_faces(domain, active_index)
-    bface = _boundary_faces(domain, reservoir, active_index, region, centers)
+    boundary = _boundary_faces(domain, reservoir, active_index, region, centers)
 
     well_cells = _well_cells(domain, reservoir, active_index, h_cap)
     if well_cells.size == 0:
@@ -284,7 +286,7 @@ def build_domain(domain: DomainSpec, leak: LeakSpec | None,
     grid = Grid(domain, leak, reservoir, region, active_index, ijk, centers,
                 volumes, region_a, perm0, poro0,
                 iface_cells, iface_axis, iface_area, iface_d,
-                *bface, well_cells, abs(domain.gz))
+                *boundary, well_cells, abs(domain.gz))
 
     if leak is not None and h_cap > 0.0 and not leak_connects_aquifers(grid):
         logger.warning(
@@ -375,11 +377,11 @@ def _well_cells(domain, reservoir, active_index, h_cap):
     return np.array(sorted(c for c in cells if c >= 0), dtype=np.int64)
 
 
-def transmissibilities(grid: Grid, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def transmissibilities(grid: Grid, perm: np.ndarray) -> np.ndarray:
     """TPFA transmissibilities (m^3) from the cell permeabilities ``perm``.
 
-    Returns (T, Tb): T = A / (d_a/K_a + d_b/K_b) of each interior face and
-    Tb = A K / d of each constant-pressure boundary face, d being the
+    One value per face: T = A / (d_a/K_a + d_b/K_b) of each interior face,
+    then T = A K / d of each constant-pressure boundary face, d being the
     distance from a cell center to the face. Checks nothing, so that a
     NaN iterate gives NaN fluxes and fails its Newton step instead of
     raising; the public entry points check their fields themselves.
@@ -387,7 +389,7 @@ def transmissibilities(grid: Grid, perm: np.ndarray) -> tuple[np.ndarray, np.nda
     a = grid.iface_cells[:, 0]
     b = grid.iface_cells[:, 1]
     T = grid.iface_area / (grid.iface_d[:, 0] / perm[a] + grid.iface_d[:, 1] / perm[b])
-    return T, grid.bface_area * perm[grid.bface_cell] / grid.bface_d
+    return np.concatenate((T, grid.bface_area * perm[grid.bface_cell] / grid.bface_d))
 
 
 def face_transmissibility(grid: Grid, perm_field, face: int) -> float:
@@ -401,7 +403,7 @@ def face_transmissibility(grid: Grid, perm_field, face: int) -> float:
     if not all(0.0 < perm[c] < np.inf for c in (a, b)):  # NaN fails too
         raise DomainError("permeability must be finite and > 0 on both sides of a face")
     with np.errstate(divide="ignore"):  # other cells may hold zeros
-        return float(transmissibilities(grid, perm)[0][face])
+        return float(transmissibilities(grid, perm)[face])
 
 
 def leak_connects_aquifers(grid: Grid) -> bool:

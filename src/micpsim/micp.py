@@ -14,7 +14,7 @@ first-order upwinding of the solutes, and every nonlinearity (porosity,
 permeability, reactions, upwind directions) evaluated at n+1. T and
 Phi_a - Phi_b come from the code the CO2 solver uses too
 (:func:`micpsim.grid.transmissibilities` of each iterate's K,
-:meth:`micpsim.stepping.AssemblyData.potential_differences`).
+:meth:`micpsim.stepping.AssemblyData.face_potential_differences`).
 
 Reactions and permeability are defined for physical arguments only
 (c_x >= 0, phi_b, phi_c in [0, phi0], phi in [0, phi0]). Newton iterates
@@ -45,13 +45,14 @@ nonzero pattern (on a 2-core x86 box), this cuts factor time by about
 iterations, and the wall time of the first 15 h of the published ex3
 treatment by more than half.
 
-Constant-pressure production boundaries are half-cell transmissibility
-faces against a hydrostatic ghost with datum potential p_bdry; inflow
-from the boundary carries zero concentrations, outflow carries resident
-ones. A grid with no boundary faces gets the water equation of cell 0
-replaced by a pressure pin, which turns a shut-in single cell into the
-plain backward-Euler form of the batch reaction ODEs; injection into it
-raises DomainError.
+A constant-pressure production boundary face is a half-cell
+transmissibility face to a ghost cell at its cell's height that holds
+water at p_bdry - rho_w g z and no solutes, so inflow from the boundary
+carries zero concentrations and outflow carries resident ones; past the
+assembly only the outflow ledger tells it apart. A grid with no boundary
+faces gets the water equation of cell 0 replaced by a pressure pin, which
+turns a shut-in single cell into the plain backward-Euler form of the
+batch reaction ODEs; a well rate on it raises DomainError.
 
 A :class:`MicpSystem` holds the assembly data of one (grid, params,
 rock): a run builds one, and :func:`solve_timestep`, :func:`assemble_residual`
@@ -156,11 +157,10 @@ class MicpSystem(AssemblyData):
         # each face's area in the column of its axis, outward-signed on the
         # boundary, and inf in the other two: flux / axis_area puts a face's
         # Darcy velocity in its axis's column and zero in the others
-        self.axis_area = np.full((grid.n_ifaces, 3), np.inf)
-        self.axis_area[np.arange(grid.n_ifaces), grid.iface_axis] = grid.iface_area
-        self.b_axis_area = np.full((self.bc.size, 3), np.inf)
-        self.b_axis_area[np.arange(self.bc.size), grid.bface_axis] = (
-            grid.bface_sign * grid.bface_area)
+        self.axis_area = np.full((self.fa.size, 3), np.inf)
+        self.axis_area[np.arange(self.fa.size),
+                       np.concatenate((grid.iface_axis, grid.bface_axis))] = (
+            np.concatenate((grid.iface_area, grid.bface_sign * grid.bface_area)))
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -211,20 +211,20 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
     dK = np.asarray(permeability_derivative(sys.rock, phi_k, K0=sys.K0))
     K = permeability(sys.rock, phi_k, K0=sys.K0) + dK * (phi - phi_k)
 
-    # interior and boundary face fluxes (boundary: positive = out of the domain)
-    T, Tb = transmissibilities(grid, K)
-    dpot, dpot_b = sys.potential_differences(p, sys.params.rho_w, control.p_bdry)
+    # face fluxes; a ghost holds water in hydrostatic equilibrium with p_bdry
+    rho_w = sys.params.rho_w
+    T = transmissibilities(grid, K)
+    p_all = sys.with_ghosts(p, control.p_bdry - rho_w * sys.g * sys.z[n:])
+    dpot = sys.face_potential_differences(p_all, rho_w)
     F = T / mu_w * dpot
     up_is_a = F >= 0.0
     upw = np.where(up_is_a, sys.fa, sys.fb)
-    Fb = Tb / mu_w * dpot_b
-    out_mask = Fb >= 0.0
 
     # cell-average Darcy velocity v: per axis, half the sum of the velocities
     # of the cell's faces on that axis (face_sums subtracts a face's b side,
     # hence -face_vel) -> shear norm ||grad p - rho g|| = |v| mu / K
     face_vel = F[:, None] / sys.axis_area
-    half_v = 0.5 * sys.face_sums(face_vel, -face_vel, Fb[:, None] / sys.b_axis_area)
+    half_v = 0.5 * sys.face_sums(face_vel, -face_vel)
     v2 = half_v[:, 0] ** 2 + half_v[:, 1] ** 2 + half_v[:, 2] ** 2
     shear = np.sqrt(v2) * mu_w / K
 
@@ -252,13 +252,11 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
     solutes = ((IM, m, old.c_m, control.c_m, R_m), (IO, o, old.c_o, control.c_o, R_o),
                (IU, u, old.c_u, control.c_u, R_u))
     w = np.zeros((F.size, NVAR))
-    wb = np.zeros((Fb.size, NVAR))
-    w[:, IP] = wb[:, IP] = 1.0
+    w[:, IP] = 1.0
     for ivar, cv, *_ in solutes:
-        w[:, ivar] = cv[upw]
-        wb[:, ivar] = np.where(out_mask, cv[sys.bc], 0.0)
+        w[:, ivar] = sys.with_ghosts(cv, 0.0)[upw]
     flux = w * F[:, None]
-    div = sys.face_sums(flux, flux, wb * Fb[:, None])
+    div = sys.face_sums(flux, flux)
 
     resid = np.zeros(NVAR * n)
     resid[IP::NVAR] = (phi - phi_old) * V / dt + div[:, IP] - q
@@ -270,8 +268,7 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
 
     pin_scale = sys.pin_pressure(resid, p[0], control.p_bdry, sys.phi0, dt)
 
-    aux = {"F": F, "Fb": Fb, "out_mask": out_mask, "upw": upw, "shear": shear,
-           "K": K, "q": q,
+    aux = {"F": F, "flux": flux, "upw": upw, "shear": shear, "K": K, "q": q,
            "rates": {"m": R_m, "o": R_o, "u": R_u, "b": R_b, "c": R_c}}
     if not jacobian_wanted(want_jacobian, resid):
         return resid, None, aux
@@ -289,27 +286,24 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
     for (rname, vname), dR in jac.items():
         cell[:, _RATE_ROW[rname], _RATE_VAR[vname]] -= dR * V
 
-    # flux derivatives: w (x) dF/dx, plus F on the upwind cell's own concentration
-    dT_dKa = T * T * grid.iface_d[:, 0] / (grid.iface_area * K[sys.fa] ** 2)
-    dT_dKb = T * T * grid.iface_d[:, 1] / (grid.iface_area * K[sys.fb] ** 2)
+    # flux derivatives: w (x) dF/dx, plus F on the upwind cell's own
+    # concentration; dT/dK of a ghost (K = 1, d = 0) is 0
+    K_all = sys.with_ghosts(K, 1.0)
+    dK_all = sys.with_ghosts(dK, 0.0)
     dF_da = np.zeros((F.size, NVAR))
     dF_db = np.zeros((F.size, NVAR))
     dF_da[:, IP] = T / mu_w
     dF_db[:, IP] = -T / mu_w
-    dF_da[:, IB] = dF_da[:, IC] = dpot / mu_w * dT_dKa * (-dK[sys.fa])
-    dF_db[:, IB] = dF_db[:, IC] = dpot / mu_w * dT_dKb * (-dK[sys.fb])
-    dFb = np.zeros((Fb.size, NVAR))
-    dFb[:, IP] = Tb / mu_w
-    dFb[:, IB] = dFb[:, IC] = dpot_b / mu_w * grid.bface_area / grid.bface_d * (-dK[sys.bc])
+    for dF, side, cells in ((dF_da, 0, sys.fa), (dF_db, 1, sys.fb)):
+        dT_dK = T * T * sys.f_d[:, side] / (sys.f_area * K_all[cells] ** 2)
+        dF[:, IB] = dF[:, IC] = dpot / mu_w * dT_dK * (-dK_all[cells])
     face_a = w[:, :, None] * dF_da[:, None, :]
     face_b = w[:, :, None] * dF_db[:, None, :]
-    bface = wb[:, :, None] * dFb[:, None, :]
     for ivar, *_ in solutes:
         face_a[:, ivar, ivar] += np.where(up_is_a, F, 0.0)
         face_b[:, ivar, ivar] += np.where(up_is_a, 0.0, F)
-        bface[:, ivar, ivar] += np.where(out_mask, Fb, 0.0)
 
-    return resid, sys.jacobian(cell, face_a, face_b, bface, pin_scale), aux
+    return resid, sys.jacobian(cell, face_a, face_b, pin_scale), aux
 
 
 def _error_scales(sys: MicpSystem, dt, conc_scales) -> np.ndarray:
@@ -460,8 +454,7 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
             conc = x[ivar::NVAR]
             neg = conc < 0.0
             clamped[name] += float(np.sum(-conc[neg] * phi_conv[neg] * sys.V[neg]))
-            outflow = float(np.sum(np.where(aux["out_mask"], conc[sys.bc], 0.0)
-                                   * aux["Fb"]))
+            outflow = float(np.sum(aux["flux"][sys.boundary, ivar]))
             ledgers[name].injected += getattr(control, f"c_{name}") * control.rate * dt
             ledgers[name].produced += outflow * dt
             ledgers[name].reacted += float(np.sum(aux["rates"][name] * sys.V)) * dt

@@ -3,8 +3,9 @@
 The solvers supply only their physics, as callables: residual and
 Jacobian evaluation, the finish of a converged step, and the booking of
 an accepted one. This module owns the rest: the grid data both
-assemblies read (:class:`AssemblyData`), the potential differences across
-its faces (:meth:`AssemblyData.potential_differences`; the transmissibilities
+assemblies read (:class:`AssemblyData`), one face list of interior faces
+and of open boundary faces to ghost cells, the potential differences across
+them (:meth:`AssemblyData.face_potential_differences`; the transmissibilities
 are :func:`micpsim.grid.transmissibilities`), the well source and
 the closed-domain pressure pin (:meth:`AssemblyData.well_source`,
 :meth:`AssemblyData.pin_pressure`), the sums of face fluxes into cells
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +76,11 @@ class OutputHooks:
 class AssemblyData:
     """Grid arrays read by every residual assembly.
 
+    The faces are one list, interior faces first: open boundary face k
+    joins its cell (a) to ghost cell n + k (b), at the cell's height and
+    0 from the face, which holds the state beyond the boundary that each
+    solver gives it (:meth:`with_ghosts`). Sums drop the ghosts' rows.
+
     ``order`` lists the unknowns in the order their system factors them:
     row and column k of a Newton matrix is unknown order[k]. None, as
     here, keeps the natural order; each solver's system computes its own
@@ -86,27 +93,47 @@ class AssemblyData:
         self.grid = grid
         self.n = grid.n_active
         self.V = grid.volumes
-        self.z = grid.centers[:, 2]
         self.g = grid.gravity_accel
-        self.fa = grid.iface_cells[:, 0]
-        self.fb = grid.iface_cells[:, 1]
+        self.interior = slice(None, grid.n_ifaces)
+        self.boundary = slice(grid.n_ifaces, None)
+        self.n_ghosts = grid.bface_cell.size
+        self.closed = self.n_ghosts == 0  # no pressure level: pin cell 0
+        self.fa = np.concatenate((grid.iface_cells[:, 0], grid.bface_cell))
+        self.fb = np.concatenate((grid.iface_cells[:, 1], self.n + np.arange(self.n_ghosts)))
+        self.z = self.with_ghosts(grid.centers[:, 2], grid.bface_z)
         self.f_dz = self.z[self.fb] - self.z[self.fa]
-        self.bc = grid.bface_cell
-        self.b_z = grid.bface_z
-        self.closed = self.bc.size == 0  # no pressure level: pin cell 0
         self.well = grid.well_cells
         self.well_frac = grid.volumes[self.well] / grid.well_volume
-        # cell-by-face 0/1 matrices of the face sums
+        # cell-by-face 0/1 matrices of the face sums, without the ghosts' rows
+        faces = np.arange(self.fa.size)
+        inner = faces[self.interior]
         self._incidence = tuple(
-            sparse.csr_matrix((np.ones(cells.size), (cells, np.arange(cells.size))),
-                              shape=(self.n, cells.size))
-            for cells in (self.fa, self.fb, self.bc))
+            sparse.csr_matrix((np.ones(cols.size), (cells, cols)), shape=(self.n, faces.size))
+            for cells, cols in ((self.fa, faces), (self.fb[inner], inner)))
         self._structure = {}  # nvar -> _block_structure in self.order, pin entries
 
+    # built on first use: only the micp Jacobian reads them, and a co2 run
+    # that holds them peaks about 1 MB higher on the published ex3 grid
+    @cached_property
+    def f_area(self):
+        """Area of each face."""
+        return np.concatenate((self.grid.iface_area, self.grid.bface_area))
+
+    @cached_property
+    def f_d(self):
+        """(faces, 2) distances of each face from its cells a and b, 0 from a ghost."""
+        return np.concatenate((self.grid.iface_d, np.column_stack(
+            (self.grid.bface_d, np.zeros(self.n_ghosts)))))
+
+    def with_ghosts(self, values, ghost):
+        """Cell values followed by ``ghost``'s, a scalar or one per ghost."""
+        ghost = np.broadcast_to(ghost, (self.n_ghosts, *np.shape(values)[1:]))
+        return np.concatenate((values, ghost))
+
     def check_injection(self, rate):
-        """Refuse injection into a closed domain: its pin replaces a water equation."""
-        if self.closed and rate > 0.0:
-            raise DomainError("cannot inject into a domain with no open boundary")
+        """Refuse a well rate on a closed domain: its pin replaces a water equation."""
+        if self.closed and rate != 0.0:
+            raise DomainError("a domain with no open boundary takes no well rate")
 
     def well_source(self, rate):
         """Per-cell injection, rate split over the well cells by volume."""
@@ -117,23 +144,13 @@ class AssemblyData:
         return q
 
     def face_potential_differences(self, p, rho, faces=slice(None)):
-        """(p_a - p_b) - rho g (z_b - z_a) on the interior faces ``faces``.
+        """(p_a - p_b) - rho g (z_b - z_a) on the faces ``faces``.
 
         The potential difference that drives a phase of density rho from
-        each face's cell a to its cell b.
+        each face's cell a to its cell b. ``p`` holds the ghosts' pressures
+        too (:meth:`with_ghosts`) unless ``faces`` are interior faces only.
         """
         return (p[self.fa[faces]] - p[self.fb[faces]]) - rho * self.g * self.f_dz[faces]
-
-    def potential_differences(self, p, rho, datum):
-        """Interior and boundary potential differences of a phase of density rho.
-
-        Returns (interior, boundary): :meth:`face_potential_differences` of
-        every interior face, and on boundary face k p + rho g z of its cell
-        less ``datum``, the phase's potential in the ghost beyond the face
-        (a scalar or one value per boundary face), positive for outflow.
-        """
-        return (self.face_potential_differences(p, rho),
-                p[self.bc] + rho * self.g * self.b_z - datum)
 
     def pin_pressure(self, resid, p0, p_bdry, phi, dt):
         """On a closed domain, replace equation 0 of cell 0 by the pressure pin.
@@ -148,38 +165,33 @@ class AssemblyData:
         resid[0] = (p0 - p_bdry) * pin_scale
         return pin_scale
 
-    def face_sums(self, on_a, on_b, on_bc):
+    def face_sums(self, on_a, on_b):
         """Per-cell sums of face terms, a face's flux leaving a and entering b.
 
-        Interior face f adds on_a[f] to its cell a and subtracts on_b[f]
-        from its cell b; boundary face k adds on_bc[k] to its cell. Arrays
-        of shape (faces, ...) give an array of shape (cells, ...). Each
-        sum adds its faces in face order, as ``np.bincount`` would.
+        Face f adds on_a[f] to its cell a and subtracts on_b[f] from its
+        cell b unless b is a ghost. Arrays of shape (faces, ...) give an
+        array of shape (cells, ...). Each sum adds its faces in face
+        order, as ``np.bincount`` would.
         """
-        inc_a, inc_b, inc_bc = self._incidence
+        inc_a, inc_b = self._incidence
         tail = on_a.shape[1:]
         k = math.prod(tail)
-
-        def sums(inc, on):
-            return inc @ on.reshape(on.shape[0], k)
-
-        total = sums(inc_a, on_a) - sums(inc_b, on_b) + sums(inc_bc, on_bc)
+        total = inc_a @ on_a.reshape(-1, k) - inc_b @ on_b.reshape(-1, k)
         return total.reshape((self.n, *tail))
 
-    def jacobian(self, cell, face_a, face_b, bface, pin_scale=None):
+    def jacobian(self, cell, face_a, face_b, pin_scale=None):
         """Newton matrix in the factor order, from derivative blocks.
 
         Unknown v of cell i is nvar * i + v in natural order, and row and
         column k of the matrix is unknown ``self.order[k]``.
         ``cell`` (cells, nvar, nvar) holds the derivatives of each cell's
-        residual apart from its face fluxes. Interior face f carries a flux
-        vector out of its cell a into its cell b; ``face_a[f]`` and
-        ``face_b[f]`` are its derivatives by the unknowns of a and of b.
-        ``bface[k]`` is the derivative of boundary face k's outflow by the
-        unknowns of its cell. Entries that are exactly zero are not stored,
-        so LU sees only the numerically nonzero pattern. ``pin_scale``
-        replaces the row of unknown 0 by the pressure pin of a closed
-        domain (:meth:`pin_pressure`).
+        residual apart from its face fluxes. Face f carries a flux vector
+        out of its cell a into its cell b; ``face_a[f]`` and ``face_b[f]``
+        are its derivatives by the unknowns of a and of b. A ghost has no
+        unknowns, so the pair blocks are those of the interior faces.
+        Entries that are exactly zero are not stored, so LU sees only the
+        numerically nonzero pattern. ``pin_scale`` replaces the row of
+        unknown 0 by the pressure pin of a closed domain (:meth:`pin_pressure`).
         """
         nvar = cell.shape[1]
         if nvar not in self._structure:
@@ -189,8 +201,8 @@ class AssemblyData:
             pin_diag = pin_row[np.searchsorted(pin_row, indptr[pin])]
             self._structure[nvar] = gather, indices, indptr, pin_row, pin_diag
         gather, indices, indptr, pin_row, pin_diag = self._structure[nvar]
-        blocks = np.concatenate((cell + self.face_sums(face_a, face_b, bface),
-                                 face_b, -face_a))
+        blocks = np.concatenate((cell + self.face_sums(face_a, face_b),
+                                 face_b[self.interior], -face_a[self.interior]))
         data = blocks.ravel()[gather]
         if pin_scale is not None:
             data[pin_row] = 0.0
@@ -217,8 +229,9 @@ class AssemblyData:
         two blocks share a position.
         """
         cells = np.arange(self.n)
-        brow = np.concatenate((cells, self.fa, self.fb))
-        bcol = np.concatenate((cells, self.fb, self.fa))
+        fa, fb = self.fa[self.interior], self.fb[self.interior]
+        brow = np.concatenate((cells, fa, fb))
+        bcol = np.concatenate((cells, fb, fa))
         var = np.arange(nvar)
         row = (nvar * brow[:, None, None] + var[:, None]).repeat(nvar, axis=2).ravel()
         col = (nvar * bcol[:, None, None] + var).repeat(nvar, axis=1).ravel()

@@ -104,6 +104,15 @@ class TestBuildDomain:
         with pytest.raises(GeometryError):
             build_domain(domain, leak, reservoir, ROCK)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_spec_permeability_raises(self, bad):
+        cfg = preset("ex3")
+        with pytest.raises(DomainError, match="aquifer permeability must be finite"):
+            build_domain(cfg.domain, cfg.leak, replace(cfg.reservoir, perm_aquifer=bad),
+                         cfg.rock)
+        with pytest.raises(DomainError, match="leak permeability must be finite"):
+            build_domain(cfg.domain, replace(cfg.leak, perm=bad), cfg.reservoir, cfg.rock)
+
     def test_zero_active_cells_raises(self):
         domain = DomainSpec(nx=4, ny=1, nz=4, dx=1.0, dy=1.0, dz=1.0)
         reservoir = ReservoirSpec(aquifer_height=0.0, caprock_height=4.0,
@@ -220,9 +229,9 @@ class TestTransmissibility:
 
     def test_shared_transmissibilities_pass_nan_through(self):
         # a NaN Newton iterate must fail its step, not raise
-        T, Tb = transmissibilities(self.grid, np.array([np.nan, 1e-14, 1e-14]))
+        T = transmissibilities(self.grid, np.array([np.nan, 1e-14, 1e-14]))
         assert np.isnan(T[0]) and T[1] == pytest.approx(1e-14, rel=1e-14)
-        assert Tb[0] == pytest.approx(2e-14, rel=1e-14)
+        assert T[2] == pytest.approx(2e-14, rel=1e-14)  # the boundary face
 
     @given(st.floats(1e-20, 1e-10), st.floats(1e-20, 1e-10))
     @settings(max_examples=100)
@@ -234,7 +243,7 @@ class TestTransmissibility:
 
     def test_vectorized_matches_scalar(self):
         perm = np.array([1e-14, 3e-15, 7e-16])
-        all_T, _ = transmissibilities(self.grid, perm)
+        all_T = transmissibilities(self.grid, perm)
         for f in range(self.grid.n_ifaces):
             assert all_T[f] == face_transmissibility(self.grid, perm, f)
             a, b = self.grid.iface_cells[f]
@@ -242,9 +251,10 @@ class TestTransmissibility:
 
     def test_boundary_transmissibility(self):
         perm = np.array([1e-14, 1e-14, 4e-14])
-        _, Tb = transmissibilities(self.grid, perm)
-        assert Tb.shape == (1,)
-        assert Tb[0] == pytest.approx(4e-14 / 0.5, rel=1e-14)
+        T = transmissibilities(self.grid, perm)
+        # one array: the interior faces, then the boundary face
+        assert T.shape == (self.grid.n_ifaces + 1,) == (3,)
+        assert T[self.grid.n_ifaces] == pytest.approx(4e-14 / 0.5, rel=1e-14)
 
 
 def flood_fill_connects(grid):

@@ -1,10 +1,12 @@
 """Every entry of both assembled Jacobians against central differences
 of the residual, on a small 3D grid with flow and in-bounds iterates: open
-on two sides with injection, and closed (no boundary faces, the pressure
+on two sides with injection, water leaving through some boundary faces
+and entering through others, and closed (no boundary faces, the pressure
 pin in the first row, no injection).
 
 The pressure step is a tenth of the smallest face potential difference,
-so no face changes its upwind direction between the two evaluations.
+boundary faces included, so no face changes its upwind direction between
+the two evaluations.
 """
 
 import numpy as np
@@ -34,13 +36,22 @@ def box(sides):
 
 
 def perturbed_pressure(grid, rng, rho):
-    hydro = P0 - rho * grid.gravity_accel * grid.centers[:, 2]
-    return hydro + 5e3 * (3.0 - grid.centers[:, 0]) + rng.normal(0.0, 1e3, grid.n_active)
+    """Hydrostatic against P0 with a ramp down along x, the y- row below P0."""
+    x, y, z = grid.centers.T
+    hydro = P0 - rho * grid.gravity_accel * z
+    return (hydro + 5e3 * (3.0 - x) - 2e4 * (y < 1.0)
+            + rng.normal(0.0, 1e3, grid.n_active))
 
 
-def smallest_potential_difference(sys, p, rho, boundary_potential):
-    interior = p[sys.fa] - p[sys.fb] - rho * sys.g * sys.f_dz
-    return float(np.min(np.abs(np.concatenate((interior, boundary_potential)))))
+def potential_differences(sys, p, rho_w, rho):
+    """Each face's potential difference of a phase of density rho, the
+    ghosts beyond the boundary holding water at P0 - rho_w g z."""
+    p_all = sys.with_ghosts(p, P0 - rho_w * sys.g * sys.z[sys.n:])
+    dpot = sys.face_potential_differences(p_all, rho)
+    boundary = dpot[sys.boundary]
+    if not sys.closed:  # the ghosts' upwind paths are checked too
+        assert np.any(boundary > 0.0) and np.any(boundary < 0.0), boundary
+    return dpot
 
 
 def assert_entries_match(sys, evaluate, x, steps):
@@ -84,10 +95,9 @@ def test_micp_jacobian_matches_central_differences(sides, rate):
                   c_u=rng.uniform(10.0, 60.0, n), phi_b=rng.uniform(5e-3, 2e-2, n),
                   phi_c=rng.uniform(5e-3, 3e-2, n)).to_vector()
     control = WellControl(rate=rate, c_m=0.01, c_u=30.0, p_bdry=P0)
-    dpot = smallest_potential_difference(
-        sys, p, params.rho_w, p[sys.bc] + params.rho_w * sys.g * sys.b_z - P0)
+    dpot = potential_differences(sys, p, params.rho_w, params.rho_w)
     steps = 1e-5 * np.abs(x)
-    steps[IP::NVAR] = 0.1 * dpot
+    steps[IP::NVAR] = 0.1 * np.min(np.abs(dpot))
     assert_entries_match(
         sys, lambda y, want: _eval_system(sys, y, old, DT, control, want), x, steps)
 
@@ -105,15 +115,9 @@ def test_co2_jacobian_matches_central_differences(sides, rate):
     x = np.empty(NV2 * n)
     x[0::NV2] = p
     x[1::NV2] = s
-    g, z_cell = sys.g, sys.z[sys.bc]
-    dpot = min(
-        smallest_potential_difference(
-            sys, p, params.rho_w, p[sys.bc] + params.rho_w * g * z_cell - P0),
-        smallest_potential_difference(
-            sys, p, params.rho_co2,
-            p[sys.bc] + params.rho_co2 * g * z_cell
-            - (P0 - (params.rho_w - params.rho_co2) * g * sys.b_z)))
+    dpot = np.concatenate([potential_differences(sys, p, params.rho_w, rho)
+                           for rho in (params.rho_w, params.rho_co2)])
     steps = np.full(NV2 * n, 1e-6)
-    steps[0::NV2] = 0.1 * dpot
+    steps[0::NV2] = 0.1 * np.min(np.abs(dpot))
     assert_entries_match(
         sys, lambda y, want: _eval_twophase(sys, y, old, DT, rate, P0, want), x, steps)

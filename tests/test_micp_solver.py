@@ -110,20 +110,23 @@ class TestShearNorm:
         state.p += np.random.default_rng(0).uniform(0.0, 1e4, grid.n_active)
         _, _, aux = _eval_system(sys, state.to_vector(), state, 600.0,
                                  WellControl(rate=1e-5, p_bdry=P0), want_jacobian=False)
-        # the shear norm summed over boolean masks of each axis's faces
-        F, Fb, n = aux["F"], aux["Fb"], grid.n_active
+        # the shear norm summed over boolean masks of each axis's faces; the
+        # face list holds the interior faces, then the boundary faces
+        n, ni = grid.n_active, grid.n_ifaces
+        F, Fb = aux["F"][:ni], aux["F"][ni:]
+        assert aux["F"].shape == (ni + grid.bface_cell.size,)
         b_axis, b_sign = grid.bface_axis, grid.bface_sign
         v2 = np.zeros(n)
         for axis in range(3):
             fmask = grid.iface_axis == axis
             vel = np.zeros(n)
             fluxa = F[fmask] / grid.iface_area[fmask]
-            vel += np.bincount(sys.fa[fmask], weights=fluxa, minlength=n)
-            vel += np.bincount(sys.fb[fmask], weights=fluxa, minlength=n)
+            vel += np.bincount(grid.iface_cells[fmask, 0], weights=fluxa, minlength=n)
+            vel += np.bincount(grid.iface_cells[fmask, 1], weights=fluxa, minlength=n)
             bmask = b_axis == axis
             if np.any(bmask):
-                vel += np.bincount(sys.bc[bmask], weights=(b_sign[bmask] * Fb[bmask]
-                                                           / grid.bface_area[bmask]),
+                vel += np.bincount(grid.bface_cell[bmask],
+                                   weights=b_sign[bmask] * Fb[bmask] / grid.bface_area[bmask],
                                    minlength=n)
             v2 += (0.5 * vel) ** 2
         assert sorted(set(b_axis)) == [0, 1]

@@ -229,7 +229,7 @@ class TestCarriedFactorization:
 
 
 def _line(sides):
-    """Three cells in a row: faces (0, 1) and (1, 2), boundary faces on ``sides``."""
+    """Three cells in a row: faces (0, 1) and (1, 2), then boundary faces on ``sides``."""
     domain = DomainSpec(nx=3, ny=1, nz=1, dx=1.0, dy=1.0, dz=1.0)
     res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=0.5,
                         outflow_sides=sides)
@@ -245,12 +245,19 @@ class TestBlockJacobian:
     def block(J, row_cell, col_cell):
         return J[2 * row_cell:2 * row_cell + 2, 2 * col_cell:2 * col_cell + 2]
 
+    @classmethod
+    def with_boundary(cls, on_a, on_b):
+        """FACE_A and FACE_B followed by the x+ boundary face's blocks."""
+        return (np.concatenate((cls.FACE_A, [on_a])), np.concatenate((cls.FACE_B, [on_b])))
+
     def test_faces_scatter_out_of_a_into_b(self):
         data = _line(("x+",))
-        assert data.fa.tolist() == [0, 1] and data.fb.tolist() == [1, 2]
-        assert data.bc.tolist() == [2]
-        bface = np.array([[[0.0, 0.0], [0.0, 7.0]]])
-        J = data.jacobian(self.CELL, self.FACE_A, self.FACE_B, bface).toarray()
+        # the boundary face joins cell 2 to ghost 3
+        assert data.fa.tolist() == [0, 1, 2] and data.fb.tolist() == [1, 2, 3]
+        # the ghost has no unknowns: its side's block reaches no entry
+        faces = self.with_boundary([[0.0, 0.0], [0.0, 7.0]], np.full((2, 2), 5.0))
+        J = data.jacobian(self.CELL, *faces).toarray()
+        assert J.shape == (6, 6)
         # flux leaves a: + face_a at (a, a), + face_b at (a, b)
         assert self.block(J, 0, 0).tolist() == [[11.0, 0.0], [0.0, 2.0]]
         assert self.block(J, 0, 1).tolist() == [[0.0, 3.0], [0.0, 0.0]]
@@ -266,27 +273,28 @@ class TestBlockJacobian:
         data = _line(("x+",))
         cell = self.CELL.copy()
         cell[0, 0, 0] = -10.0  # cancels face_a of face 0 exactly
-        J = data.jacobian(cell, self.FACE_A, self.FACE_B, np.zeros((1, 2, 2)))
+        J = data.jacobian(cell, *self.with_boundary(np.zeros((2, 2)), np.zeros((2, 2))))
         assert J.nnz == np.count_nonzero(J.toarray()) == 12
         assert J[0, 0] == 0.0
 
     def test_pin_replaces_row_zero(self):
         data = _line(())
-        assert data.closed
-        J = data.jacobian(self.CELL, self.FACE_A, self.FACE_B, np.zeros((0, 2, 2)))
-        pinned = data.jacobian(self.CELL, self.FACE_A, self.FACE_B,
-                               np.zeros((0, 2, 2)), pin_scale=7.0)
+        assert data.closed and data.fa.size == 2
+        J = data.jacobian(self.CELL, self.FACE_A, self.FACE_B)
+        pinned = data.jacobian(self.CELL, self.FACE_A, self.FACE_B, pin_scale=7.0)
         assert pinned.toarray()[0].tolist() == [7.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert np.array_equal(pinned.toarray()[1:], J.toarray()[1:])
         assert pinned.nnz == J.nnz - 1
 
     def test_face_sums_keep_trailing_axes(self):
         data = _line(("x+",))
-        sums = data.face_sums(np.array([1.0, 2.0]), np.array([4.0, 8.0]), np.array([16.0]))
+        # the boundary face adds 16 to cell 2; the ghost's 32 is dropped
+        sums = data.face_sums(np.array([1.0, 2.0, 16.0]), np.array([4.0, 8.0, 32.0]))
         assert sums.tolist() == [1.0, -2.0, 8.0]
-        blocks = data.face_sums(self.FACE_A, self.FACE_B, np.zeros((1, 2, 2)))
+        blocks = data.face_sums(*self.with_boundary(np.zeros((2, 2)), np.ones((2, 2))))
         assert blocks.shape == (3, 2, 2)
         assert blocks[1].tolist() == [[20.0, -3.0], [0.0, 0.5]]
+        assert blocks[2].tolist() == [[0.0, 0.0], [-4.0, 0.0]]
 
 
 def _box(sides):
@@ -297,8 +305,15 @@ def _box(sides):
     return AssemblyData(build_domain(domain, None, res, RockLaw()))
 
 
-def _reference_face_sums(data, on_a, on_b, on_bc):
-    """face_sums by one bincount per face set."""
+def _cells_a(grid):
+    """Cell a of each face, from the grid's own arrays: interior, then boundary faces."""
+    return np.concatenate((grid.iface_cells[:, 0], grid.bface_cell))
+
+
+def _reference_face_sums(data, on_a, on_b):
+    """face_sums by one bincount per side, from the grid's own face arrays."""
+    grid = data.grid
+    interior = grid.n_ifaces
 
     def sums(cells, weights):
         tail = weights.shape[1:]
@@ -307,17 +322,19 @@ def _reference_face_sums(data, on_a, on_b, on_bc):
         return np.bincount(idx, weights=weights.ravel(),
                            minlength=data.n * k).reshape((data.n, *tail))
 
-    return sums(data.fa, on_a) - sums(data.fb, on_b) + sums(data.bc, on_bc)
+    return sums(_cells_a(grid), on_a) - sums(grid.iface_cells[:, 1], on_b[:interior])
 
 
-def _reference_jacobian(data, cell, face_a, face_b, bface, pin_scale=None):
+def _reference_jacobian(data, cell, face_a, face_b, pin_scale=None):
     """jacobian by COO triplets of the nonzero block entries, summed into CSC."""
-    n, nvar = data.n, cell.shape[1]
+    grid = data.grid
+    n, nvar, interior = data.n, cell.shape[1], grid.n_ifaces
     cells = np.arange(n)
-    blocks = np.concatenate((cell + _reference_face_sums(data, face_a, face_b, bface),
-                             face_b, -face_a))
-    brow = np.concatenate((cells, data.fa, data.fb))
-    bcol = np.concatenate((cells, data.fb, data.fa))
+    fa, fb = grid.iface_cells.T
+    blocks = np.concatenate((cell + _reference_face_sums(data, face_a, face_b),
+                             face_b[:interior], -face_a[:interior]))
+    brow = np.concatenate((cells, fa, fb))
+    bcol = np.concatenate((cells, fb, fa))
     if pin_scale is not None:
         blocks[brow == 0, 0, :] = 0.0
         blocks[0, 0, 0] = pin_scale
@@ -342,25 +359,27 @@ class TestAssemblyOracle:
             shape = (count, nvar, nvar)
             return rng.standard_normal(shape) * (rng.random(shape) < 0.5)
 
+        faces = _cells_a(data.grid).size
         cell = sparse_normal(data.n)
-        face_a = sparse_normal(data.fa.size)
-        face_b = sparse_normal(data.fa.size)
-        bface = sparse_normal(data.bc.size)
+        face_a = sparse_normal(faces)
+        face_b = sparse_normal(faces)
         face_b[2, 1, 0] = -0.0  # an off-diagonal entry not stored, as an exact zero
         face_b[3, 0, 1] = np.nan
+        face_b[data.grid.n_ifaces:] = np.nan  # a ghost's side reaches no entry
         # cell 1's (0, 0) entry cancels its face sums exactly
-        face_a[data.fa == 1, 0, 0] += 1.0
-        flux = _reference_face_sums(data, face_a, face_b, bface)[1, 0, 0]
+        face_a[_cells_a(data.grid) == 1, 0, 0] += 1.0
+        flux = _reference_face_sums(data, face_a, face_b)[1, 0, 0]
         assert flux != 0.0
         cell[1, 0, 0] = -flux
-        return cell, face_a, face_b, bface
+        return cell, face_a, face_b
 
     @pytest.mark.parametrize("sides", [("x+", "y-"), ()])
     @pytest.mark.parametrize("nvar", [2, 6])
     @pytest.mark.parametrize("pin_scale", [None, 7.0])
     def test_jacobian_matches_coo_reference(self, sides, nvar, pin_scale):
         data = _box(sides)
-        assert data.fa.size == 20 and data.closed == (sides == ())
+        assert data.grid.n_ifaces == 20 and data.closed == (sides == ())
+        assert data.fa.size == _cells_a(data.grid).size == (30 if sides else 20)
         for seed in range(3):
             blocks = self.blocks(data, nvar, seed)
             J = data.jacobian(*blocks, pin_scale=pin_scale)
@@ -393,10 +412,11 @@ class TestAssemblyOracle:
     def test_face_sums_match_bincount(self, sides):
         data = _box(sides)
         rng = np.random.default_rng(1)
+        faces = _cells_a(data.grid).size
         for tail in ((), (2,), (6, 6)):
-            on = [rng.standard_normal((count, *tail))
-                  for count in (data.fa.size, data.fa.size, data.bc.size)]
+            on = [rng.standard_normal((faces, *tail)) for _ in range(2)]
             on[0][0] = np.nan
+            on[1][data.grid.n_ifaces:] = np.nan  # the ghosts' rows are dropped
             got = data.face_sums(*on)
             assert _bits(got) == _bits(_reference_face_sums(data, *on))
             assert got.shape == (data.n, *tail)
@@ -585,21 +605,21 @@ class TestMarch:
         assert all(guess is None for guess, _ in handed)
 
 
-def _micp_step(settings, sides=("x+",)):
-    """One 600 s micp step that injects 1e-5 m^3/s into _line(sides)."""
+def _micp_step(settings, sides=("x+",), rate=1e-5):
+    """One 600 s micp step with well rate ``rate`` (m^3/s) in _line(sides)."""
     grid = _line(sides).grid
     params = KineticParams()
     state = micp.make_initial_state(grid, params, 1e7)
     return micp.solve_timestep(micp.MicpSystem(grid, params, RockLaw()), state, 600.0,
-                               WellControl(rate=1e-5, p_bdry=1e7), settings)
+                               WellControl(rate=rate, p_bdry=1e7), settings)
 
 
-def _co2_step(settings, sides=("x+",)):
-    """One 600 s co2 step that injects 1e-5 m^3/s into _line(sides)."""
+def _co2_step(settings, sides=("x+",), rate=1e-5):
+    """One 600 s co2 step with well rate ``rate`` (m^3/s) in _line(sides)."""
     grid = _line(sides).grid
     state = co2.make_initial_twophase_state(grid, TwoPhaseParams(), 1e7)
     return co2.solve_twophase_step(co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams()),
-                                   state, 600.0, 1e-5, settings, p_bdry=1e7)
+                                   state, 600.0, rate, settings, p_bdry=1e7)
 
 
 class TestStepSettings:
@@ -621,3 +641,9 @@ class TestStepWell:
         assert step(SolverSettings())[1].converged
         with pytest.raises(DomainError, match="no open boundary"):
             step(SolverSettings(), sides=())
+
+    @pytest.mark.parametrize("step", [_micp_step, _co2_step], ids=["micp", "co2"])
+    def test_withdrawal_from_closed_domain_raises(self, step):
+        # with no open boundary nothing can replace the withdrawn fluid
+        with pytest.raises(DomainError, match="no open boundary"):
+            step(SolverSettings(), sides=(), rate=-1e-5)
