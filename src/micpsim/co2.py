@@ -89,7 +89,10 @@ def make_initial_twophase_state(grid: Grid, params: TwoPhaseParams,
 
 
 class TwoPhaseSystem(AssemblyData):
-    """Assembly data of one checked K/phi field; phi defaults to ``grid.poro0``."""
+    """Assembly data of one checked K/phi field; phi defaults to ``grid.poro0``.
+
+    Raises DomainError if ``params`` fails its validation.
+    """
 
     def __init__(self, grid: Grid, perm_field, params: TwoPhaseParams,
                  poro_field=None):
@@ -100,6 +103,7 @@ class TwoPhaseSystem(AssemblyData):
         for name, field in (("perm", perm), ("poro", poro)):
             if not np.all(np.isfinite(field) & (field > 0.0)):  # NaN fails too
                 raise DomainError(f"{name} must be finite and > 0 in active cells")
+        params.validate()
         super().__init__(grid)
         self.params = params
         self.phi = poro
@@ -242,9 +246,10 @@ def leak_plane(sys: TwoPhaseSystem, plane_z: float):
     grid = sys.grid
     if not 0.0 < plane_z < grid.domain.lz:
         raise GeometryError(f"plane z = {plane_z} m outside the domain")
-    fa, fb = sys.fa[sys.interior], sys.fb[sys.interior]
+    fa, fb = grid.face_cells[sys.interior].T
     face_z = 0.5 * (sys.z[fa] + sys.z[fb])
-    on_plane = (grid.iface_axis == 2) & (np.abs(face_z - plane_z) < 1e-6 * grid.domain.dz)
+    vertical = grid.face_axis[sys.interior] == 2
+    on_plane = vertical & (np.abs(face_z - plane_z) < 1e-6 * grid.domain.dz)
     leak_touch = (grid.region[fa] == Region.LEAK) | (grid.region[fb] == Region.LEAK)
     faces = np.flatnonzero(on_plane & leak_touch)
     if faces.size == 0:

@@ -11,9 +11,10 @@ boundary that falls exactly on a row of cell centers counts them once).
 
 Flux discretization is cell-centered two-point flux approximation (TPFA).
 An open boundary face is a face from its cell to a ghost beyond it, so
-both solvers read one face list: the interior faces, then the open
-boundary faces. :func:`transmissibilities` is its one implementation,
-which both solvers and the leakage diagnostic read: interior face
+the grid holds one face list (:class:`Grid`): the interior faces, then
+the open boundary faces, each with its two cells, axis, area, distances
+and sign. Both solvers and the leakage diagnostic read that list, and
+its transmissibilities from :func:`transmissibilities`: interior face
 T = A / (d1/K1 + d2/K2) with center-to-face distances d and cell
 permeabilities K, boundary face T = A K / d. The potential differences
 across the faces live in :class:`micpsim.stepping.AssemblyData`, the
@@ -37,7 +38,7 @@ from .params import RockLaw
 logger = logging.getLogger(__name__)
 
 # each open boundary side's axis and outward sign
-_SIDE_AXIS_SIGN = {"x-": (0, -1.0), "x+": (0, 1.0), "y-": (1, -1.0), "y+": (1, 1.0)}
+_SIDE_AXIS_SIGN = {"x-": (0, -1), "x+": (0, 1), "y-": (1, -1), "y+": (1, 1)}
 SIDES = tuple(_SIDE_AXIS_SIGN)
 
 
@@ -144,55 +145,53 @@ class ReservoirSpec:
             raise DomainError("layer heights must be >= 0")
         if self.caprock_height == 0.0 and not self.aquifer_height > 0.0:
             raise DomainError("a caprock-free domain needs aquifer_height > 0")
-        for side in self.outflow_sides:
+        for i, side in enumerate(self.outflow_sides):
             if side not in SIDES:
                 raise DomainError(f"unknown boundary side {side!r}; use one of {SIDES}")
+            if side in self.outflow_sides[:i]:  # its faces would be doubled
+                raise DomainError(f"outflow side {side!r} is given more than once")
 
 
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Immutable cell/face arrays of the active flow domain.
 
-    Interior faces are oriented from the lower-index cell ``a`` to the
-    higher-index cell ``b`` along their axis, so positive face flux points
-    in +x/+y/+z. Built once by :func:`build_domain`; never mutated.
+    The faces are one list, interior faces first. Interior face f joins
+    cell ``face_cells[f, 0]`` (a) to the higher-index cell
+    ``face_cells[f, 1]`` (b) along its axis, so positive face flux points
+    in +x/+y/+z. Open boundary face k, at f = n_ifaces + k, joins its cell
+    (a) to ghost cell n_active + k (b), which stands for the state beyond
+    the boundary, 0 from the face. Built once by :func:`build_domain`.
     """
 
-    def __init__(self, domain, leak, reservoir, shape_region, active_index,
-                 cell_ijk, centers, volumes, region, perm0, poro0,
-                 iface_cells, iface_axis, iface_area, iface_d,
-                 bface_cell, bface_area, bface_d, bface_z, bface_axis, bface_sign,
-                 well_cells, gravity_accel):
-        self.domain = domain
-        self.leak = leak
-        self.reservoir = reservoir
-        self.shape_region = shape_region  # full-lattice region codes
-        self.active_index = active_index  # (nx, ny, nz), -1 where inactive
-        self.cell_ijk = cell_ijk
-        self.centers = centers
-        self.volumes = volumes
-        self.region = region
-        self.perm0 = perm0
-        self.poro0 = poro0
-        self.iface_cells = iface_cells  # (nf, 2)
-        self.iface_axis = iface_axis
-        self.iface_area = iface_area
-        self.iface_d = iface_d  # (nf, 2) center-to-face distances
-        self.bface_cell = bface_cell
-        self.bface_area = bface_area
-        self.bface_d = bface_d
-        self.bface_z = bface_z
-        self.bface_axis = bface_axis
-        self.bface_sign = bface_sign  # +1 where the outward normal points along +axis
-        self.well_cells = well_cells
-        self.gravity_accel = gravity_accel  # positive magnitude, m/s^2
+    domain: DomainSpec
+    leak: LeakSpec | None
+    reservoir: ReservoirSpec
+    shape_region: np.ndarray  # full-lattice region codes
+    active_index: np.ndarray  # (nx, ny, nz), -1 where inactive
+    cell_ijk: np.ndarray
+    centers: np.ndarray
+    volumes: np.ndarray
+    region: np.ndarray
+    perm0: np.ndarray
+    poro0: np.ndarray
+    face_cells: np.ndarray  # (faces, 2): cell a, cell b or ghost
+    n_ifaces: int  # interior faces, the first of the list
+    face_axis: np.ndarray
+    face_area: np.ndarray
+    face_d: np.ndarray  # (faces, 2) center-to-face distances, 0 on a ghost's side
+    face_sign: np.ndarray  # +1 on interior faces, the outward sign on boundary faces
+    well_cells: np.ndarray
+    gravity_accel: float  # positive magnitude, m/s^2
 
     @property
     def n_active(self) -> int:
         return self.centers.shape[0]
 
     @property
-    def n_ifaces(self) -> int:
-        return self.iface_cells.shape[0]
+    def bface_cell(self) -> np.ndarray:
+        """Cell of each open boundary face."""
+        return self.face_cells[self.n_ifaces:, 0]
 
     @property
     def leak_cells(self) -> np.ndarray:
@@ -276,17 +275,15 @@ def build_domain(domain: DomainSpec, leak: LeakSpec | None,
                      reservoir.perm_aquifer)
     poro0 = np.full(n_active, rock.phi0)
 
-    iface_cells, iface_axis, iface_area, iface_d = _interior_faces(domain, active_index)
-    boundary = _boundary_faces(domain, reservoir, active_index, region, centers)
-
     well_cells = _well_cells(domain, reservoir, active_index, h_cap)
     if well_cells.size == 0:
         raise GeometryError("injection well column contains no active cells")
 
-    grid = Grid(domain, leak, reservoir, region, active_index, ijk, centers,
-                volumes, region_a, perm0, poro0,
-                iface_cells, iface_axis, iface_area, iface_d,
-                *boundary, well_cells, abs(domain.gz))
+    grid = Grid(domain=domain, leak=leak, reservoir=reservoir, shape_region=region,
+                active_index=active_index, cell_ijk=ijk, centers=centers,
+                volumes=volumes, region=region_a, perm0=perm0, poro0=poro0,
+                **_faces(domain, reservoir, active_index, region, n_active),
+                well_cells=well_cells, gravity_accel=abs(domain.gz))
 
     if leak is not None and h_cap > 0.0 and not leak_connects_aquifers(grid):
         logger.warning(
@@ -309,50 +306,43 @@ def _check_leak_fits(domain, leak, foot_x, foot_z, h_cap):
             f"domain [0, {domain.lx:g}] m")
 
 
-def _axis_geometry(domain):
-    """Per axis: the area of a face normal to it, half a cell's size along it."""
-    return ((domain.dy * domain.dz, domain.dx * domain.dz, domain.dx * domain.dy),
-            (0.5 * domain.dx, 0.5 * domain.dy, 0.5 * domain.dz))
-
-
-def _interior_faces(domain, active_index):
-    cells, axes, areas, dists = [], [], [], []
-    face_area, half = _axis_geometry(domain)
+def _faces(domain, reservoir, active_index, region, n_active):
+    """The face list of :class:`Grid`: the interior faces, then the open boundary faces."""
+    # per axis: the area of a face normal to it, half a cell's size along it
+    area = (domain.dy * domain.dz, domain.dx * domain.dz, domain.dx * domain.dy)
+    half = (0.5 * domain.dx, 0.5 * domain.dy, 0.5 * domain.dz)
+    cells, axes, signs = [], [], []
     for axis in range(3):
         lo = active_index[_slab(axis, slice(None, -1))]
         hi = active_index[_slab(axis, slice(1, None))]
         mask = (lo >= 0) & (hi >= 0)
-        a = lo[mask]
-        b = hi[mask]
-        cells.append(np.column_stack([a, b]))
-        axes.append(np.full(a.size, axis, dtype=np.int8))
-        areas.append(np.full(a.size, face_area[axis]))
-        dists.append(np.full((a.size, 2), half[axis]))
-    return (np.concatenate(cells) if cells else np.empty((0, 2), dtype=np.int64),
-            np.concatenate(axes), np.concatenate(areas), np.concatenate(dists))
+        cells.append(np.column_stack([lo[mask], hi[mask]]))
+        axes.append(np.full(cells[-1].shape[0], axis, dtype=np.int8))
+        signs.append(np.ones(cells[-1].shape[0], dtype=np.int8))
+    n_ifaces = sum(c.shape[0] for c in cells)
+    for side in reservoir.outflow_sides:
+        axis, sign = _SIDE_AXIS_SIGN[side]
+        end = _slab(axis, 0 if sign < 0 else -1)
+        idx = active_index[end]
+        chosen = idx[(idx >= 0) & np.isin(region[end], AQUIFER_REGIONS)]
+        cells.append(np.column_stack([chosen, chosen]))  # b: the ghost, set below
+        axes.append(np.full(chosen.size, axis, dtype=np.int8))
+        signs.append(np.full(chosen.size, sign, dtype=np.int8))
+    face_cells = np.concatenate(cells)
+    face_cells[n_ifaces:, 1] = n_active + np.arange(face_cells.shape[0] - n_ifaces)
+    face_axis = np.concatenate(axes)
+    d = np.take(half, face_axis)
+    face_d = np.column_stack((d, d))
+    face_d[n_ifaces:, 1] = 0.0
+    return {"face_cells": face_cells, "n_ifaces": n_ifaces, "face_axis": face_axis,
+            "face_area": np.take(area, face_axis), "face_d": face_d,
+            "face_sign": np.concatenate(signs)}
 
 
 def _slab(axis, sl):
     idx = [slice(None)] * 3
     idx[axis] = sl
     return tuple(idx)
-
-
-def _boundary_faces(domain, reservoir, active_index, region, centers):
-    """Cell, area, distance, z, axis and outward sign of each open boundary face."""
-    face_area, half = _axis_geometry(domain)
-    cell, axes, signs = [np.empty(0, np.int64)], [np.empty(0, np.int8)], [np.empty(0)]
-    for side in reservoir.outflow_sides:
-        axis, sign = _SIDE_AXIS_SIGN[side]
-        end = _slab(axis, 0 if sign < 0.0 else -1)
-        idx = active_index[end]
-        chosen = idx[(idx >= 0) & np.isin(region[end], AQUIFER_REGIONS)]
-        cell.append(chosen)
-        axes.append(np.full(chosen.size, axis, dtype=np.int8))
-        signs.append(np.full(chosen.size, sign))
-    bcell, baxis, bsign = map(np.concatenate, (cell, axes, signs))
-    return (bcell, np.take(face_area, baxis), np.take(half, baxis), centers[bcell, 2],
-            baxis, bsign)
 
 
 def _well_cells(domain, reservoir, active_index, h_cap):
@@ -380,16 +370,20 @@ def _well_cells(domain, reservoir, active_index, h_cap):
 def transmissibilities(grid: Grid, perm: np.ndarray) -> np.ndarray:
     """TPFA transmissibilities (m^3) from the cell permeabilities ``perm``.
 
-    One value per face: T = A / (d_a/K_a + d_b/K_b) of each interior face,
-    then T = A K / d of each constant-pressure boundary face, d being the
-    distance from a cell center to the face. Checks nothing, so that a
-    NaN iterate gives NaN fluxes and fails its Newton step instead of
-    raising; the public entry points check their fields themselves.
+    One value per face of the grid's list: T = A / (d_a/K_a + d_b/K_b) of
+    each interior face, then T = A K / d of each constant-pressure
+    boundary face, d being the distance from a cell center to the face.
+    Checks nothing, so that a NaN iterate gives NaN fluxes and fails its
+    Newton step instead of raising; the public entry points check their
+    fields themselves.
     """
-    a = grid.iface_cells[:, 0]
-    b = grid.iface_cells[:, 1]
-    T = grid.iface_area / (grid.iface_d[:, 0] / perm[a] + grid.iface_d[:, 1] / perm[b])
-    return np.concatenate((T, grid.bface_area * perm[grid.bface_cell] / grid.bface_d))
+    inner, outer = slice(None, grid.n_ifaces), slice(grid.n_ifaces, None)
+    a, b = grid.face_cells[:, 0], grid.face_cells[inner, 1]
+    A, d = grid.face_area, grid.face_d
+    T = np.empty(A.size)
+    T[inner] = A[inner] / (d[inner, 0] / perm[a[inner]] + d[inner, 1] / perm[b])
+    T[outer] = A[outer] * perm[a[outer]] / d[outer, 0]
+    return T
 
 
 def face_transmissibility(grid: Grid, perm_field, face: int) -> float:
@@ -398,8 +392,10 @@ def face_transmissibility(grid: Grid, perm_field, face: int) -> float:
     T = A / (d1/K1 + d2/K2); symmetric in the two cells and linear in the
     face area. Only the permeabilities of the face's two cells matter.
     """
+    if not 0 <= face < grid.n_ifaces:
+        raise DomainError(f"face {face} is not an interior face (0 to {grid.n_ifaces - 1})")
     perm = np.asarray(perm_field, dtype=float)
-    a, b = grid.iface_cells[face]
+    a, b = grid.face_cells[face]
     if not all(0.0 < perm[c] < np.inf for c in (a, b)):  # NaN fails too
         raise DomainError("permeability must be finite and > 0 on both sides of a face")
     with np.errstate(divide="ignore"):  # other cells may hold zeros
@@ -417,7 +413,7 @@ def leak_connects_aquifers(grid: Grid) -> bool:
     rasterize into diagonal stripes that share no faces.
     """
     leak = grid.region == Region.LEAK
-    fa, fb = grid.iface_cells[:, 0], grid.iface_cells[:, 1]
+    fa, fb = grid.face_cells[:grid.n_ifaces].T
     inside = leak[fa] & leak[fb]
     n = grid.n_active
     graph = sparse.coo_matrix(

@@ -45,18 +45,20 @@ nonzero pattern (on a 2-core x86 box), this cuts factor time by about
 iterations, and the wall time of the first 15 h of the published ex3
 treatment by more than half.
 
-A constant-pressure production boundary face is a half-cell
-transmissibility face to a ghost cell at its cell's height that holds
-water at p_bdry - rho_w g z and no solutes, so inflow from the boundary
-carries zero concentrations and outflow carries resident ones; past the
-assembly only the outflow ledger tells it apart. A grid with no boundary
-faces gets the water equation of cell 0 replaced by a pressure pin, which
-turns a shut-in single cell into the plain backward-Euler form of the
-batch reaction ODEs; a well rate on it raises DomainError.
+A constant-pressure production boundary face is a face of the grid's
+list (:class:`micpsim.grid.Grid`) with a half-cell transmissibility to a
+ghost cell at its cell's height that holds water at p_bdry - rho_w g z
+and no solutes, so inflow from the boundary carries zero concentrations
+and outflow carries resident ones; past the assembly only the outflow
+ledger tells it apart. A grid with no boundary faces gets the water
+equation of cell 0 replaced by a pressure pin, which turns a shut-in
+single cell into the plain backward-Euler form of the batch reaction
+ODEs; a well rate on it raises DomainError.
 
 A :class:`MicpSystem` holds the assembly data of one (grid, params,
-rock): a run builds one, and :func:`solve_timestep`, :func:`assemble_residual`
-and :func:`shear_norm_field` take it. One simulation advances one state;
+rock), both parameter sets checked: a run builds one, and
+:func:`solve_timestep`, :func:`assemble_residual` and
+:func:`shear_norm_field` take it. One simulation advances one state;
 separate instances share nothing but the immutable grid and parameter
 objects and may run in parallel. Assembly is single-threaded and
 deterministic: identical inputs produce identical results.
@@ -146,9 +148,14 @@ def permeability_field(grid: Grid, rock: RockLaw, state: MicpState) -> np.ndarra
 
 
 class MicpSystem(AssemblyData):
-    """Precomputed immutable assembly data for one (grid, params, rock)."""
+    """Precomputed immutable assembly data for one (grid, params, rock).
+
+    Raises DomainError if ``params`` or ``rock`` fails its validation.
+    """
 
     def __init__(self, grid: Grid, params: KineticParams, rock: RockLaw):
+        params.validate()
+        rock.validate()
         super().__init__(grid)
         self.params = params
         self.rock = rock
@@ -158,9 +165,8 @@ class MicpSystem(AssemblyData):
         # boundary, and inf in the other two: flux / axis_area puts a face's
         # Darcy velocity in its axis's column and zero in the others
         self.axis_area = np.full((self.fa.size, 3), np.inf)
-        self.axis_area[np.arange(self.fa.size),
-                       np.concatenate((grid.iface_axis, grid.bface_axis))] = (
-            np.concatenate((grid.iface_area, grid.bface_sign * grid.bface_area)))
+        self.axis_area[np.arange(self.fa.size), grid.face_axis] = (
+            grid.face_sign * grid.face_area)
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -295,7 +301,7 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
     dF_da[:, IP] = T / mu_w
     dF_db[:, IP] = -T / mu_w
     for dF, side, cells in ((dF_da, 0, sys.fa), (dF_db, 1, sys.fb)):
-        dT_dK = T * T * sys.f_d[:, side] / (sys.f_area * K_all[cells] ** 2)
+        dT_dK = T * T * grid.face_d[:, side] / (grid.face_area * K_all[cells] ** 2)
         dF[:, IB] = dF[:, IC] = dpot / mu_w * dT_dK * (-dK_all[cells])
     face_a = w[:, :, None] * dF_da[:, None, :]
     face_b = w[:, :, None] * dF_db[:, None, :]

@@ -42,7 +42,7 @@ class KineticParams:
                 raise DomainError(f"KineticParams.{name} must be > 0")
         nonnegative = ("k_str", "mu", "mu_u", "k_a", "k_d")
         for name in nonnegative:
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:  # NaN fails too
                 raise DomainError(f"KineticParams.{name} must be >= 0")
         if not 0.0 < self.Y <= 1.0:
             raise DomainError("KineticParams.Y must lie in (0, 1]")

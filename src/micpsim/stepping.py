@@ -3,9 +3,10 @@
 The solvers supply only their physics, as callables: residual and
 Jacobian evaluation, the finish of a converged step, and the booking of
 an accepted one. This module owns the rest: the grid data both
-assemblies read (:class:`AssemblyData`), one face list of interior faces
-and of open boundary faces to ghost cells, the potential differences across
-them (:meth:`AssemblyData.face_potential_differences`; the transmissibilities
+assemblies read (:class:`AssemblyData`) with the grid's one face list
+of interior faces and of open boundary faces to ghost cells, the
+potential differences across them
+(:meth:`AssemblyData.face_potential_differences`; the transmissibilities
 are :func:`micpsim.grid.transmissibilities`), the well source and
 the closed-domain pressure pin (:meth:`AssemblyData.well_source`,
 :meth:`AssemblyData.pin_pressure`), the sums of face fluxes into cells
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,10 +76,11 @@ class OutputHooks:
 class AssemblyData:
     """Grid arrays read by every residual assembly.
 
-    The faces are one list, interior faces first: open boundary face k
-    joins its cell (a) to ghost cell n + k (b), at the cell's height and
-    0 from the face, which holds the state beyond the boundary that each
-    solver gives it (:meth:`with_ghosts`). Sums drop the ghosts' rows.
+    The faces are the grid's one list (:class:`micpsim.grid.Grid`),
+    interior faces first: open boundary face k joins its cell (a) to
+    ghost cell n + k (b), at the cell's height, which holds the state
+    beyond the boundary that each solver gives it (:meth:`with_ghosts`).
+    Sums drop the ghosts' rows.
 
     ``order`` lists the unknowns in the order their system factors them:
     row and column k of a Newton matrix is unknown order[k]. None, as
@@ -98,9 +99,10 @@ class AssemblyData:
         self.boundary = slice(grid.n_ifaces, None)
         self.n_ghosts = grid.bface_cell.size
         self.closed = self.n_ghosts == 0  # no pressure level: pin cell 0
-        self.fa = np.concatenate((grid.iface_cells[:, 0], grid.bface_cell))
-        self.fb = np.concatenate((grid.iface_cells[:, 1], self.n + np.arange(self.n_ghosts)))
-        self.z = self.with_ghosts(grid.centers[:, 2], grid.bface_z)
+        # contiguous copies: every evaluation indexes cell arrays with them
+        self.fa = grid.face_cells[:, 0].copy()
+        self.fb = grid.face_cells[:, 1].copy()
+        self.z = self.with_ghosts(grid.centers[:, 2], grid.centers[grid.bface_cell, 2])
         self.f_dz = self.z[self.fb] - self.z[self.fa]
         self.well = grid.well_cells
         self.well_frac = grid.volumes[self.well] / grid.well_volume
@@ -111,19 +113,6 @@ class AssemblyData:
             sparse.csr_matrix((np.ones(cols.size), (cells, cols)), shape=(self.n, faces.size))
             for cells, cols in ((self.fa, faces), (self.fb[inner], inner)))
         self._structure = {}  # nvar -> _block_structure in self.order, pin entries
-
-    # built on first use: only the micp Jacobian reads them, and a co2 run
-    # that holds them peaks about 1 MB higher on the published ex3 grid
-    @cached_property
-    def f_area(self):
-        """Area of each face."""
-        return np.concatenate((self.grid.iface_area, self.grid.bface_area))
-
-    @cached_property
-    def f_d(self):
-        """(faces, 2) distances of each face from its cells a and b, 0 from a ghost."""
-        return np.concatenate((self.grid.iface_d, np.column_stack(
-            (self.grid.bface_d, np.zeros(self.n_ghosts)))))
 
     def with_ghosts(self, values, ghost):
         """Cell values followed by ``ghost``'s, a scalar or one per ghost."""

@@ -182,6 +182,7 @@ class TestRunMicp:
 
     @pytest.mark.parametrize("section, line", [
         ("solver", "newton_max_iter = 0"), ("outputs", "snapshot_cadence = -5"),
+        ("reservoir", "outflow = x+, x+"),  # the doubled face halves the resistance
     ])
     def test_setting_that_cannot_run_is_config_error(self, tmp_path, capsys,
                                                      section, line):

@@ -293,12 +293,12 @@ class TestLeakageFlux:
         for k in range(1, 4):
             face = None
             for f in range(grid.n_ifaces):
-                a, b = grid.iface_cells[f]
+                a, b = grid.face_cells[f]
                 if {int(a), int(b)} == {k - 1, k}:
                     face = f
             perm = grid.perm0
-            T = grid.iface_area[face] / (grid.iface_d[face, 0] / perm[k - 1]
-                                         + grid.iface_d[face, 1] / perm[k])
+            T = grid.face_area[face] / (grid.face_d[face, 0] / perm[k - 1]
+                                        + grid.face_d[face, 1] / perm[k])
             dz = 1.0
             p[k] = p[k - 1] - TP.rho_co2 * 9.81 * dz - Q / (T * lam)
         state = TwoPhaseState(p=p, s=np.ones(4))
@@ -384,6 +384,15 @@ class TestSimulateCo2:
         with pytest.raises(DomainError, match=f"{field} must be finite and > 0"):
             simulate_co2(grid, fields["perm"], 1e-5, 3600.0, SolverSettings(), TP,
                          p_bdry=P0, poro_field=fields["poro"],
+                         sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
+        assert records == []
+
+    def test_invalid_params_rejected_before_a_step(self):
+        grid = line_grid(nx=10)
+        records = []
+        with pytest.raises(DomainError, match="TwoPhaseParams.mu_w must be > 0"):
+            simulate_co2(grid, grid.perm0, 1e-5, 3600.0, SolverSettings(),
+                         TwoPhaseParams(mu_w=0.0), p_bdry=P0,
                          sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
         assert records == []
 

@@ -193,6 +193,13 @@ class TestParsing:
         assert any(p.startswith(f"[{section}] {key} must be >=")
                    for p in exc_info.value.problems)
 
+    def test_repeated_outflow_side_rejected(self):
+        # a side given twice would double its boundary faces
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("[reservoir]\noutflow = x+, y-, x+\n")
+        assert exc_info.value.problems == [
+            "[reservoir] outflow side 'x+' is given more than once"]
+
     @pytest.mark.parametrize("setting", ["dt_cut = 1.0", "dt_cut = 0.0", "dt_grow = 0.5"])
     def test_step_factors_that_never_end_a_run_rejected(self, setting):
         # dt_cut = 1 retries a failing step at the same dt forever; dt_grow < 1

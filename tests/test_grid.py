@@ -160,11 +160,27 @@ class TestBuildDomain:
         g = build_domain(domain, None, res, ROCK)
         cells_along = (domain.nx, domain.ny)[axis]
         assert g.bface_cell.size == 4 * 3 * 2 // cells_along
-        assert np.all(g.bface_axis == axis) and np.all(g.bface_sign == sign)
+        # the boundary faces follow the interior faces, each to its own ghost
+        bdry = slice(g.n_ifaces, None)
+        assert g.face_cells.shape == (g.n_ifaces + g.bface_cell.size, 2)
+        assert np.array_equal(g.face_cells[bdry, 0], g.bface_cell)
+        ghosts = g.n_active + np.arange(g.bface_cell.size)
+        assert np.array_equal(g.face_cells[bdry, 1], ghosts)
+        assert np.all(g.face_axis[bdry] == axis) and np.all(g.face_sign[bdry] == sign)
+        assert np.all(g.face_sign[:g.n_ifaces] == 1)
         end = 0 if sign < 0.0 else cells_along - 1
         assert np.all(g.cell_ijk[g.bface_cell, axis] == end)
-        assert np.all(g.bface_area == (domain.dy * domain.dz, domain.dx * domain.dz)[axis])
-        assert np.all(g.bface_d == 0.5 * (domain.dx, domain.dy)[axis])
+        assert np.all(g.face_area[bdry] == (domain.dy * domain.dz, domain.dx * domain.dz)[axis])
+        assert np.all(g.face_d[bdry, 0] == 0.5 * (domain.dx, domain.dy)[axis])
+        assert np.all(g.face_d[bdry, 1] == 0.0)
+
+    def test_repeated_outflow_side_raises(self):
+        # a side given twice would get two faces to the same boundary
+        domain = DomainSpec(nx=4, ny=1, nz=1, dx=1.0, dy=1.0, dz=1.0)
+        res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=0.5,
+                            outflow_sides=("x+", "y-", "x+"))
+        with pytest.raises(DomainError, match="outflow side 'x\\+' is given more than once"):
+            build_domain(domain, None, res, ROCK)
 
     def test_gap_upper_changes_no_grid(self):
         cfg = preset("ex3")
@@ -246,8 +262,15 @@ class TestTransmissibility:
         all_T = transmissibilities(self.grid, perm)
         for f in range(self.grid.n_ifaces):
             assert all_T[f] == face_transmissibility(self.grid, perm, f)
-            a, b = self.grid.iface_cells[f]
+            a, b = self.grid.face_cells[f]
             assert all_T[f] == 1.0 / (0.5 / perm[a] + 0.5 / perm[b])
+
+    @pytest.mark.parametrize("face", [-1, 2])
+    def test_face_outside_the_interior_faces_raises(self, face):
+        # -1 would wrap to the boundary face, 2 (= n_ifaces) is the boundary face
+        assert self.grid.n_ifaces == 2 and self.grid.bface_cell.size == 1
+        with pytest.raises(DomainError, match="not an interior face"):
+            face_transmissibility(self.grid, np.array([1e-14, 1e-14, 4e-14]), face)
 
     def test_boundary_transmissibility(self):
         perm = np.array([1e-14, 1e-14, 4e-14])
@@ -266,7 +289,7 @@ def flood_fill_connects(grid):
     leak_set = set(grid.leak_cells.tolist())
     neighbors = {c: [] for c in leak_set}
     touches_lower, touches_upper = set(), set()
-    for a, b in grid.iface_cells.tolist():
+    for a, b in grid.face_cells[:grid.n_ifaces].tolist():
         if a in leak_set and b in leak_set:
             neighbors[a].append(b)
             neighbors[b].append(a)

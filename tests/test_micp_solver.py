@@ -29,6 +29,7 @@ from micpsim.micp import (
 )
 from micpsim.params import KineticParams, RockLaw
 from micpsim.schedule import Schedule, WellControl, builtin_schedule
+from micpsim.stepping import OutputHooks
 
 ROCK = RockLaw()
 PARAMS = KineticParams()
@@ -115,18 +116,20 @@ class TestShearNorm:
         n, ni = grid.n_active, grid.n_ifaces
         F, Fb = aux["F"][:ni], aux["F"][ni:]
         assert aux["F"].shape == (ni + grid.bface_cell.size,)
-        b_axis, b_sign = grid.bface_axis, grid.bface_sign
+        cells, area = grid.face_cells[:ni], grid.face_area[:ni]
+        b_cell, b_area = grid.face_cells[ni:, 0], grid.face_area[ni:]
+        b_axis, b_sign = grid.face_axis[ni:], grid.face_sign[ni:]
         v2 = np.zeros(n)
         for axis in range(3):
-            fmask = grid.iface_axis == axis
+            fmask = grid.face_axis[:ni] == axis
             vel = np.zeros(n)
-            fluxa = F[fmask] / grid.iface_area[fmask]
-            vel += np.bincount(grid.iface_cells[fmask, 0], weights=fluxa, minlength=n)
-            vel += np.bincount(grid.iface_cells[fmask, 1], weights=fluxa, minlength=n)
+            fluxa = F[fmask] / area[fmask]
+            vel += np.bincount(cells[fmask, 0], weights=fluxa, minlength=n)
+            vel += np.bincount(cells[fmask, 1], weights=fluxa, minlength=n)
             bmask = b_axis == axis
             if np.any(bmask):
-                vel += np.bincount(grid.bface_cell[bmask],
-                                   weights=b_sign[bmask] * Fb[bmask] / grid.bface_area[bmask],
+                vel += np.bincount(b_cell[bmask],
+                                   weights=b_sign[bmask] * Fb[bmask] / b_area[bmask],
                                    minlength=n)
             v2 += (0.5 * vel) ** 2
         assert sorted(set(b_axis)) == [0, 1]
@@ -353,6 +356,21 @@ class TestSimulateMicp:
             totals.append(float(np.sum(report.state.phi_c * grid.volumes))
                           * PARAMS.rho_c)
         assert abs(totals[1] - totals[0]) / totals[0] < 0.05
+
+    @pytest.mark.parametrize("params, rock, name", [
+        (replace(PARAMS, rho_c=-1.0), ROCK, "KineticParams.rho_c must be > 0"),
+        (replace(PARAMS, k_o=0.0), ROCK, "KineticParams.k_o must be > 0"),
+        (replace(PARAMS, mu=np.nan), ROCK, "KineticParams.mu must be >= 0"),
+        (PARAMS, replace(ROCK, eta=0.0), "RockLaw.eta must be > 0"),
+    ], ids=["rho_c", "k_o", "mu_nan", "eta"])
+    def test_invalid_parameters_rejected_before_a_step(self, params, rock, name):
+        grid = example1_grid(nx=25)
+        records = []
+        with pytest.raises(DomainError, match=name):
+            simulate_micp(grid, builtin_schedule("ex1", p_bdry=P0), params, rock,
+                          SolverSettings(),
+                          OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
+        assert records == []
 
     def test_hard_failure_carries_last_good_state(self):
         grid = example1_grid(nx=25)

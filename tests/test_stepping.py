@@ -306,8 +306,8 @@ def _box(sides):
 
 
 def _cells_a(grid):
-    """Cell a of each face, from the grid's own arrays: interior, then boundary faces."""
-    return np.concatenate((grid.iface_cells[:, 0], grid.bface_cell))
+    """Cell a of each face, from the grid's own list: interior, then boundary faces."""
+    return grid.face_cells[:, 0]
 
 
 def _reference_face_sums(data, on_a, on_b):
@@ -322,7 +322,8 @@ def _reference_face_sums(data, on_a, on_b):
         return np.bincount(idx, weights=weights.ravel(),
                            minlength=data.n * k).reshape((data.n, *tail))
 
-    return sums(_cells_a(grid), on_a) - sums(grid.iface_cells[:, 1], on_b[:interior])
+    return (sums(_cells_a(grid), on_a)
+            - sums(grid.face_cells[:interior, 1], on_b[:interior]))
 
 
 def _reference_jacobian(data, cell, face_a, face_b, pin_scale=None):
@@ -330,7 +331,7 @@ def _reference_jacobian(data, cell, face_a, face_b, pin_scale=None):
     grid = data.grid
     n, nvar, interior = data.n, cell.shape[1], grid.n_ifaces
     cells = np.arange(n)
-    fa, fb = grid.iface_cells.T
+    fa, fb = grid.face_cells[:interior].T
     blocks = np.concatenate((cell + _reference_face_sums(data, face_a, face_b),
                              face_b[:interior], -face_a[:interior]))
     brow = np.concatenate((cells, fa, fb))
