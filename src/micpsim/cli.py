@@ -169,8 +169,7 @@ def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
     def solve(on_diagnostics):
         return simulate_co2(grid, perm, cfg.co2.rate, cfg.co2.duration,
                             cfg.solver, cfg.twophase, plane_z=cfg.co2.plane_z,
-                            p_bdry=cfg.schedule.p_bdry, poro_field=poro,
-                            sinks=OutputHooks(on_diagnostics=on_diagnostics))
+                            poro_field=poro, sinks=OutputHooks(on_diagnostics=on_diagnostics))
 
     report = _run_solver(cfg, grid, solve, fields, out_dir / "co2_last_good.vtk",
                          out_dir / f"co2_diagnostics_{label}.csv")

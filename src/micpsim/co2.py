@@ -8,8 +8,10 @@ pressure. Each phase is upwinded by the sign of its own potential
 difference, which keeps saturations in [0, 1] and lets gravity segregate
 the phases. The discretization follows the reactive solver: TPFA,
 backward Euler, analytic Jacobian, constant-pressure hydrostatic
-boundary faces to ghost cells that hold the water column beyond them
-(p_bdry - rho_w g z, s = 0), pressure pin on closed domains. Newton,
+boundary faces to ghost cells that hold the water column at rest beyond
+them (p_bdry - rho_w g z with the reservoir's datum p_bdry, s = 0;
+:func:`micpsim.grid.hydrostatic_pressure`), pressure pin of a closed
+domain at cell 0's pressure in that column. Newton,
 Jacobian assembly and adaptive stepping are the shared machinery of
 :mod:`micpsim.stepping`; the transmissibilities and potential
 differences are the reactive solver's too (:func:`micpsim.grid.transmissibilities`,
@@ -53,9 +55,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, GeometryError
-from .grid import Grid, Region, transmissibilities
+from .grid import Grid, Region, hydrostatic_pressure, transmissibilities
 from .params import TwoPhaseParams
-from .schedule import DEFAULT_BOUNDARY_PRESSURE
 from .stepping import (
     AssemblyData,
     Carry,
@@ -81,11 +82,10 @@ class TwoPhaseState:
         return TwoPhaseState(self.p.copy(), self.s.copy())
 
 
-def make_initial_twophase_state(grid: Grid, params: TwoPhaseParams,
-                                p_datum: float) -> TwoPhaseState:
+def make_initial_twophase_state(grid: Grid, params: TwoPhaseParams) -> TwoPhaseState:
     """Fully water-saturated, hydrostatic against the boundary datum."""
-    p = p_datum - params.rho_w * grid.gravity_accel * grid.centers[:, 2]
-    return TwoPhaseState(p=p, s=np.zeros(grid.n_active))
+    return TwoPhaseState(p=hydrostatic_pressure(grid, params.rho_w),
+                         s=np.zeros(grid.n_active))
 
 
 class TwoPhaseSystem(AssemblyData):
@@ -108,6 +108,8 @@ class TwoPhaseSystem(AssemblyData):
         self.params = params
         self.phi = poro
         self.T = transmissibilities(grid, perm)
+        column = hydrostatic_pressure(grid, params.rho_w)  # water at rest
+        self.p_ghost, self.p_pin = column[grid.bface_cell], column[0]
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -133,16 +135,15 @@ def _phase_flux(sys, T, dpot, sat, mu, faces=slice(None)):
     return T_lam * dpot, T_lam, up
 
 
-def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
-                   want_jacobian=True):
+def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, want_jacobian=True):
     pr = sys.params
     n = sys.n
     p = x[JP::NV2]
     s = x[JS::NV2]
     V = sys.V
 
-    # beyond the boundary a water column, p_ghost(z) = p_bdry - rho_w g z
-    p_all = sys.with_ghosts(p, p_bdry - pr.rho_w * sys.g * sys.z[n:])
+    # beyond the boundary a water column at rest
+    p_all = sys.with_ghosts(p, sys.p_ghost)
     s_all = sys.with_ghosts(s, 0.0)
     se = np.clip(s_all, 0.0, 1.0)
     dw = sys.face_potential_differences(p_all, pr.rho_w)
@@ -158,7 +159,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
     resid[JP::NV2] = -sys.phi * (s - old.s) * V / dt + div[:, JP]
     resid[JS::NV2] = sys.phi * (s - old.s) * V / dt + div[:, JS] - q_c
 
-    pin_scale = sys.pin_pressure(resid, p[0], p_bdry, sys.phi, dt)
+    pin_scale = sys.pin_pressure(resid, p[0], sys.phi, dt)
 
     aux = {"Fc": Fc, "Fw": Fw}
     if not jacobian_wanted(want_jacobian, resid):
@@ -185,7 +186,6 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, p_bdry,
 
 def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
                         dt: float, rate: float, settings: SolverSettings,
-                        p_bdry: float = DEFAULT_BOUNDARY_PRESSURE,
                         guess: TwoPhaseState | None = None,
                         carry: Carry | None = None):
     """One implicit step of ``sys``; returns (state_new, Newton's result).
@@ -198,7 +198,7 @@ def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
     if not dt > 0.0:
         raise DomainError("dt must be > 0")
     settings.validate()
-    escale = np.repeat(sys.phi * sys.V / dt, NV2)  # pin row: |p_0 - p_bdry| / 1e5 Pa
+    escale = np.repeat(sys.phi * sys.V / dt, NV2)  # pin row: |p_0 - p_pin| / 1e5 Pa
 
     start = state_old if guess is None else guess
     x = np.empty(NV2 * sys.n)
@@ -206,7 +206,7 @@ def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
     x[JS::NV2] = start.s
     carry = carry or Carry()
     res, carry.lu = newton(
-        lambda x, want: _eval_twophase(sys, x, state_old, dt, rate, p_bdry, want),
+        lambda x, want: _eval_twophase(sys, x, state_old, dt, rate, want),
         x, escale, settings, sys.factor, damped=(slice(JS, None, NV2),), max_step=0.5,
         lu=carry.take())
     s = res.x[JS::NV2]
@@ -282,9 +282,8 @@ class Co2Report(MarchReport):
 
 def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
                  settings: SolverSettings, params: TwoPhaseParams,
-                 plane_z: float | None = None,
-                 p_bdry: float = DEFAULT_BOUNDARY_PRESSURE,
-                 poro_field=None, initial_state: TwoPhaseState | None = None,
+                 plane_z: float | None = None, poro_field=None,
+                 initial_state: TwoPhaseState | None = None,
                  sinks: OutputHooks | None = None) -> Co2Report:
     """Inject CO2 at the well for ``duration`` and track the leak flux.
 
@@ -309,12 +308,12 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
             # run the assessment without the leak-flux series
 
     state = (initial_state.copy() if initial_state is not None
-             else make_initial_twophase_state(grid, params, p_bdry))
+             else make_initial_twophase_state(grid, params))
     series: list[tuple[float, float]] = []
     produced = 0.0
 
     def step(st, dt, rate, guess, carry):
-        return solve_twophase_step(sys, st, dt, rate, settings, p_bdry, guess, carry)
+        return solve_twophase_step(sys, st, dt, rate, settings, guess, carry)
 
     def accept(t, dt, st, rep, rate):
         nonlocal produced

@@ -23,8 +23,10 @@ sections or keys are rejected; all problems are reported at once.
 ``[schedule]`` without ``period.N`` lines builds the ``builtin`` strategy
 (by default the preset's) at the given ``rate`` and injected ``c_m``,
 ``c_o``, ``c_u``; with ``period.N`` lines those keys are errors, and so
-is ``phases`` without them. ``[leak] enabled = false`` drops the leak
-after checking the other ``[leak]`` keys given. ``[leak] g_u`` is read
+is ``phases`` without them. ``[schedule] p_bdry`` sets the reservoir's
+boundary datum (:class:`micpsim.grid.ReservoirSpec`); it stays in that
+section so that saved files read as before. ``[leak] enabled = false``
+drops the leak after checking the other ``[leak]`` keys given. ``[leak] g_u`` is read
 and written but changes no grid (:class:`micpsim.grid.LeakSpec`).
 ``format_config`` writes a fully resolved, canonical file (schedules as
 explicit ``period.N = end_s label rate c_m c_o c_u`` lines) that parses
@@ -221,7 +223,8 @@ _KEYS = (
     _Key("schedule", "builtin", "schedule", "builtin", _Codec(str, None)),
     *(_Key("schedule", k, "schedule", k, _Codec(_finite, None))
       for k in ("rate", "c_m", "c_o", "c_u")),
-    _Key("schedule", "p_bdry", "schedule", "p_bdry", _FLOAT),
+    # the boundary datum is the reservoir's; saved files give it here
+    _Key("schedule", "p_bdry", "reservoir", "p_bdry", _FLOAT),
     _Key("schedule", "phases", "schedule", "phase_starts",
          _Codec(_indices, lambda starts: ",".join(str(i) for i in starts))),
     *_same_names("solver", SolverSettings),
@@ -323,7 +326,6 @@ _LABELS = {t.value: t for t in SlugType}
 def _parse_schedule(cp, given: dict, preset_name: str, current: Schedule,
                     problems) -> Schedule:
     """[schedule]: the period lines, or else the built-in strategy."""
-    p_bdry = given.get("p_bdry", current.p_bdry)
     numbered = []
     for key in cp.options("schedule"):
         if key.startswith("period."):
@@ -342,7 +344,7 @@ def _parse_schedule(cp, given: dict, preset_name: str, current: Schedule,
                 given.get("c_u", INJECTED_UREA))
         try:
             return builtin_schedule(given.get("builtin", preset_name),
-                                    rate=given.get("rate"), conc=conc, p_bdry=p_bdry)
+                                    rate=given.get("rate"), conc=conc)
         except DomainError as exc:
             problems.append(f"[schedule] builtin: {exc}")
             return current
@@ -368,7 +370,7 @@ def _parse_schedule(cp, given: dict, preset_name: str, current: Schedule,
         periods.append(Period(end_time=end_time, rate=rate, c_m=c_m, c_o=c_o,
                               c_u=c_u, label=_LABELS[label]))
     sched = Schedule(periods=tuple(periods),
-                     phase_starts=given.get("phase_starts", (0,)), p_bdry=p_bdry)
+                     phase_starts=given.get("phase_starts", (0,)))
     for msg in validate_schedule(sched):
         problems.append(f"[schedule] {msg}")
     return sched

@@ -19,6 +19,10 @@ T = A / (d1/K1 + d2/K2) with center-to-face distances d and cell
 permeabilities K, boundary face T = A K / d. The potential differences
 across the faces live in :class:`micpsim.stepping.AssemblyData`, the
 upwinded CO2 phase flux in :func:`micpsim.co2._phase_flux`.
+
+The reservoir's datum ``ReservoirSpec.p_bdry`` is the one boundary
+pressure of a run; :func:`hydrostatic_pressure` gives the water column
+at rest beneath it, which both solvers start from and hold beyond it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import DomainError, EmptyDomainError, GeometryError
-from .params import RockLaw
+from .params import RockLaw, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +54,8 @@ class Region(IntEnum):
 
 
 AQUIFER_REGIONS = (Region.LOWER_AQUIFER, Region.UPPER_AQUIFER)
+
+DEFAULT_BOUNDARY_PRESSURE = 1.0e7  # Pa, datum potential of the open boundary
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,7 @@ class DomainSpec:
             raise DomainError("cell sizes must be > 0")
         if not self.gz <= 0.0:  # NaN fails too
             raise DomainError("gravity must point downward (gz <= 0)")
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,7 @@ class LeakSpec:
             raise DomainError("tilt angle must be 90 deg or in (90, 180) deg")
         if not 0.0 < self.perm < math.inf:  # NaN fails too
             raise DomainError("leak permeability must be finite and > 0")
+        require_finite(self)  # a NaN gap or anchor would place no leak cell
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,8 @@ class ReservoirSpec:
     verification layout). ``well_y`` of None completes the well across the
     full width; otherwise in the single column containing that y. The
     injection well is always completed over the full lower-aquifer height.
+    ``p_bdry`` is the datum of the open boundary: the pressure of the
+    water at rest there at z = 0 (:func:`hydrostatic_pressure`).
     """
 
     perm_aquifer: float = 1e-14  # K_A, m^2
@@ -137,6 +147,7 @@ class ReservoirSpec:
     well_x: float = 0.5
     well_y: float | None = None
     outflow_sides: tuple[str, ...] = ("x+",)
+    p_bdry: float = DEFAULT_BOUNDARY_PRESSURE  # Pa
 
     def validate(self) -> None:
         if not 0.0 < self.perm_aquifer < math.inf:  # NaN fails too
@@ -150,6 +161,8 @@ class ReservoirSpec:
                 raise DomainError(f"unknown boundary side {side!r}; use one of {SIDES}")
             if side in self.outflow_sides[:i]:  # its faces would be doubled
                 raise DomainError(f"outflow side {side!r} is given more than once")
+        require_finite(self, ("aquifer_height", "caprock_height", "well_x", "well_y",
+                              "p_bdry"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,6 +378,11 @@ def _well_cells(domain, reservoir, active_index, h_cap):
         k_list = list(range(domain.nz))
     cells = [active_index[i, j, k] for j in j_list for k in k_list]
     return np.array(sorted(c for c in cells if c >= 0), dtype=np.int64)
+
+
+def hydrostatic_pressure(grid: Grid, rho: float) -> np.ndarray:
+    """p_bdry - rho g z at each cell center: a column of density rho at rest."""
+    return grid.reservoir.p_bdry - rho * grid.gravity_accel * grid.centers[:, 2]
 
 
 def transmissibilities(grid: Grid, perm: np.ndarray) -> np.ndarray:

@@ -47,13 +47,15 @@ treatment by more than half.
 
 A constant-pressure production boundary face is a face of the grid's
 list (:class:`micpsim.grid.Grid`) with a half-cell transmissibility to a
-ghost cell at its cell's height that holds water at p_bdry - rho_w g z
-and no solutes, so inflow from the boundary carries zero concentrations
-and outflow carries resident ones; past the assembly only the outflow
-ledger tells it apart. A grid with no boundary faces gets the water
-equation of cell 0 replaced by a pressure pin, which turns a shut-in
-single cell into the plain backward-Euler form of the batch reaction
-ODEs; a well rate on it raises DomainError.
+ghost cell at its cell's height that holds water at rest, p_bdry -
+rho_w g z with the reservoir's datum p_bdry
+(:func:`micpsim.grid.hydrostatic_pressure`), and no solutes, so inflow
+from the boundary carries zero concentrations and outflow carries
+resident ones; past the assembly only the outflow ledger tells it apart.
+A grid with no boundary faces gets the water equation of cell 0
+replaced by a pressure pin at cell 0's pressure in that column, which
+turns a shut-in single cell into the plain backward-Euler form of the
+batch reaction ODEs; a well rate on it raises DomainError.
 
 A :class:`MicpSystem` holds the assembly data of one (grid, params,
 rock), both parameter sets checked: a run builds one, and
@@ -73,7 +75,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError
-from .grid import Grid, transmissibilities
+from .grid import Grid, hydrostatic_pressure, transmissibilities
 from .kinetics import _rate_jacobian, _rates, permeability, permeability_derivative
 from .params import KineticParams, RockLaw
 from .schedule import Schedule, WellControl, control_at
@@ -129,13 +131,12 @@ class MicpState:
                    phi_b=x[IB::NVAR].copy(), phi_c=x[IC::NVAR].copy())
 
 
-def make_initial_state(grid: Grid, params: KineticParams, p_datum: float) -> MicpState:
+def make_initial_state(grid: Grid, params: KineticParams) -> MicpState:
     """Water-filled reservoir in hydrostatic equilibrium with the boundary."""
-    n = grid.n_active
-    p = p_datum - params.rho_w * grid.gravity_accel * grid.centers[:, 2]
-    zeros = np.zeros(n)
-    return MicpState(p=p, c_m=zeros.copy(), c_o=zeros.copy(), c_u=zeros.copy(),
-                     phi_b=zeros.copy(), phi_c=zeros.copy())
+    zeros = np.zeros(grid.n_active)
+    return MicpState(p=hydrostatic_pressure(grid, params.rho_w), c_m=zeros.copy(),
+                     c_o=zeros.copy(), c_u=zeros.copy(), phi_b=zeros.copy(),
+                     phi_c=zeros.copy())
 
 
 def porosity_field(grid: Grid, state: MicpState) -> np.ndarray:
@@ -161,6 +162,8 @@ class MicpSystem(AssemblyData):
         self.rock = rock
         self.phi0 = grid.poro0
         self.K0 = grid.perm0
+        column = hydrostatic_pressure(grid, params.rho_w)  # water at rest
+        self.p_ghost, self.p_pin = column[grid.bface_cell], column[0]
         # each face's area in the column of its axis, outward-signed on the
         # boundary, and inf in the other two: flux / axis_area puts a face's
         # Darcy velocity in its axis's column and zero in the others
@@ -217,11 +220,10 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
     dK = np.asarray(permeability_derivative(sys.rock, phi_k, K0=sys.K0))
     K = permeability(sys.rock, phi_k, K0=sys.K0) + dK * (phi - phi_k)
 
-    # face fluxes; a ghost holds water in hydrostatic equilibrium with p_bdry
-    rho_w = sys.params.rho_w
+    # face fluxes; a ghost holds water at rest
     T = transmissibilities(grid, K)
-    p_all = sys.with_ghosts(p, control.p_bdry - rho_w * sys.g * sys.z[n:])
-    dpot = sys.face_potential_differences(p_all, rho_w)
+    p_all = sys.with_ghosts(p, sys.p_ghost)
+    dpot = sys.face_potential_differences(p_all, sys.params.rho_w)
     F = T / mu_w * dpot
     up_is_a = F >= 0.0
     upw = np.where(up_is_a, sys.fa, sys.fb)
@@ -272,7 +274,7 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
     resid[IB::NVAR] = sys.params.rho_b * (b - old.phi_b) * V / dt - R_b * V
     resid[IC::NVAR] = sys.params.rho_c * (c - old.phi_c) * V / dt - R_c * V
 
-    pin_scale = sys.pin_pressure(resid, p[0], control.p_bdry, sys.phi0, dt)
+    pin_scale = sys.pin_pressure(resid, p[0], sys.phi0, dt)
 
     aux = {"F": F, "flux": flux, "upw": upw, "shear": shear, "K": K, "q": q,
            "rates": {"m": R_m, "o": R_o, "u": R_u, "b": R_b, "c": R_c}}
@@ -315,7 +317,7 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
 def _error_scales(sys: MicpSystem, dt, conc_scales) -> np.ndarray:
     base = sys.V * sys.phi0 / dt
     e = np.empty(NVAR * sys.n)
-    e[IP::NVAR] = base  # on a closed domain's pin row: |p0 - p_bdry| / 1e5 Pa
+    e[IP::NVAR] = base  # on a closed domain's pin row: |p0 - p_pin| / 1e5 Pa
     e[IM::NVAR] = base * conc_scales["m"]
     e[IO::NVAR] = base * conc_scales["o"]
     e[IU::NVAR] = base * conc_scales["u"]
@@ -337,11 +339,9 @@ def assemble_residual(sys: MicpSystem, state_new: MicpState, state_old: MicpStat
     return resid, sys.in_natural_order(J)
 
 
-def shear_norm_field(sys: MicpSystem, state: MicpState,
-                     p_bdry: float | None = None) -> np.ndarray:
+def shear_norm_field(sys: MicpSystem, state: MicpState) -> np.ndarray:
     """||grad p_w - rho_w g|| per cell, from reconstructed Darcy velocities."""
-    control = WellControl() if p_bdry is None else WellControl(p_bdry=p_bdry)
-    _, _, aux = _eval_system(sys, state.to_vector(), state, 1.0, control,
+    _, _, aux = _eval_system(sys, state.to_vector(), state, 1.0, WellControl(),
                              want_jacobian=False)
     return aux["shear"]
 
@@ -438,7 +438,7 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     """
     sys = MicpSystem(grid, params, rock)
     state = (initial_state.copy() if initial_state is not None
-             else make_initial_state(grid, params, schedule.p_bdry))
+             else make_initial_state(grid, params))
     sys.check_injection(max((p.rate for p in schedule.periods), default=0.0))
     controls = [control_at(schedule, p.end_time) for p in schedule.periods]
     conc_scales = sys.conc_scales(state, controls)

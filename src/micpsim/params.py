@@ -7,9 +7,18 @@ files read like the published parameter tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
+
+
+def require_finite(spec, names=None) -> None:
+    """Raise DomainError if a field in ``names`` (default all) is neither None nor finite."""
+    for name in names or [f.name for f in fields(spec)]:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{type(spec).__name__}.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,7 @@ class KineticParams:
                 raise DomainError(f"KineticParams.{name} must be >= 0")
         if not 0.0 < self.Y <= 1.0:
             raise DomainError("KineticParams.Y must lie in (0, 1]")
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,7 @@ class RockLaw:
             raise DomainError("RockLaw.eta must be > 0")
         if not 0.0 < self.K_min < self.K0:
             raise DomainError("RockLaw requires 0 < K_min < K0")
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -88,3 +99,4 @@ class TwoPhaseParams:
         for name in ("rho_co2", "rho_w", "mu_co2", "mu_w"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"TwoPhaseParams.{name} must be > 0")
+        require_finite(self)

@@ -33,8 +33,6 @@ INJECTED_MICROBES = 0.01  # kg/m^3
 INJECTED_OXYGEN = 0.04  # kg/m^3
 INJECTED_UREA = 300.0  # kg/m^3
 
-DEFAULT_BOUNDARY_PRESSURE = 1.0e7  # Pa, datum potential of the open boundary
-
 
 class SlugType(Enum):
     MICROBIAL = "microbial"
@@ -64,7 +62,6 @@ class WellControl:
     c_m: float = 0.0
     c_o: float = 0.0
     c_u: float = 0.0
-    p_bdry: float = DEFAULT_BOUNDARY_PRESSURE
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,12 @@ class Schedule:
     """Ordered periods grouped into phases.
 
     ``phase_starts`` holds the index of the first period of each phase.
-    ``p_bdry`` is the datum potential of the constant-pressure production
-    boundary, applied uniformly to every control.
+    The production boundary's pressure is the reservoir's
+    (:class:`micpsim.grid.ReservoirSpec`).
     """
 
     periods: tuple[Period, ...]
     phase_starts: tuple[int, ...] = (0,)
-    p_bdry: float = DEFAULT_BOUNDARY_PRESSURE
 
     @property
     def end_time(self) -> float:
@@ -109,15 +105,17 @@ _PHASE_GRAMMAR = {
 def control_at(schedule: Schedule, t: float) -> WellControl:
     """Control of the unique period with previous end < t <= end.
 
-    t = 0 maps to the first period.
+    t = 0 maps to the first period. A schedule with no periods, or a t
+    outside it, raises DomainError.
     """
+    if not schedule.periods:
+        raise DomainError("schedule has no periods")
     if t < 0.0 or t > schedule.end_time:
         raise DomainError(f"t = {t} s is outside the schedule [0, {schedule.end_time}]")
     prev_end = 0.0
     for p in schedule.periods:
         if prev_end < t <= p.end_time or (t == 0.0 and prev_end == 0.0):
-            return WellControl(rate=p.rate, c_m=p.c_m, c_o=p.c_o, c_u=p.c_u,
-                               p_bdry=schedule.p_bdry)
+            return WellControl(rate=p.rate, c_m=p.c_m, c_o=p.c_o, c_u=p.c_u)
         prev_end = p.end_time
     raise DomainError(f"t = {t} s not covered by any period")  # pragma: no cover
 
@@ -197,8 +195,7 @@ BUILTIN_RATES = {"ex1": 2.31e-5, "ex2": 2.31e-4, "ex3": 8.70e-3}
 
 
 def builtin_schedule(experiment: str, rate: float | None = None,
-                     conc: tuple[float, float, float] | None = None,
-                     p_bdry: float = DEFAULT_BOUNDARY_PRESSURE) -> Schedule:
+                     conc: tuple[float, float, float] | None = None) -> Schedule:
     """One of the three published strategies, optionally re-rated."""
     if experiment not in BUILTIN_RATES:
         raise DomainError(f"unknown experiment {experiment!r}; "
@@ -215,4 +212,4 @@ def builtin_schedule(experiment: str, rate: float | None = None,
             starts_list.append(len(periods))
             periods.extend(_phase(times, labels, rate, conc))
         starts = tuple(starts_list)
-    return Schedule(periods=tuple(periods), phase_starts=starts, p_bdry=p_bdry)
+    return Schedule(periods=tuple(periods), phase_starts=starts)

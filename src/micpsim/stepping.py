@@ -59,6 +59,8 @@ class SolverSettings:
             (self.newton_max_iter >= 1, "newton_max_iter must be >= 1"),
             (0.0 < self.dt_cut < 1.0, "need 0 < dt_cut < 1"),
             (self.dt_grow >= 1.0, "need dt_grow >= 1"),
+            *((math.isfinite(value), f"{name} must be finite")
+              for name, value in vars(self).items()),
         ) if not holds]
         if failed:
             raise DomainError("; ".join(failed))
@@ -82,6 +84,10 @@ class AssemblyData:
     beyond the boundary that each solver gives it (:meth:`with_ghosts`).
     Sums drop the ghosts' rows.
 
+    Each solver's system sets ``p_ghost`` and ``p_pin`` from its water
+    column at rest (:func:`micpsim.grid.hydrostatic_pressure`): the
+    ghosts' pressures, and cell 0's, where a closed domain is pinned.
+
     ``order`` lists the unknowns in the order their system factors them:
     row and column k of a Newton matrix is unknown order[k]. None, as
     here, keeps the natural order; each solver's system computes its own
@@ -89,6 +95,7 @@ class AssemblyData:
     """
 
     order = None
+    p_ghost = p_pin = None
 
     def __init__(self, grid):
         self.grid = grid
@@ -141,17 +148,18 @@ class AssemblyData:
         """
         return (p[self.fa[faces]] - p[self.fb[faces]]) - rho * self.g * self.f_dz[faces]
 
-    def pin_pressure(self, resid, p0, p_bdry, phi, dt):
+    def pin_pressure(self, resid, p0, phi, dt):
         """On a closed domain, replace equation 0 of cell 0 by the pressure pin.
 
-        The pin residual is (p0 - p_bdry) * pin_scale with pin_scale =
-        V_0 phi_0 / (dt 1e5 Pa), the storage scale of cell 0 per bar.
-        Returns pin_scale for :meth:`jacobian`, or None on an open domain.
+        The pin residual is (p0 - p_pin) * pin_scale with pin_scale =
+        V_0 phi_0 / (dt 1e5 Pa), the storage scale of cell 0 per bar, so
+        that water at rest stays at rest. Returns pin_scale for
+        :meth:`jacobian`, or None on an open domain.
         """
         if not self.closed:
             return None
         pin_scale = self.V[0] * phi[0] / (dt * 1e5)
-        resid[0] = (p0 - p_bdry) * pin_scale
+        resid[0] = (p0 - self.p_pin) * pin_scale
         return pin_scale
 
     def face_sums(self, on_a, on_b):

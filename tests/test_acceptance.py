@@ -84,10 +84,9 @@ def ex3_results():
     co2_settings = SolverSettings(dt_max=14400.0, newton_rel_tol=1e-10)
     rate, horizon = cfg.co2.rate, 25 * 86400.0
     untreated = simulate_co2(grid, grid.perm0, rate, horizon, co2_settings,
-                             cfg.twophase, plane_z=5.0, p_bdry=cfg.schedule.p_bdry)
+                             cfg.twophase, plane_z=5.0)
     treated = simulate_co2(grid, K_treated, rate, horizon, co2_settings,
-                           cfg.twophase, plane_z=5.0, p_bdry=cfg.schedule.p_bdry,
-                           poro_field=phi_treated)
+                           cfg.twophase, plane_z=5.0, poro_field=phi_treated)
     elapsed = time.perf_counter() - start
     return grid, micp, K_treated, untreated, treated, elapsed
 
@@ -101,7 +100,7 @@ class TestCriterion1KineticsOracle:
                           phi_c=np.zeros(1))
         sys = MicpSystem(grid, PARAMS, ROCK)
         settings = SolverSettings()
-        control = WellControl(rate=0.0, p_bdry=1e7)
+        control = WellControl(rate=0.0)
         for _ in range(100):  # 100 h at dt = 1 h
             state, rep = solve_timestep(sys, state, HOUR, control, settings)
             assert rep.converged
@@ -226,14 +225,14 @@ class TestCriterion7TwoPhaseSanity:
                             well_x=0.5, outflow_sides=())
         grid = build_domain(domain, None, res, ROCK)
         tp = TwoPhaseParams()
-        state = make_initial_twophase_state(grid, tp, 1e7)
+        state = make_initial_twophase_state(grid, tp)
         state.s[:] = 0.5
         z = grid.centers[:, 2]
         com = [float(np.sum(state.s * z) / np.sum(state.s))]
         sys = TwoPhaseSystem(grid, grid.perm0, tp)
         settings = SolverSettings(dt_init=HOUR, dt_max=HOUR)
         for _ in range(20):
-            state, rep = solve_twophase_step(sys, state, HOUR, 0.0, settings, p_bdry=1e7)
+            state, rep = solve_twophase_step(sys, state, HOUR, 0.0, settings)
             assert rep.converged
             com.append(float(np.sum(state.s * z) / np.sum(state.s)))
         assert np.all(np.diff(np.array(com)) > 0.0)

@@ -55,28 +55,28 @@ def conduit_grid():
 class TestStep:
     def test_no_co2_no_injection_unchanged(self):
         grid = line_grid(nx=20)
-        state = make_initial_twophase_state(grid, TP, P0)
+        state = make_initial_twophase_state(grid, TP)
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
-        new, rep = solve_twophase_step(sys, state, 3600.0, 0.0, SolverSettings(), p_bdry=P0)
+        new, rep = solve_twophase_step(sys, state, 3600.0, 0.0, SolverSettings())
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(new.s, state.s)
 
     def test_saturation_bounds_kept(self):
         grid = line_grid(nx=30)
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
-        state = make_initial_twophase_state(grid, TP, P0)
+        state = make_initial_twophase_state(grid, TP)
         for _ in range(20):
             state, rep = solve_twophase_step(sys, state, 3600.0, 2.31e-4,
-                                             SolverSettings(), p_bdry=P0)
+                                             SolverSettings())
             assert rep.converged
             assert np.all(state.s >= 0.0) and np.all(state.s <= 1.0)
 
     def test_nan_residual_fails_the_step(self):
         grid = line_grid(nx=20)
-        state = make_initial_twophase_state(grid, TP, P0)
+        state = make_initial_twophase_state(grid, TP)
         state.s[3] = np.nan
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
-        new, rep = solve_twophase_step(sys, state, 3600.0, 0.0, SolverSettings(), p_bdry=P0)
+        new, rep = solve_twophase_step(sys, state, 3600.0, 0.0, SolverSettings())
         assert not rep.converged
         assert new is state
 
@@ -89,17 +89,15 @@ class TestPredictor:
         tol = 1e-8
         settings = SolverSettings(newton_rel_tol=tol)
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
-        states = [make_initial_twophase_state(grid, TP, P0)]
+        states = [make_initial_twophase_state(grid, TP)]
         for _ in range(6):  # a CO2 plume spreading from the well
-            new, rep = solve_twophase_step(sys, states[-1], 3600.0, 1e-5, settings,
-                                           p_bdry=P0)
+            new, rep = solve_twophase_step(sys, states[-1], 3600.0, 1e-5, settings)
             assert rep.converged
             states.append(new)
-        plain, rep_plain = solve_twophase_step(sys, states[-1], 3600.0, 1e-5, settings,
-                                               p_bdry=P0)
+        plain, rep_plain = solve_twophase_step(sys, states[-1], 3600.0, 1e-5, settings)
         guess = _extrapolate(states[-2], states[-1], 1.0)
         guessed, rep_guessed = solve_twophase_step(sys, states[-1], 3600.0, 1e-5,
-                                                   settings, p_bdry=P0, guess=guess)
+                                                   settings, guess=guess)
         assert plain.s.max() > 0.1
         assert rep_plain.converged and rep_guessed.converged
         assert rep_guessed.iterations < rep_plain.iterations
@@ -109,10 +107,10 @@ class TestPredictor:
     def test_equilibrium_takes_no_iteration(self):
         grid = _leaky_box()
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
-        state = make_initial_twophase_state(grid, TP, P0)
+        state = make_initial_twophase_state(grid, TP)
         for guess in (None, state):
             new, rep = solve_twophase_step(sys, state, 3600.0, 0.0, SolverSettings(),
-                                           p_bdry=P0, guess=guess)
+                                           guess=guess)
             assert rep.converged and rep.iterations == 0
             assert np.array_equal(new.p, state.p) and np.array_equal(new.s, state.s)
 
@@ -127,14 +125,13 @@ class TestPredictor:
         grid = _leaky_box()
         settings = SolverSettings(newton_rel_tol=1e-8)
         rate, T = 1e-5, 5 * 86400.0
-        rep = simulate_co2(grid, grid.perm0, rate, T, settings, TP, plane_z=2.0,
-                           p_bdry=P0)
+        rep = simulate_co2(grid, grid.perm0, rate, T, settings, TP, plane_z=2.0)
         # the same carried factorization, but no predict: every guess is None
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
-        plain = march(make_initial_twophase_state(grid, TP, P0), [(T, rate)],
+        plain = march(make_initial_twophase_state(grid, TP), [(T, rate)],
                       settings,
                       lambda st, dt, q, guess, carry: solve_twophase_step(
-                          sys, st, dt, q, settings, P0, guess, carry),
+                          sys, st, dt, q, settings, guess, carry),
                       lambda *args: {})
         assert rep.steps == plain.steps and rep.dt_failures == plain.dt_failures == 0
         assert rep.newton_iterations < plain.newton_iterations
@@ -155,11 +152,11 @@ class TestCarriedFactorization:
                 st = st.copy()
                 st.s[3] = np.nan
             handed = carry.lu is not None
-            new, rep = solve_twophase_step(sys, st, dt, q, settings, P0, guess, carry)
+            new, rep = solve_twophase_step(sys, st, dt, q, settings, guess, carry)
             attempts.append((handed, new is st, rep))
             return new, rep
 
-        run = march(make_initial_twophase_state(grid, TP, P0), [(3 * 3600.0, 1e-5)],
+        run = march(make_initial_twophase_state(grid, TP), [(3 * 3600.0, 1e-5)],
                     settings, step, lambda *args: {}, predict=_extrapolate)
         (_, _, first), (handed, same, failed), (retry_handed, _, retry) = attempts[:3]
         assert first.converged and first.factorizations > 0
@@ -174,21 +171,20 @@ class TestCarriedFactorization:
         rate, T = 1e-5, 5 * 86400.0
         times = []
         rep = simulate_co2(grid, grid.perm0, rate, T, settings, TP, plane_z=2.0,
-                           p_bdry=P0, sinks=OutputHooks(
-                               on_diagnostics=lambda t, info: times.append(t)))
+                           sinks=OutputHooks(on_diagnostics=lambda t, info: times.append(t)))
         # the same predictor, but march's carry not handed to the step
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
         cold_times, cold_factors = [], []
 
         def step(st, dt, q, guess, carry):
-            return solve_twophase_step(sys, st, dt, q, settings, P0, guess)
+            return solve_twophase_step(sys, st, dt, q, settings, guess)
 
         def accept(t, dt, st, r, q):
             cold_times.append(t)
             cold_factors.append(r.factorizations)
             return {}
 
-        cold = march(make_initial_twophase_state(grid, TP, P0), [(T, rate)], settings,
+        cold = march(make_initial_twophase_state(grid, TP), [(T, rate)], settings,
                      step, accept, predict=_extrapolate)
         assert times == cold_times
         assert rep.dt_failures == cold.dt_failures == 0
@@ -227,8 +223,7 @@ class TestCarriedFactorization:
         gc.disable()
         try:
             rep = simulate_co2(grid, grid.perm0, 1e-5, 5 * 86400.0,
-                               SolverSettings(newton_rel_tol=1e-8), TP, plane_z=2.0,
-                               p_bdry=P0)
+                               SolverSettings(newton_rel_tol=1e-8), TP, plane_z=2.0)
         finally:
             gc.enable()
         assert len(first) > 1 and rep.factorizations == len(made)
@@ -244,8 +239,7 @@ class TestFrontPosition:
         params = TwoPhaseParams(mu_co2=TP.mu_w)
         rate, T = 2.31e-4, 32468.0
         settings = SolverSettings(dt_init=2000.0, dt_max=2000.0)
-        rep = simulate_co2(grid, grid.perm0, rate, T, settings, params,
-                           p_bdry=P0)
+        rep = simulate_co2(grid, grid.perm0, rate, T, settings, params)
         s = rep.state.s
         x = grid.centers[:, 0]
         crossing = np.interp(0.5, s[::-1], x[::-1])
@@ -257,14 +251,14 @@ class TestFrontPosition:
 class TestBuoyancy:
     def test_co2_center_of_mass_rises(self):
         grid = closed_column()
-        state = make_initial_twophase_state(grid, TP, P0)
+        state = make_initial_twophase_state(grid, TP)
         state.s[:] = 0.5
         z = grid.centers[:, 2]
         settings = SolverSettings(dt_init=3600.0, dt_max=3600.0)
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
         com = [float(np.sum(state.s * z) / np.sum(state.s))]
         for _ in range(25):
-            state, rep = solve_twophase_step(sys, state, 3600.0, 0.0, settings, p_bdry=P0)
+            state, rep = solve_twophase_step(sys, state, 3600.0, 0.0, settings)
             assert rep.converged
             assert np.all(state.s >= 0.0) and np.all(state.s <= 1.0)
             com.append(float(np.sum(state.s * z) / np.sum(state.s)))
@@ -275,7 +269,7 @@ class TestBuoyancy:
 class TestLeakageFlux:
     def test_zero_co2_gives_zero(self):
         grid = conduit_grid()
-        state = make_initial_twophase_state(grid, TP, P0)
+        state = make_initial_twophase_state(grid, TP)
         plane = leak_plane(TwoPhaseSystem(grid, grid.perm0, TP), 1.0)
         assert leakage_flux(plane, state, 2.31e-4) == 0.0
 
@@ -312,7 +306,7 @@ class TestLeakageFlux:
     def test_run_plane_gives_the_same_bits(self):
         grid = _leaky_box()
         rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
-                           plane_z=2.0, p_bdry=P0)
+                           plane_z=2.0)
         state = rep.state
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
         plane = leak_plane(sys, 2.0)
@@ -320,7 +314,7 @@ class TestLeakageFlux:
         # the residual's own CO2 flux on every face, at the final state
         x = np.empty(NV2 * grid.n_active)
         x[0::NV2], x[1::NV2] = state.p, state.s
-        _, _, aux = _eval_twophase(sys, x, state, 3600.0, 1e-5, P0, False)
+        _, _, aux = _eval_twophase(sys, x, state, 3600.0, 1e-5, False)
         every_face = np.sum(np.maximum(aux["Fc"][faces], 0.0)) / 1e-5
         flux = leakage_flux(plane, state, 1e-5)
         assert flux > 0.0
@@ -348,7 +342,7 @@ class TestLeakageFlux:
 
     def test_bad_normalization_raises(self):
         grid = conduit_grid()
-        state = make_initial_twophase_state(grid, TP, P0)
+        state = make_initial_twophase_state(grid, TP)
         plane = leak_plane(TwoPhaseSystem(grid, grid.perm0, TP), 1.0)
         with pytest.raises(DomainError, match="normalize_by"):
             leakage_flux(plane, state, 0.0)
@@ -357,22 +351,20 @@ class TestLeakageFlux:
 class TestSimulateCo2:
     def test_zero_duration_empty_series(self):
         grid = conduit_grid()
-        rep = simulate_co2(grid, grid.perm0, 1e-5, 0.0, SolverSettings(), TP,
-                           p_bdry=P0)
+        rep = simulate_co2(grid, grid.perm0, 1e-5, 0.0, SolverSettings(), TP)
         assert rep.series == []
         assert rep.injected_volume == 0.0
 
     def test_negative_duration_raises(self):
         grid = conduit_grid()
         with pytest.raises(DomainError, match="interval ends"):
-            simulate_co2(grid, grid.perm0, 1e-5, -3600.0, SolverSettings(), TP,
-                         p_bdry=P0)
+            simulate_co2(grid, grid.perm0, 1e-5, -3600.0, SolverSettings(), TP)
 
     def test_given_plane_on_a_grid_without_leak_raises(self):
         grid = line_grid(nx=4)
         with pytest.raises(GeometryError, match="leak-tagged"):
             simulate_co2(grid, grid.perm0, 1e-5, 3600.0, SolverSettings(), TP,
-                         plane_z=0.5, p_bdry=P0)
+                         plane_z=0.5)
 
     @pytest.mark.parametrize("field", ["perm", "poro"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -383,7 +375,7 @@ class TestSimulateCo2:
         records = []
         with pytest.raises(DomainError, match=f"{field} must be finite and > 0"):
             simulate_co2(grid, fields["perm"], 1e-5, 3600.0, SolverSettings(), TP,
-                         p_bdry=P0, poro_field=fields["poro"],
+                         poro_field=fields["poro"],
                          sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
         assert records == []
 
@@ -392,7 +384,7 @@ class TestSimulateCo2:
         records = []
         with pytest.raises(DomainError, match="TwoPhaseParams.mu_w must be > 0"):
             simulate_co2(grid, grid.perm0, 1e-5, 3600.0, SolverSettings(),
-                         TwoPhaseParams(mu_w=0.0), p_bdry=P0,
+                         TwoPhaseParams(mu_w=0.0),
                          sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
         assert records == []
 
@@ -400,19 +392,33 @@ class TestSimulateCo2:
     def test_volume_closure_counts_co2_in_place_at_the_start(self, rate):
         cfg = preset("ex1")
         grid = build_domain(cfg.domain, cfg.leak, cfg.reservoir, cfg.rock)
-        start = make_initial_twophase_state(grid, TP, P0)
+        start = make_initial_twophase_state(grid, TP)
         start.s[:10] = 0.3
         rep = simulate_co2(grid, grid.perm0, rate, 86400.0, SolverSettings(), TP,
-                           p_bdry=P0, initial_state=start)
+                           initial_state=start)
         assert rep.initial_volume == pytest.approx(10 * 0.3 * cfg.rock.phi0, rel=1e-12)
         assert rep.in_place_volume > 0.0
         assert rep.volume_closure_error < 1e-9
 
+    def test_datum_shifts_the_pressure_and_nothing_else(self):
+        runs = []
+        for p_bdry in (P0, 2 * P0):
+            grid = _leaky_box(p_bdry)
+            runs.append(simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(),
+                                     TP, plane_z=2.0))
+        low, high = runs
+        assert (high.steps, high.newton_iterations) == (low.steps, low.newton_iterations)
+        assert np.max(np.abs(high.state.p - low.state.p - P0)) <= 1e-10 * np.max(low.state.p)
+        assert np.max(np.abs(high.state.s - low.state.s)) <= 1e-10 * np.max(low.state.s)
+        (t_low, f_low), (t_high, f_high) = (np.array(run.series).T for run in runs)
+        assert np.array_equal(t_high, t_low)
+        assert low.peak_flux > 0.0
+        assert np.max(np.abs(f_high - f_low)) <= 1e-10 * low.peak_flux
+
     def test_volume_ledger_closes(self):
         grid = line_grid(nx=40)
         settings = SolverSettings(newton_rel_tol=1e-10)
-        rep = simulate_co2(grid, grid.perm0, 2.31e-4, 40000.0, settings, TP,
-                           p_bdry=P0)
+        rep = simulate_co2(grid, grid.perm0, 2.31e-4, 40000.0, settings, TP)
         assert rep.volume_closure_error < 1e-6
         assert rep.produced_volume >= 0.0
 
@@ -422,11 +428,11 @@ class TestSimulateCo2:
         settings = SolverSettings(newton_rel_tol=1e-8)
         rate, T = 1e-5, 10 * 86400.0
         untreated = simulate_co2(grid, grid.perm0, rate, T, settings, TP,
-                                 plane_z=2.0, p_bdry=P0)
+                                 plane_z=2.0)
         treated_perm = grid.perm0.copy()
         treated_perm[grid.leak_cells] *= 0.05
         treated = simulate_co2(grid, treated_perm, rate, T, settings, TP,
-                               plane_z=2.0, p_bdry=P0)
+                               plane_z=2.0)
         cum_untreated = _cumulative(untreated.series)
         cum_treated = _cumulative(treated.series)
         assert cum_treated <= cum_untreated
@@ -437,7 +443,7 @@ class TestSimulateCo2:
         records = []
         hooks = OutputHooks(on_diagnostics=lambda t, info: records.append((t, info)))
         rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
-                           plane_z=2.0, p_bdry=P0, sinks=hooks)
+                           plane_z=2.0, sinks=hooks)
         assert rep.steps > 1
         assert len(records) == rep.steps
         assert [t for t, _ in records] == [t for t, _ in rep.series]
@@ -450,8 +456,7 @@ class TestSimulateCo2:
         settings = SolverSettings(newton_max_iter=1, dt_init=3600.0,
                                   dt_min=3600.0, dt_max=3600.0)
         with pytest.raises(ConvergenceError) as exc_info:
-            simulate_co2(grid, grid.perm0, 2.31e-4, 36000.0, settings, TP,
-                         p_bdry=P0)
+            simulate_co2(grid, grid.perm0, 2.31e-4, 36000.0, settings, TP)
         last = exc_info.value.last_good_state
         assert isinstance(last, TwoPhaseState)
         assert exc_info.value.last_good_time == 0.0
@@ -464,7 +469,7 @@ class TestFactor:
     def test_freed_by_reference_counting_alone(self):
         grid = _leaky_box()
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
-        state = make_initial_twophase_state(grid, TP, P0)
+        state = make_initial_twophase_state(grid, TP)
         J = _newton_matrix(sys, state, state)
         gc.disable()
         try:
@@ -478,13 +483,12 @@ class TestFactor:
     def test_solves_a_leaky_system_with_co2_in_place(self):
         grid = _leaky_box()
         rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
-                           plane_z=2.0, p_bdry=P0)
+                           plane_z=2.0)
         assert rep.state.s.max() > 0.1
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
-        old = make_initial_twophase_state(grid, TP, P0)
+        old = make_initial_twophase_state(grid, TP)
         J = _newton_matrix(sys, rep.state, old)
-        b = -_eval_twophase(sys, _vector(rep.state), old, 3600.0, 1e-5, P0,
-                            False)[0]
+        b = -_eval_twophase(sys, _vector(rep.state), old, 3600.0, 1e-5, False)[0]
         x = sys.factor(J).solve(b)
         assert (np.linalg.norm(sys.in_natural_order(J) @ x - b)
                 < 1e-12 * np.linalg.norm(b))
@@ -508,10 +512,10 @@ def system_at_scale():
     res = ReservoirSpec(aquifer_height=2.0, caprock_height=2.0, well_x=1.0)
     grid = build_domain(domain, leak, res, ROCK)
     rep = simulate_co2(grid, grid.perm0, 1e-5, 86400.0, SolverSettings(), TP,
-                       plane_z=2.0, p_bdry=P0)
+                       plane_z=2.0)
     sys = TwoPhaseSystem(grid, grid.perm0, TP)
     return sys, _newton_matrix(sys, rep.state,
-                               make_initial_twophase_state(grid, TP, P0))
+                               make_initial_twophase_state(grid, TP))
 
 
 def _vector(state):
@@ -522,14 +526,15 @@ def _vector(state):
 
 
 def _newton_matrix(sys, state, old):
-    return _eval_twophase(sys, _vector(state), old, 3600.0, 1e-5, P0, True)[1]
+    return _eval_twophase(sys, _vector(state), old, 3600.0, 1e-5, True)[1]
 
 
-def _leaky_box():
+def _leaky_box(p_bdry=P0):
     domain = DomainSpec(nx=10, ny=1, nz=6, dx=2.0, dy=1.0, dz=1.0)
     leak = LeakSpec(aperture=2.0, width=1.0, tilt_deg=90.0, perm=2e-14,
                     anchor_x=9.0)
-    res = ReservoirSpec(aquifer_height=2.0, caprock_height=2.0, well_x=1.0)
+    res = ReservoirSpec(aquifer_height=2.0, caprock_height=2.0, well_x=1.0,
+                        p_bdry=p_bdry)
     return build_domain(domain, leak, res, ROCK)
 
 

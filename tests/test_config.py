@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import pytest
 
 from micpsim import config
 from micpsim.config import format_config, parse_config, preset
-from micpsim.errors import ConfigError
+from micpsim.errors import ConfigError, DomainError
+from micpsim.params import KineticParams, RockLaw, TwoPhaseParams
 from micpsim.schedule import HOUR, SlugType, builtin_schedule
 
 # The keys of the file format, written out independently of config._KEYS.
@@ -47,6 +49,7 @@ CHANGES = {
     ("schedule", "c_m"): {"schedule.periods"},
     ("schedule", "c_o"): {"schedule.periods"},
     ("schedule", "c_u"): {"schedule.periods"},
+    ("schedule", "p_bdry"): {"reservoir.p_bdry"},  # the reservoir's datum
 }
 
 # Valid non-default values of the keys whose value is not a plain number.
@@ -241,7 +244,7 @@ period.8 = 756000 water_push 2.31e-05 0 0 0
 period.9 = 1080000 no_flow 0 0 0 0
 """
         cfg = parse_config(text)
-        assert cfg.schedule.p_bdry == 2e7
+        assert cfg.reservoir.p_bdry == 2e7
         assert len(cfg.schedule.periods) == 9
         assert cfg.schedule.periods[6].label is SlugType.CEMENTATION
 
@@ -261,7 +264,8 @@ period.9 = 1080000 no_flow 0 0 0 0
         cfg = parse_config("[experiment]\npreset = ex2\n[schedule]\nrate = 1e-5\n")
         assert cfg.schedule == builtin_schedule("ex2", rate=1e-5)
         cfg = parse_config("[experiment]\npreset = ex3\n[schedule]\np_bdry = 2e7\n")
-        assert cfg.schedule == builtin_schedule("ex3", p_bdry=2e7)
+        assert cfg.schedule == builtin_schedule("ex3")
+        assert cfg.reservoir.p_bdry == 2e7
 
     @pytest.mark.parametrize("key", ["rate", "c_m", "c_o", "c_u"])
     def test_builtin_keys_with_period_lines_rejected(self, key):
@@ -306,6 +310,15 @@ period.9 = 1080000 no_flow 0 0 0 0
         key = line.split(" = ")[0]
         assert any(p.startswith(f"[{section}] {key}:") and "not a finite number" in p
                    for p in exc_info.value.problems)
+
+    @pytest.mark.parametrize("spec, field", [
+        (RockLaw(K0=math.inf), "K0"), (KineticParams(rho_w=math.inf), "rho_w"),
+        (TwoPhaseParams(mu_w=math.inf), "mu_w"),
+    ], ids=["K0", "rho_w", "mu_w"])
+    def test_parameters_refuse_what_the_text_refuses(self, spec, field):
+        # config text cannot give an infinite parameter; the code must not take one
+        with pytest.raises(DomainError, match=f"{type(spec).__name__}.{field} must be finite"):
+            spec.validate()
 
 
 class TestKeyTable:

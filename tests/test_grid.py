@@ -113,6 +113,21 @@ class TestBuildDomain:
         with pytest.raises(DomainError, match="leak permeability must be finite"):
             build_domain(cfg.domain, replace(cfg.leak, perm=bad), cfg.reservoir, cfg.rock)
 
+    @pytest.mark.parametrize("part, field, bad", [
+        ("reservoir", "aquifer_height", np.nan), ("reservoir", "p_bdry", np.inf),
+        ("leak", "anchor_x", np.nan), ("leak", "gap_lower", np.nan),
+        ("leak", "gap_leak", np.nan), ("domain", "dx", np.inf),
+    ], ids=["H_nan", "p_bdry_inf", "anchor_x_nan", "gap_lower_nan", "gap_leak_nan",
+            "dx_inf"])
+    def test_nonfinite_spec_value_raises(self, part, field, bad):
+        # a NaN height passed the layer check, and a NaN anchor or gap
+        # placed no leak cell with only a warning
+        cfg = preset("ex3")
+        specs = {"domain": cfg.domain, "leak": cfg.leak, "reservoir": cfg.reservoir}
+        specs[part] = replace(specs[part], **{field: bad})
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            build_domain(specs["domain"], specs["leak"], specs["reservoir"], cfg.rock)
+
     def test_zero_active_cells_raises(self):
         domain = DomainSpec(nx=4, ny=1, nz=4, dx=1.0, dy=1.0, dz=1.0)
         reservoir = ReservoirSpec(aquifer_height=0.0, caprock_height=4.0,

@@ -88,13 +88,13 @@ def test_micp_jacobian_matches_central_differences(sides, rate):
     rng = np.random.default_rng(7)
     sys = MicpSystem(grid, params, ROCK)
     p = perturbed_pressure(grid, rng, params.rho_w)
-    old = make_initial_state(grid, params, P0)
+    old = make_initial_state(grid, params)
     old.c_u[:] = 40.0
     old.phi_b[:] = 0.01
     x = MicpState(p=p, c_m=rng.uniform(2e-3, 1e-2, n), c_o=rng.uniform(5e-3, 3e-2, n),
                   c_u=rng.uniform(10.0, 60.0, n), phi_b=rng.uniform(5e-3, 2e-2, n),
                   phi_c=rng.uniform(5e-3, 3e-2, n)).to_vector()
-    control = WellControl(rate=rate, c_m=0.01, c_u=30.0, p_bdry=P0)
+    control = WellControl(rate=rate, c_m=0.01, c_u=30.0)
     dpot = potential_differences(sys, p, params.rho_w, params.rho_w)
     steps = 1e-5 * np.abs(x)
     steps[IP::NVAR] = 0.1 * np.min(np.abs(dpot))
@@ -120,4 +120,4 @@ def test_co2_jacobian_matches_central_differences(sides, rate):
     steps = np.full(NV2 * n, 1e-6)
     steps[0::NV2] = 0.1 * np.min(np.abs(dpot))
     assert_entries_match(
-        sys, lambda y, want: _eval_twophase(sys, y, old, DT, rate, P0, want), x, steps)
+        sys, lambda y, want: _eval_twophase(sys, y, old, DT, rate, want), x, steps)

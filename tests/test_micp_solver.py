@@ -51,21 +51,22 @@ def closed_cell_grid():
     return build_domain(domain, None, res, ROCK)
 
 
-def example1_grid(nx=100):
+def example1_grid(nx=100, p_bdry=P0):
     dx = 100.0 / nx
     domain = DomainSpec(nx=nx, ny=1, nz=1, dx=dx, dy=1.0, dz=1.0)
     leak = LeakSpec(aperture=5.0, width=1.0, tilt_deg=90.0, perm=2e-14,
                     anchor_x=15.0 - dx / 2)
-    res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=dx / 2)
+    res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=dx / 2,
+                        p_bdry=p_bdry)
     return build_domain(domain, leak, res, ROCK)
 
 
 def steady_flow_state(grid, rate):
     """Inert single long step: pressure relaxes to its steady profile."""
     settings = SolverSettings(dt_init=3600.0, dt_max=3600.0)
-    control = WellControl(rate=rate, p_bdry=P0)
+    control = WellControl(rate=rate)
     state, rep = solve_timestep(MicpSystem(grid, INERT, ROCK),
-                                make_initial_state(grid, INERT, P0), 3600.0, control,
+                                make_initial_state(grid, INERT), 3600.0, control,
                                 settings)
     assert rep.converged
     return state
@@ -76,17 +77,23 @@ class TestShearNorm:
         domain = DomainSpec(nx=2, ny=1, nz=5, dx=1.0, dy=1.0, dz=1.0)
         res = ReservoirSpec(aquifer_height=5.0, caprock_height=0.0, well_x=0.5)
         grid = build_domain(domain, None, res, ROCK)
-        state = make_initial_state(grid, PARAMS, P0)
-        shear = shear_norm_field(MicpSystem(grid, PARAMS, ROCK), state, p_bdry=P0)
+        state = make_initial_state(grid, PARAMS)
+        shear = shear_norm_field(MicpSystem(grid, PARAMS, ROCK), state)
         # zero up to float cancellation in p + rho g z (p is ~1e7 Pa, so
         # potential differences carry ~1e-9 Pa of roundoff)
         assert np.all(shear < 1e-8)
+
+    def test_water_at_rest_is_exactly_zero_at_any_datum(self):
+        grid = example1_grid(p_bdry=2 * P0)
+        shear = shear_norm_field(MicpSystem(grid, PARAMS, ROCK),
+                                 make_initial_state(grid, PARAMS))
+        assert np.all(shear == 0.0)
 
     def test_steady_darcy_inversion(self):
         grid = line_grid(nx=20)
         rate = 1e-5  # m^3/s through 1 m^2 -> v = 1e-5 m/s
         state = steady_flow_state(grid, rate)
-        shear = shear_norm_field(MicpSystem(grid, INERT, ROCK), state, p_bdry=P0)
+        shear = shear_norm_field(MicpSystem(grid, INERT, ROCK), state)
         expected = rate * INERT.mu_w / 1e-14  # 2.54e5 Pa/m
         assert expected == pytest.approx(2.54e5, rel=1e-12)
         # interior cells average two equal face fluxes
@@ -97,8 +104,8 @@ class TestShearNorm:
     def test_linearity_in_gradient(self):
         grid = line_grid(nx=20)
         sys = MicpSystem(grid, INERT, ROCK)
-        s1 = shear_norm_field(sys, steady_flow_state(grid, 1e-5), p_bdry=P0)
-        s2 = shear_norm_field(sys, steady_flow_state(grid, 2e-5), p_bdry=P0)
+        s1 = shear_norm_field(sys, steady_flow_state(grid, 1e-5))
+        s2 = shear_norm_field(sys, steady_flow_state(grid, 2e-5))
         assert s2[1:] == pytest.approx(2.0 * s1[1:], rel=1e-6)
 
     def test_per_axis_sums_match_masked_reference(self):
@@ -107,10 +114,10 @@ class TestShearNorm:
                             outflow_sides=("x+", "y-"))
         grid = build_domain(domain, None, res, ROCK)
         sys = MicpSystem(grid, PARAMS, ROCK)
-        state = make_initial_state(grid, PARAMS, P0)
+        state = make_initial_state(grid, PARAMS)
         state.p += np.random.default_rng(0).uniform(0.0, 1e4, grid.n_active)
         _, _, aux = _eval_system(sys, state.to_vector(), state, 600.0,
-                                 WellControl(rate=1e-5, p_bdry=P0), want_jacobian=False)
+                                 WellControl(rate=1e-5), want_jacobian=False)
         # the shear norm summed over boolean masks of each axis's faces; the
         # face list holds the interior faces, then the boundary faces
         n, ni = grid.n_active, grid.n_ifaces
@@ -139,9 +146,9 @@ class TestShearNorm:
 class TestAssembleResidual:
     def test_steady_no_flow_zero_residual(self):
         grid = line_grid()
-        state = make_initial_state(grid, PARAMS, P0)
+        state = make_initial_state(grid, PARAMS)
         r, J = assemble_residual(MicpSystem(grid, PARAMS, ROCK), state, state, 600.0,
-                                 WellControl(rate=0.0, p_bdry=P0))
+                                 WellControl(rate=0.0))
         assert np.all(r == 0.0)
         assert J.shape == (6 * grid.n_active, 6 * grid.n_active)
 
@@ -163,7 +170,7 @@ class TestAssembleResidual:
                           phi_c=np.zeros(1))
         sys = MicpSystem(grid, PARAMS, ROCK)
         settings = SolverSettings(dt_min=1e-3)
-        control = WellControl(rate=0.0, p_bdry=P0)
+        control = WellControl(rate=0.0)
         errs = []
         for dt in (600.0, 300.0):
             state = start.copy()
@@ -186,7 +193,7 @@ class TestOutOfBoundsJacobian:
     def test_columns_match_finite_differences(self):
         grid = line_grid(nx=3, sides=())  # closed and hydrostatic: no flow
         n = grid.n_active
-        p = make_initial_state(grid, PARAMS, P0).p
+        p = make_initial_state(grid, PARAMS).p
         old = MicpState(p=p.copy(), c_m=np.full(n, 0.005), c_o=np.full(n, 0.02),
                         c_u=np.full(n, 50.0), phi_b=np.full(n, 0.01),
                         phi_c=np.full(n, 0.02))
@@ -195,7 +202,7 @@ class TestOutOfBoundsJacobian:
                       c_u=np.array([40.0, -0.5, -2.0]),
                       phi_b=np.array([0.012, -1e-3, -4e-4]),
                       phi_c=np.array([0.021, 0.02, 0.019])).to_vector()
-        control = WellControl(rate=0.0, p_bdry=P0)
+        control = WellControl(rate=0.0)
         sys = MicpSystem(grid, PARAMS, ROCK)
         _, J, aux = _eval_system(sys, x, old, 600.0, control)
         assert np.all(aux["shear"] == 0.0)
@@ -222,17 +229,17 @@ class TestOutOfBoundsJacobian:
 class TestSolveTimestep:
     def test_zero_rate_zero_kinetics_identity(self):
         grid = line_grid()
-        state = make_initial_state(grid, INERT, P0)
+        state = make_initial_state(grid, INERT)
         new, rep = solve_timestep(MicpSystem(grid, INERT, ROCK), state, 600.0,
-                                  WellControl(rate=0.0, p_bdry=P0), SolverSettings())
+                                  WellControl(rate=0.0), SolverSettings())
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(new.p, state.p)
         assert np.array_equal(new.phi_b, state.phi_b)
 
     def test_example1_microbial_step_converges(self):
         grid = example1_grid()
-        state = make_initial_state(grid, PARAMS, P0)
-        control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
+        state = make_initial_state(grid, PARAMS)
+        control = WellControl(rate=2.31e-5, c_m=0.01)
         new, rep = solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, 3600.0,
                                   control, SolverSettings())
         assert rep.converged
@@ -241,8 +248,8 @@ class TestSolveTimestep:
 
     def test_residual_below_tolerance_after_solve(self):
         grid = example1_grid(nx=25)
-        state = make_initial_state(grid, PARAMS, P0)
-        control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
+        state = make_initial_state(grid, PARAMS)
+        control = WellControl(rate=2.31e-5, c_m=0.01)
         settings = SolverSettings()
         sys = MicpSystem(grid, PARAMS, ROCK)
         new, rep = solve_timestep(sys, state, 1800.0, control, settings)
@@ -255,8 +262,8 @@ class TestSolveTimestep:
 
     def test_factors_at_every_iterate(self):
         grid = example1_grid(nx=25)
-        state = make_initial_state(grid, PARAMS, P0)
-        control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
+        state = make_initial_state(grid, PARAMS)
+        control = WellControl(rate=2.31e-5, c_m=0.01)
         _, rep = solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, 1800.0, control,
                                 SolverSettings())
         assert rep.converged
@@ -264,26 +271,26 @@ class TestSolveTimestep:
 
     def test_nan_residual_fails_the_step(self):
         grid = line_grid()
-        state = make_initial_state(grid, PARAMS, P0)
+        state = make_initial_state(grid, PARAMS)
         state.c_u[3] = np.nan
         _, rep = solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, 600.0,
-                                WellControl(rate=0.0, p_bdry=P0), SolverSettings())
+                                WellControl(rate=0.0), SolverSettings())
         assert not rep.converged
 
     @pytest.mark.parametrize("dt", [0.0, -600.0, np.nan])
     def test_nonpositive_dt_raises(self, dt):
         # a negative dt would converge and run time backwards
         grid = example1_grid()
-        state = make_initial_state(grid, PARAMS, P0)
-        control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
+        state = make_initial_state(grid, PARAMS)
+        control = WellControl(rate=2.31e-5, c_m=0.01)
         with pytest.raises(DomainError, match="dt must be > 0"):
             solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, dt, control,
                            SolverSettings())
 
     def test_nonconvergence_reported_not_raised(self):
         grid = example1_grid(nx=25)
-        state = make_initial_state(grid, PARAMS, P0)
-        control = WellControl(rate=2.31e-5, c_m=0.01, p_bdry=P0)
+        state = make_initial_state(grid, PARAMS)
+        control = WellControl(rate=2.31e-5, c_m=0.01)
         settings = SolverSettings(newton_max_iter=1)
         _, rep = solve_timestep(MicpSystem(grid, PARAMS, ROCK), state, 7200.0, control,
                                 settings)
@@ -293,7 +300,7 @@ class TestSolveTimestep:
 class TestSimulateMicp:
     def test_empty_schedule_returns_initial(self):
         grid = line_grid()
-        schedule = Schedule(periods=(), p_bdry=P0)
+        schedule = Schedule(periods=())
         report = simulate_micp(grid, schedule, PARAMS, ROCK, SolverSettings())
         assert report.t == 0.0
         assert report.steps == 0
@@ -302,7 +309,7 @@ class TestSimulateMicp:
 
     def test_example1_quick_run(self):
         grid = example1_grid(nx=25)
-        schedule = builtin_schedule("ex1", p_bdry=P0)
+        schedule = builtin_schedule("ex1")
         settings = SolverSettings(newton_rel_tol=1e-8, dt_max=14400.0)
         report = simulate_micp(grid, schedule, PARAMS, ROCK, settings)
         assert report.state.phi_c.max() > 0.0
@@ -319,12 +326,22 @@ class TestSimulateMicp:
         assert report.dt_failures == 0
         assert sum(report.clamped.values()) == 0.0
 
+    def test_datum_shifts_the_pressure_and_nothing_else(self):
+        low, high = (simulate_micp(example1_grid(nx=25, p_bdry=p_bdry),
+                                   builtin_schedule("ex1"), PARAMS, ROCK, SolverSettings())
+                     for p_bdry in (P0, 2 * P0))
+        assert (high.steps, high.newton_iterations) == (low.steps, low.newton_iterations)
+        assert np.max(np.abs(high.state.p - low.state.p - P0)) <= 1e-10 * np.max(low.state.p)
+        for name in ("c_m", "c_o", "c_u", "phi_b", "phi_c"):
+            a, b = getattr(low.state, name), getattr(high.state, name)
+            assert np.max(np.abs(b - a)) <= 1e-10 * np.max(np.abs(a)), name
+
     def test_upwind_monotone_tracer(self):
         # no reactions: an injected microbe slug must stay within
         # [0, injected concentration]
         grid = line_grid(nx=30)
-        periods = builtin_schedule("ex1", p_bdry=P0).periods[:3]
-        schedule = Schedule(periods=periods, p_bdry=P0)
+        periods = builtin_schedule("ex1").periods[:3]
+        schedule = Schedule(periods=periods)
         report = simulate_micp(grid, schedule, INERT, ROCK, SolverSettings())
         c = report.state.c_m
         assert np.all(c >= -1e-12)
@@ -337,8 +354,8 @@ class TestSimulateMicp:
         res = ReservoirSpec(aquifer_height=1.0, caprock_height=2.0, well_x=1.0,
                             well_y=None, outflow_sides=("x+",))
         grid = build_domain(domain, leak, res, ROCK)
-        periods = builtin_schedule("ex2", rate=1e-5, p_bdry=P0).periods[:2]
-        schedule = Schedule(periods=periods, p_bdry=P0)
+        periods = builtin_schedule("ex2", rate=1e-5).periods[:2]
+        schedule = Schedule(periods=periods)
         report = simulate_micp(grid, schedule, PARAMS, ROCK,
                                SolverSettings(dt_max=14400.0))
         full = grid.full_field(report.state.c_m, fill=np.nan)
@@ -350,7 +367,7 @@ class TestSimulateMicp:
         totals = []
         for nx in (100, 200):
             grid = example1_grid(nx=nx)
-            schedule = builtin_schedule("ex1", p_bdry=P0)
+            schedule = builtin_schedule("ex1")
             report = simulate_micp(grid, schedule, PARAMS, ROCK,
                                    SolverSettings(dt_max=14400.0))
             totals.append(float(np.sum(report.state.phi_c * grid.volumes))
@@ -367,14 +384,14 @@ class TestSimulateMicp:
         grid = example1_grid(nx=25)
         records = []
         with pytest.raises(DomainError, match=name):
-            simulate_micp(grid, builtin_schedule("ex1", p_bdry=P0), params, rock,
+            simulate_micp(grid, builtin_schedule("ex1"), params, rock,
                           SolverSettings(),
                           OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
         assert records == []
 
     def test_hard_failure_carries_last_good_state(self):
         grid = example1_grid(nx=25)
-        schedule = builtin_schedule("ex1", p_bdry=P0)
+        schedule = builtin_schedule("ex1")
         settings = SolverSettings(newton_max_iter=1, dt_init=3600.0,
                                   dt_min=3600.0, dt_max=3600.0)
         with pytest.raises(ConvergenceError) as exc_info:
@@ -385,7 +402,7 @@ class TestSimulateMicp:
 class TestDerivedFields:
     def test_porosity_and_permeability_fields(self):
         grid = example1_grid(nx=25)
-        state = make_initial_state(grid, PARAMS, P0)
+        state = make_initial_state(grid, PARAMS)
         state.phi_b[:] = 0.02
         state.phi_c[:] = 0.03
         phi = porosity_field(grid, state)
@@ -407,7 +424,7 @@ def treated_states(grid, seed):
     """Old and new state of a flowing, partly treated field, both in bounds."""
     rng = np.random.default_rng(seed)
     n = grid.n_active
-    old = make_initial_state(grid, PARAMS, P0)
+    old = make_initial_state(grid, PARAMS)
     old.p += 2e4 * (1.0 - grid.centers[:, 0] / grid.centers[:, 0].max())
     old.c_m[:] = rng.uniform(0.0, 0.01, n)
     old.c_o[:] = rng.uniform(0.0, 0.04, n)
@@ -425,7 +442,7 @@ def treated_states(grid, seed):
 class TestFactorOrder:
     """Newton matrices built and factored in one COLAMD order per system."""
 
-    CONTROL = WellControl(rate=2.31e-5, c_m=0.01, c_u=30.0, p_bdry=P0)
+    CONTROL = WellControl(rate=2.31e-5, c_m=0.01, c_u=30.0)
 
     @staticmethod
     def assert_solves(sys, x, old, control, dt=600.0):
@@ -463,7 +480,7 @@ class TestFactorOrder:
                           c_o=np.array([0.01]), c_u=np.array([300.0]),
                           phi_b=np.array([0.01]), phi_c=np.array([0.002]))
         natural = self.assert_solves(sys, state.to_vector(), state,
-                                     WellControl(rate=0.0, p_bdry=P0)).toarray()
+                                     WellControl(rate=0.0)).toarray()
         pin_scale = grid.volumes[0] * grid.poro0[0] / (600.0 * 1e5)
         assert natural[0].tolist() == [pin_scale] + [0.0] * (NVAR - 1)
 
@@ -484,8 +501,8 @@ class TestFactorOrder:
 
         monkeypatch.setattr(micp, "splu", counted)
         grid = example1_grid(nx=25)
-        periods = builtin_schedule("ex1", p_bdry=P0).periods[:2]
-        report = simulate_micp(grid, Schedule(periods=periods, p_bdry=P0), PARAMS,
+        periods = builtin_schedule("ex1").periods[:2]
+        report = simulate_micp(grid, Schedule(periods=periods), PARAMS,
                                ROCK, SolverSettings())
         assert report.dt_failures == 0
         assert len(calls) == report.factorizations == report.newton_iterations > 0

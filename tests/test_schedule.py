@@ -48,6 +48,10 @@ class TestControlAt:
     def setup_method(self):
         self.s = builtin_schedule("ex2")
 
+    def test_empty_schedule_raises(self):
+        with pytest.raises(DomainError, match="schedule has no periods"):
+            control_at(Schedule(periods=()), 0.0)
+
     def test_microbial_slug(self):
         c = control_at(self.s, 10.0 * HOUR)
         assert c.rate == 2.31e-4

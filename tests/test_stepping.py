@@ -426,11 +426,11 @@ class TestAssemblyOracle:
 def _micp_newton_matrix(grid, rng):
     """micp's system on grid and a Newton matrix of it, in natural order."""
     sys = micp.MicpSystem(grid, KineticParams(), RockLaw())
-    state = micp.make_initial_state(grid, sys.params, 1e7)
+    state = micp.make_initial_state(grid, sys.params)
     for name, top in (("c_m", 0.01), ("c_o", 0.04), ("c_u", 60.0),
                       ("phi_b", 0.005), ("phi_c", 0.01)):
         getattr(state, name)[:] = rng.uniform(0.0, top, grid.n_active)
-    control = WellControl(rate=1e-4, c_m=0.01, c_o=0.04, c_u=30.0, p_bdry=1e7)
+    control = WellControl(rate=1e-4, c_m=0.01, c_o=0.04, c_u=30.0)
     J = micp._eval_system(sys, state.to_vector(), state, 600.0, control)[1]
     return sys, sys.in_natural_order(J)
 
@@ -438,10 +438,10 @@ def _micp_newton_matrix(grid, rng):
 def _co2_newton_matrix(grid, rng):
     """co2's system on grid and a Newton matrix of it, in natural order."""
     sys = co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams())
-    state = co2.make_initial_twophase_state(grid, sys.params, 1e7)
+    state = co2.make_initial_twophase_state(grid, sys.params)
     state.s[:] = rng.uniform(0.0, 1.0, grid.n_active)
     x = np.column_stack((state.p, state.s)).ravel()
-    J = co2._eval_twophase(sys, x, state, 3600.0, 1e-4, 1e7)[1]
+    J = co2._eval_twophase(sys, x, state, 3600.0, 1e-4)[1]
     return sys, sys.in_natural_order(J)
 
 
@@ -610,17 +610,17 @@ def _micp_step(settings, sides=("x+",), rate=1e-5):
     """One 600 s micp step with well rate ``rate`` (m^3/s) in _line(sides)."""
     grid = _line(sides).grid
     params = KineticParams()
-    state = micp.make_initial_state(grid, params, 1e7)
+    state = micp.make_initial_state(grid, params)
     return micp.solve_timestep(micp.MicpSystem(grid, params, RockLaw()), state, 600.0,
-                               WellControl(rate=rate, p_bdry=1e7), settings)
+                               WellControl(rate=rate), settings)
 
 
 def _co2_step(settings, sides=("x+",), rate=1e-5):
     """One 600 s co2 step with well rate ``rate`` (m^3/s) in _line(sides)."""
     grid = _line(sides).grid
-    state = co2.make_initial_twophase_state(grid, TwoPhaseParams(), 1e7)
+    state = co2.make_initial_twophase_state(grid, TwoPhaseParams())
     return co2.solve_twophase_step(co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams()),
-                                   state, 600.0, rate, settings, p_bdry=1e7)
+                                   state, 600.0, rate, settings)
 
 
 class TestStepSettings:
@@ -629,10 +629,42 @@ class TestStepSettings:
         ({"newton_max_iter": 0}, "newton_max_iter"),
         ({"newton_rel_tol": -1.0}, "newton_rel_tol"),
         ({"dt_min": 1000.0}, "dt_min <= dt_init"),
-    ], ids=["max_iter_0", "negative_tol", "dt_min_above_dt_init"])
+        # an infinite tolerance accepts every step without an iteration
+        ({"newton_rel_tol": np.inf}, "newton_rel_tol must be finite"),
+        ({"dt_max": np.inf}, "dt_max must be finite"),
+    ], ids=["max_iter_0", "negative_tol", "dt_min_above_dt_init", "infinite_tol",
+            "infinite_dt_max"])
     def test_invalid_settings_raise(self, step, bad, message):
         with pytest.raises(DomainError, match=message):
             step(SolverSettings(**bad))
+
+
+def _closed_column():
+    """A closed column of four 1 m cells: no open boundary, no well rate."""
+    domain = DomainSpec(nx=1, ny=1, nz=4, dx=1.0, dy=1.0, dz=1.0)
+    res = ReservoirSpec(aquifer_height=4.0, caprock_height=0.0, well_x=0.5,
+                        outflow_sides=())
+    return build_domain(domain, None, res, RockLaw())
+
+
+class TestClosedDomain:
+    @pytest.mark.parametrize("solver", ["micp", "co2"])
+    def test_water_column_at_rest_stays_at_rest(self, solver):
+        # the pin holds cell 0 at its own pressure in the water column at
+        # rest, not at the datum p_bdry of z = 0, half a cell below it
+        grid = _closed_column()
+        if solver == "micp":
+            state = micp.make_initial_state(grid, KineticParams())
+            new, rep = micp.solve_timestep(
+                micp.MicpSystem(grid, KineticParams(), RockLaw()), state, 600.0,
+                WellControl(), SolverSettings())
+        else:
+            state = co2.make_initial_twophase_state(grid, TwoPhaseParams())
+            new, rep = co2.solve_twophase_step(
+                co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams()), state, 600.0,
+                0.0, SolverSettings())
+        assert rep.converged and rep.iterations == 0
+        assert np.array_equal(new.p, state.p)
 
 
 class TestStepWell:
