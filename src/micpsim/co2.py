@@ -17,6 +17,11 @@ Jacobian assembly and adaptive stepping are the shared machinery of
 differences are the reactive solver's too (:func:`micpsim.grid.transmissibilities`,
 :meth:`micpsim.stepping.AssemblyData.face_potential_differences`). :func:`_phase_flux`
 upwinds a phase's flux, for the residual and the leakage diagnostic alike.
+As in the reactive solver, each iterate is evaluated in two passes:
+:func:`_eval_twophase` gives the residual and an aux that holds each
+phase's upwinded T lambda, potential differences and upwind cells, and
+:func:`_jacobian_twophase` builds the Newton matrix from it, only for an
+iterate that Newton factors.
 
 Each Newton matrix is built in one order of the unknowns that the
 system computes when it assembles its first Jacobian: SuperLU's
@@ -64,7 +69,6 @@ from .stepping import (
     OrderedLU,
     OutputHooks,
     SolverSettings,
-    jacobian_wanted,
     march,
     newton,
 )
@@ -104,12 +108,10 @@ class TwoPhaseSystem(AssemblyData):
             if not np.all(np.isfinite(field) & (field > 0.0)):  # NaN fails too
                 raise DomainError(f"{name} must be finite and > 0 in active cells")
         params.validate()
-        super().__init__(grid)
+        super().__init__(grid, params.rho_w)
         self.params = params
         self.phi = poro
         self.T = transmissibilities(grid, perm)
-        column = hydrostatic_pressure(grid, params.rho_w)  # water at rest
-        self.p_ghost, self.p_pin = column[grid.bface_cell], column[0]
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -135,7 +137,8 @@ def _phase_flux(sys, T, dpot, sat, mu, faces=slice(None)):
     return T_lam * dpot, T_lam, up
 
 
-def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, want_jacobian=True):
+def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate):
+    """Residual at x, and the aux of the CO2 flux and the Jacobian's inputs."""
     pr = sys.params
     n = sys.n
     p = x[JP::NV2]
@@ -144,8 +147,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, want_jacobian=True):
 
     # beyond the boundary a water column at rest
     p_all = sys.with_ghosts(p, sys.p_ghost)
-    s_all = sys.with_ghosts(s, 0.0)
-    se = np.clip(s_all, 0.0, 1.0)
+    se = np.clip(sys.with_ghosts(s, 0.0), 0.0, 1.0)
     dw = sys.face_potential_differences(p_all, pr.rho_w)
     dc = sys.face_potential_differences(p_all, pr.rho_co2)
     Fw, T_lam_w, up_w = _phase_flux(sys, sys.T, dw, 1.0 - se, pr.mu_w)
@@ -161,27 +163,32 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate, want_jacobian=True):
 
     pin_scale = sys.pin_pressure(resid, p[0], sys.phi, dt)
 
-    aux = {"Fc": Fc, "Fw": Fw}
-    if not jacobian_wanted(want_jacobian, resid):
-        return resid, None, aux
+    # each phase's T lambda, potential differences and upwind cells, in
+    # equation order, for the Jacobian pass
+    upwinded = ((T_lam_w, dw, up_w), (T_lam_c, dc, up_c))
+    return resid, {"Fc": Fc, "upwinded": upwinded, "pin_scale": pin_scale}
 
-    cell = np.zeros((n, NV2, NV2))
-    cell[:, JP, JS] = -sys.phi * V / dt
-    cell[:, JS, JS] = sys.phi * V / dt
 
+def _jacobian_twophase(sys, x, dt, aux):
+    """Newton matrix at x from :func:`_eval_twophase`'s aux there, in factor order."""
+    pr = sys.params
+    cell = np.zeros((sys.n, NV2, NV2))
+    cell[:, JP, JS] = -sys.phi * sys.V / dt
+    cell[:, JS, JS] = sys.phi * sys.V / dt
+
+    s_all = sys.with_ghosts(x[JS::NV2], 0.0)
     in_bounds = (s_all >= 0.0) & (s_all <= 1.0)
-    face_a = np.zeros((Fw.size, NV2, NV2))
-    face_b = np.zeros((Fw.size, NV2, NV2))
-    for row, T_lam, dpot, upwind, dlam in (
-            (JP, T_lam_w, dw, up_w, -1.0 / pr.mu_w),
-            (JS, T_lam_c, dc, up_c, 1.0 / pr.mu_co2)):
+    face_a = np.zeros((sys.fa.size, NV2, NV2))
+    face_b = np.zeros((sys.fa.size, NV2, NV2))
+    for row, (T_lam, dpot, upwind), dlam in zip(
+            (JP, JS), aux["upwinded"], (-1.0 / pr.mu_w, 1.0 / pr.mu_co2)):
         face_a[:, row, JP] = T_lam
         face_b[:, row, JP] = -T_lam
         dF_ds = sys.T * np.where(in_bounds[upwind], dlam, 0.0) * dpot
         face_a[:, row, JS] = np.where(dpot >= 0.0, dF_ds, 0.0)
         face_b[:, row, JS] = np.where(dpot >= 0.0, 0.0, dF_ds)
 
-    return resid, sys.jacobian(cell, face_a, face_b, pin_scale), aux
+    return sys.jacobian(cell, face_a, face_b, aux["pin_scale"])
 
 
 def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
@@ -206,7 +213,8 @@ def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
     x[JS::NV2] = start.s
     carry = carry or Carry()
     res, carry.lu = newton(
-        lambda x, want: _eval_twophase(sys, x, state_old, dt, rate, want),
+        lambda x: _eval_twophase(sys, x, state_old, dt, rate),
+        lambda x, aux: _jacobian_twophase(sys, x, dt, aux),
         x, escale, settings, sys.factor, damped=(slice(JS, None, NV2),), max_step=0.5,
         lu=carry.take())
     s = res.x[JS::NV2]
@@ -290,7 +298,9 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     ``plane_z`` defaults to the lower-aquifer/caprock interface. Returns
     the (t, normalized flux) series sampled at every accepted step. A
     given plane that cuts no leak-tagged face raises GeometryError; the
-    default one leaves the series empty there.
+    default one leaves the series empty there. An ``initial_state`` with
+    an array that is not one finite value per active cell raises
+    DomainError before the first step.
     """
     sys = TwoPhaseSystem(grid, perm_field, params, poro_field)
     sys.check_injection(rate)
@@ -309,6 +319,7 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
 
     state = (initial_state.copy() if initial_state is not None
              else make_initial_twophase_state(grid, params))
+    sys.check_state(state)
     series: list[tuple[float, float]] = []
     produced = 0.0
 

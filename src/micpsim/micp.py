@@ -24,6 +24,11 @@ Within the bounds nothing changes; across them the residual is
 continuously differentiable, so Newton converges from out-of-bounds
 iterates instead of creeping along a flat clipped residual.
 
+Each iterate is evaluated in two passes: :func:`_eval_system` gives the
+residual and an aux of its diagnostics and of the work the Jacobian
+reads, and :func:`_jacobian_system` builds the Newton matrix from that
+aux, only for an iterate that :func:`micpsim.stepping.newton` factors.
+
 Newton uses an analytic Jacobian. Two couplings are dropped from it, not
 from the residual, so the converged state is fully implicit: the
 dependence of the shear norm on pressure and its dependence on phi_b and
@@ -85,7 +90,6 @@ from .stepping import (
     OrderedLU,
     OutputHooks,
     SolverSettings,
-    jacobian_wanted,
     march,
     newton,
 )
@@ -157,13 +161,11 @@ class MicpSystem(AssemblyData):
     def __init__(self, grid: Grid, params: KineticParams, rock: RockLaw):
         params.validate()
         rock.validate()
-        super().__init__(grid)
+        super().__init__(grid, params.rho_w)
         self.params = params
         self.rock = rock
         self.phi0 = grid.poro0
         self.K0 = grid.perm0
-        column = hydrostatic_pressure(grid, params.rho_w)  # water at rest
-        self.p_ghost, self.p_pin = column[grid.bface_cell], column[0]
         # each face's area in the column of its axis, outward-signed on the
         # boundary, and inf in the other two: flux / axis_area puts a face's
         # Darcy velocity in its axis's column and zero in the others
@@ -189,18 +191,13 @@ class MicpSystem(AssemblyData):
         return scales
 
 
-def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
-                 want_jacobian=True):
-    """Residual, optional Jacobian and flux/rate diagnostics at x.
-
-    ``want_jacobian`` is a bool or a function of the residual that says
-    whether the caller will factor the Jacobian; when false, the Jacobian
-    slot of the result is None.
+def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl):
+    """Residual at x, and the aux of flux/rate diagnostics and Jacobian inputs.
 
     Rates and permeability are evaluated at the clipped (physical)
     arguments and extended linearly beyond them, f(clip) + f'(clip) (x -
     clip), so that the Jacobian's out-of-bounds columns are the exact
-    derivatives of this residual.
+    derivatives of this residual (:func:`_jacobian_system`).
     """
     n = sys.n
     grid = sys.grid
@@ -225,8 +222,7 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
     p_all = sys.with_ghosts(p, sys.p_ghost)
     dpot = sys.face_potential_differences(p_all, sys.params.rho_w)
     F = T / mu_w * dpot
-    up_is_a = F >= 0.0
-    upw = np.where(up_is_a, sys.fa, sys.fb)
+    upw = np.where(F >= 0.0, sys.fa, sys.fb)
 
     # cell-average Darcy velocity v: per axis, half the sum of the velocities
     # of the cell's faces on that axis (face_sums subtracts a face's b side,
@@ -242,13 +238,13 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
     uc = np.maximum(u, 0.0)
     bcl = np.clip(b, 0.0, sys.phi0)
     ccl = np.clip(c, 0.0, sys.phi0 - bcl)
-    rates = dict(zip(RATES, _rates(mc, oc, uc, bcl, ccl, shear,
-                                   sys.params, sys.rock)))
+    rate_args = (mc, oc, uc, bcl, ccl, shear)
+    rates = dict(zip(RATES, _rates(*rate_args, sys.params, sys.rock)))
     past_clip = {"m": m - mc, "o": o - oc, "u": u - uc, "b": b - bcl, "c": c - ccl}
     past_clip = {v: d for v, d in past_clip.items() if np.any(d)}
     jac = None
     if past_clip:
-        jac = _rate_jacobian(mc, oc, uc, bcl, ccl, shear, sys.params, sys.rock)
+        jac = _rate_jacobian(*rate_args, sys.params, sys.rock)
         for (rname, v), dR in jac.items():
             if v in past_clip:
                 rates[rname] = rates[rname] + dR * past_clip[v]
@@ -276,42 +272,59 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl,
 
     pin_scale = sys.pin_pressure(resid, p[0], sys.phi0, dt)
 
-    aux = {"F": F, "flux": flux, "upw": upw, "shear": shear, "K": K, "q": q,
-           "rates": {"m": R_m, "o": R_o, "u": R_u, "b": R_b, "c": R_c}}
-    if not jacobian_wanted(want_jacobian, resid):
-        return resid, None, aux
+    return resid, {
+        "F": F, "flux": flux, "shear": shear, "K": K,
+        "rates": {"m": R_m, "o": R_o, "u": R_u, "b": R_b, "c": R_c},
+        # what the Jacobian pass reads; the rate Jacobian if already taken
+        "phi": phi, "T": T, "dK": dK, "dpot": dpot, "w": w, "pin_scale": pin_scale,
+        "rate_args": rate_args, "rate_jac": jac}
+
+
+def _jacobian_system(sys: MicpSystem, x, dt, aux):
+    """Newton matrix at x, in the system's factor order.
+
+    ``aux`` is :func:`_eval_system`'s at x, which holds what the residual
+    already computed; the rate Jacobian is taken here unless the residual
+    took it.
+    """
+    n = sys.n
+    V = sys.V
+    mu_w = sys.params.mu_w
+    phi, T, F, dpot, w = aux["phi"], aux["T"], aux["F"], aux["dpot"], aux["w"]
 
     # storage and reaction derivatives of each cell
     cell = np.zeros((n, NVAR, NVAR))
     cell[:, IP, IB] = cell[:, IP, IC] = -V / dt
-    for ivar, cv, *_ in solutes:
+    for ivar in (IM, IO, IU):
         cell[:, ivar, ivar] = phi * V / dt
-        cell[:, ivar, IB] = cell[:, ivar, IC] = -cv * V / dt
+        cell[:, ivar, IB] = cell[:, ivar, IC] = -x[ivar::NVAR] * V / dt
     cell[:, IB, IB] = sys.params.rho_b * V / dt
     cell[:, IC, IC] = sys.params.rho_c * V / dt
+    jac = aux["rate_jac"]
     if jac is None:
-        jac = _rate_jacobian(mc, oc, uc, bcl, ccl, shear, sys.params, sys.rock)
+        jac = _rate_jacobian(*aux["rate_args"], sys.params, sys.rock)
     for (rname, vname), dR in jac.items():
         cell[:, _RATE_ROW[rname], _RATE_VAR[vname]] -= dR * V
 
     # flux derivatives: w (x) dF/dx, plus F on the upwind cell's own
     # concentration; dT/dK of a ghost (K = 1, d = 0) is 0
-    K_all = sys.with_ghosts(K, 1.0)
-    dK_all = sys.with_ghosts(dK, 0.0)
+    K_all = sys.with_ghosts(aux["K"], 1.0)
+    dK_all = sys.with_ghosts(aux["dK"], 0.0)
     dF_da = np.zeros((F.size, NVAR))
     dF_db = np.zeros((F.size, NVAR))
     dF_da[:, IP] = T / mu_w
     dF_db[:, IP] = -T / mu_w
     for dF, side, cells in ((dF_da, 0, sys.fa), (dF_db, 1, sys.fb)):
-        dT_dK = T * T * grid.face_d[:, side] / (grid.face_area * K_all[cells] ** 2)
+        dT_dK = T * T * sys.grid.face_d[:, side] / (sys.grid.face_area * K_all[cells] ** 2)
         dF[:, IB] = dF[:, IC] = dpot / mu_w * dT_dK * (-dK_all[cells])
     face_a = w[:, :, None] * dF_da[:, None, :]
     face_b = w[:, :, None] * dF_db[:, None, :]
-    for ivar, *_ in solutes:
+    up_is_a = F >= 0.0
+    for ivar in (IM, IO, IU):
         face_a[:, ivar, ivar] += np.where(up_is_a, F, 0.0)
         face_b[:, ivar, ivar] += np.where(up_is_a, 0.0, F)
 
-    return resid, sys.jacobian(cell, face_a, face_b, pin_scale), aux
+    return sys.jacobian(cell, face_a, face_b, aux["pin_scale"])
 
 
 def _error_scales(sys: MicpSystem, dt, conc_scales) -> np.ndarray:
@@ -335,14 +348,14 @@ def assemble_residual(sys: MicpSystem, state_new: MicpState, state_old: MicpStat
     """
     if not dt > 0.0:
         raise DomainError("dt must be > 0")
-    resid, J, _ = _eval_system(sys, state_new.to_vector(), state_old, dt, control)
-    return resid, sys.in_natural_order(J)
+    x = state_new.to_vector()
+    resid, aux = _eval_system(sys, x, state_old, dt, control)
+    return resid, sys.in_natural_order(_jacobian_system(sys, x, dt, aux))
 
 
 def shear_norm_field(sys: MicpSystem, state: MicpState) -> np.ndarray:
     """||grad p_w - rho_w g|| per cell, from reconstructed Darcy velocities."""
-    _, _, aux = _eval_system(sys, state.to_vector(), state, 1.0, WellControl(),
-                             want_jacobian=False)
+    _, aux = _eval_system(sys, state.to_vector(), state, 1.0, WellControl())
     return aux["shear"]
 
 
@@ -363,7 +376,8 @@ def solve_timestep(sys: MicpSystem, state_old: MicpState, dt: float,
     if conc_scales is None:
         conc_scales = sys.conc_scales(state_old, [control])
     res, _ = newton(
-        lambda x, want: _eval_system(sys, x, state_old, dt, control, want),
+        lambda x: _eval_system(sys, x, state_old, dt, control),
+        lambda x, aux: _jacobian_system(sys, x, dt, aux),
         state_old.to_vector(), _error_scales(sys, dt, conc_scales), settings,
         sys.factor,
         # keep volume-fraction updates physically small per iteration
@@ -434,11 +448,14 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
 
     Adaptive stepping never crosses a period boundary; on Newton failure
     the step is retried with dt * dt_cut until dt_min, then a
-    ConvergenceError carrying the last good state is raised.
+    ConvergenceError carrying the last good state is raised. An
+    ``initial_state`` with an array that is not one finite value per
+    active cell raises DomainError before the first step.
     """
     sys = MicpSystem(grid, params, rock)
     state = (initial_state.copy() if initial_state is not None
              else make_initial_state(grid, params))
+    sys.check_state(state)
     sys.check_injection(max((p.rate for p in schedule.periods), default=0.0))
     controls = [control_at(schedule, p.end_time) for p in schedule.periods]
     conc_scales = sys.conc_scales(state, controls)

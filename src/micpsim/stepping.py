@@ -1,8 +1,10 @@
 """Implicit time stepping shared by the reactive and the two-phase solvers.
 
-The solvers supply only their physics, as callables: residual and
-Jacobian evaluation, the finish of a converged step, and the booking of
-an accepted one. This module owns the rest: the grid data both
+The solvers supply only their physics, as callables: the residual pass
+(residual and aux at an iterate), the Jacobian pass (the Newton matrix
+from that aux), the finish of a converged step, and the booking of an
+accepted one. This module owns the rest, the decision when to build and
+factor a Jacobian among it (:func:`newton`): the grid data both
 assemblies read (:class:`AssemblyData`) with the grid's one face list
 of interior faces and of open boundary faces to ghost cells, the
 potential differences across them
@@ -32,6 +34,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spilu
 
 from .errors import ConvergenceError, DomainError
+from .grid import hydrostatic_pressure
 
 _EPS = 1e-9  # relative slack on interval ends
 _GROW_COOLDOWN = 3  # accepted steps without dt growth after a dt cut
@@ -84,9 +87,9 @@ class AssemblyData:
     beyond the boundary that each solver gives it (:meth:`with_ghosts`).
     Sums drop the ghosts' rows.
 
-    Each solver's system sets ``p_ghost`` and ``p_pin`` from its water
-    column at rest (:func:`micpsim.grid.hydrostatic_pressure`): the
-    ghosts' pressures, and cell 0's, where a closed domain is pinned.
+    ``p_ghost`` and ``p_pin`` are read from the column of water of
+    density ``rho_w`` at rest (:func:`micpsim.grid.hydrostatic_pressure`):
+    the ghosts' pressures, and cell 0's, where a closed domain is pinned.
 
     ``order`` lists the unknowns in the order their system factors them:
     row and column k of a Newton matrix is unknown order[k]. None, as
@@ -95,10 +98,11 @@ class AssemblyData:
     """
 
     order = None
-    p_ghost = p_pin = None
 
-    def __init__(self, grid):
+    def __init__(self, grid, rho_w):
         self.grid = grid
+        column = hydrostatic_pressure(grid, rho_w)  # water at rest
+        self.p_ghost, self.p_pin = column[grid.bface_cell], column[0]
         self.n = grid.n_active
         self.V = grid.volumes
         self.g = grid.gravity_accel
@@ -125,6 +129,14 @@ class AssemblyData:
         """Cell values followed by ``ghost``'s, a scalar or one per ghost."""
         ghost = np.broadcast_to(ghost, (self.n_ghosts, *np.shape(values)[1:]))
         return np.concatenate((values, ghost))
+
+    def check_state(self, state):
+        """Refuse a state unless each of its arrays is one finite value per cell."""
+        for name, values in vars(state).items():
+            values = np.asarray(values)
+            if values.shape != (self.n,) or not np.all(np.isfinite(values)):
+                raise DomainError(
+                    f"state {name} must hold one finite value per active cell")
 
     def check_injection(self, rate):
         """Refuse a well rate on a closed domain: its pin replaces a water equation."""
@@ -293,16 +305,18 @@ class NewtonResult(NamedTuple):
     factorizations: int  # calls of ``factor``
 
 
-def newton(evaluate, x, escale, settings: SolverSettings, factor,
+def newton(evaluate, jacobian, x, escale, settings: SolverSettings, factor,
            damped=(), max_step=np.inf, lu=None) -> tuple[NewtonResult, object]:
     """Solve evaluate(x) = 0 from the initial iterate x.
 
-    Each iterate is evaluated once: ``evaluate(x, want_jacobian)`` returns
-    (residual, J or None, aux) and should build J only if
-    ``want_jacobian(residual)``, that is, only for an iterate that
-    ``factor(J).solve`` will be applied to; any J returned for an iterate
-    that Newton updates is factored.
-    Convergence is max |residual / escale| < newton_rel_tol; a NaN norm,
+    Each iterate is evaluated once: ``evaluate(x)`` returns (residual,
+    aux). Newton takes the scaled norm max |residual / escale| and decides
+    from it alone whether to linearize there; only then does it call
+    ``jacobian(x, aux)``, with the aux of that evaluation, and factor the
+    matrix it returns with ``factor(J)``. So the Jacobian is built only for
+    an iterate that the factorization's ``solve`` is applied to, never for
+    the converged one.
+    Convergence is a norm < newton_rel_tol; a NaN norm,
     reaching newton_max_iter or an exactly singular Jacobian (SuperLU's
     zero pivot) fails. An update whose largest entry in the slices
     ``damped`` exceeds ``max_step`` is scaled down to ``max_step``.
@@ -313,7 +327,7 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
     updates with it and builds no Jacobian as long as each update cuts
     the residual norm to at most _CONTRACTION times its previous value.
     At the first iterate where an update falls short it drops the
-    factorization, before the Jacobian is assembled, factors a fresh
+    factorization, before the Jacobian is built, factors a fresh
     Jacobian there and keeps that one under the same rule. Without
     ``lu`` nothing is reused: a fresh Jacobian is factored at every
     iterate, so ``factorizations == iterations``. Updates made with a
@@ -326,37 +340,23 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
     tol = settings.newton_rel_tol
     iters = factorizations = 0
     reuse = lu is not None
-    rnorm = np.inf  # scaled norm; while evaluate runs, the previous iterate's
-
-    def norm(resid):
-        return float(np.max(np.abs(resid / escale)))
-
-    def will_factor(resid):
-        nonlocal lu
-        new = norm(resid)
-        if not (np.isfinite(new) and new >= tol and iters < settings.newton_max_iter):
-            return False
-        if reuse and new <= _CONTRACTION * rnorm:
-            return False
-        lu = None  # free the old factorization before the Jacobian is built
-        return True
-
+    rnorm = np.inf  # scaled norm of the previous iterate
     while True:
-        resid, J, aux = evaluate(x, will_factor)
-        rnorm = norm(resid)
+        resid, aux = evaluate(x)
+        last, rnorm = rnorm, float(np.max(np.abs(resid / escale)))
         if rnorm < tol:
             return NewtonResult(True, x, iters, rnorm, aux, factorizations), lu
         if iters >= settings.newton_max_iter or not np.isfinite(rnorm):
             return NewtonResult(False, x, iters, rnorm, aux, factorizations), lu
-        if J is not None:
+        if not (reuse and rnorm <= _CONTRACTION * last):
+            lu = None  # free the old factorization before the Jacobian is built
             factorizations += 1
             try:
-                lu = factor(J)
+                lu = factor(jacobian(x, aux))
             except RuntimeError as err:  # SuperLU's zero pivot fails the step
                 if str(err) != _SINGULAR:
                     raise
                 return NewtonResult(False, x, iters, rnorm, aux, factorizations), None
-            J = None  # not kept through the next assembly
         delta = lu.solve(-resid)
         dmax = max((np.max(np.abs(delta[s]), initial=0.0) for s in damped),
                    default=0.0)
@@ -364,11 +364,6 @@ def newton(evaluate, x, escale, settings: SolverSettings, factor,
             delta *= max_step / dmax
         x = x + delta
         iters += 1
-
-
-def jacobian_wanted(want_jacobian, resid) -> bool:
-    """Resolve an evaluator's ``want_jacobian``: a bool or fn(residual)."""
-    return want_jacobian(resid) if callable(want_jacobian) else bool(want_jacobian)
 
 
 class Carry:

@@ -12,6 +12,7 @@ from micpsim.co2 import (
     TwoPhaseSystem,
     _eval_twophase,
     _extrapolate,
+    _jacobian_twophase,
     leak_plane,
     leakage_flux,
     make_initial_twophase_state,
@@ -314,7 +315,7 @@ class TestLeakageFlux:
         # the residual's own CO2 flux on every face, at the final state
         x = np.empty(NV2 * grid.n_active)
         x[0::NV2], x[1::NV2] = state.p, state.s
-        _, _, aux = _eval_twophase(sys, x, state, 3600.0, 1e-5, False)
+        _, aux = _eval_twophase(sys, x, state, 3600.0, 1e-5)
         every_face = np.sum(np.maximum(aux["Fc"][faces], 0.0)) / 1e-5
         flux = leakage_flux(plane, state, 1e-5)
         assert flux > 0.0
@@ -387,6 +388,50 @@ class TestSimulateCo2:
                          TwoPhaseParams(mu_w=0.0),
                          sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
         assert records == []
+
+    @pytest.mark.parametrize("bad", ["one cell", "NaN pressure"])
+    def test_bad_initial_state_rejected_before_a_step(self, bad):
+        grid = line_grid(nx=10)
+        state = make_initial_twophase_state(grid, TP)
+        if bad == "one cell":
+            state = TwoPhaseState(p=state.p[:1], s=state.s[:1])
+        else:
+            state.p[4] = np.nan
+        records = []
+        with pytest.raises(DomainError, match="one finite value per active cell"):
+            simulate_co2(grid, grid.perm0, 1e-5, 3 * 3600.0, SolverSettings(), TP,
+                         initial_state=state,
+                         sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
+        assert records == []
+
+    def test_jacobian_pass_runs_once_per_factorization(self, monkeypatch):
+        """Newton builds a Jacobian only for an iterate it factors, never the
+        converged one, also while a carried factorization is kept."""
+        jacobian, step = co2._jacobian_twophase, co2.solve_twophase_step
+        built = []  # iterates the Jacobian pass ran on in the current step
+        steps = []  # (those iterates, Newton's result) of each step
+
+        def counted_jacobian(sys, x, dt, aux):
+            built.append(x)
+            return jacobian(sys, x, dt, aux)
+
+        def watched_step(*args):
+            built.clear()
+            state, res = step(*args)
+            steps.append((list(built), res))
+            return state, res
+
+        monkeypatch.setattr(co2, "_jacobian_twophase", counted_jacobian)
+        monkeypatch.setattr(co2, "solve_twophase_step", watched_step)
+        grid = _leaky_box()
+        rep = simulate_co2(grid, grid.perm0, 1e-5, 5 * 86400.0,
+                           SolverSettings(newton_rel_tol=1e-8), TP, plane_z=2.0)
+        assert len(steps) == rep.steps
+        assert 0 < rep.factorizations < rep.newton_iterations
+        for iterates, res in steps:
+            assert res.converged
+            assert len(iterates) == res.factorizations
+            assert not any(x is res.x for x in iterates)
 
     @pytest.mark.parametrize("rate", [1e-5, 0.0])
     def test_volume_closure_counts_co2_in_place_at_the_start(self, rate):
@@ -488,7 +533,7 @@ class TestFactor:
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
         old = make_initial_twophase_state(grid, TP)
         J = _newton_matrix(sys, rep.state, old)
-        b = -_eval_twophase(sys, _vector(rep.state), old, 3600.0, 1e-5, False)[0]
+        b = -_eval_twophase(sys, _vector(rep.state), old, 3600.0, 1e-5)[0]
         x = sys.factor(J).solve(b)
         assert (np.linalg.norm(sys.in_natural_order(J) @ x - b)
                 < 1e-12 * np.linalg.norm(b))
@@ -526,7 +571,8 @@ def _vector(state):
 
 
 def _newton_matrix(sys, state, old):
-    return _eval_twophase(sys, _vector(state), old, 3600.0, 1e-5, True)[1]
+    x = _vector(state)
+    return _jacobian_twophase(sys, x, 3600.0, _eval_twophase(sys, x, old, 3600.0, 1e-5)[1])
 
 
 def _leaky_box(p_bdry=P0):

@@ -12,9 +12,17 @@ the two evaluations.
 import numpy as np
 import pytest
 
-from micpsim.co2 import NV2, TwoPhaseState, TwoPhaseSystem, _eval_twophase
+from micpsim.co2 import NV2, TwoPhaseState, TwoPhaseSystem, _eval_twophase, _jacobian_twophase
 from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
-from micpsim.micp import IP, NVAR, MicpState, MicpSystem, _eval_system, make_initial_state
+from micpsim.micp import (
+    IP,
+    NVAR,
+    MicpState,
+    MicpSystem,
+    _eval_system,
+    _jacobian_system,
+    make_initial_state,
+)
 from micpsim.params import KineticParams, RockLaw, TwoPhaseParams
 from micpsim.schedule import WellControl
 
@@ -54,8 +62,9 @@ def potential_differences(sys, p, rho_w, rho):
     return dpot
 
 
-def assert_entries_match(sys, evaluate, x, steps):
-    """Each entry of evaluate's Jacobian at x within 1e-6 of central differences.
+def assert_entries_match(sys, evaluate, jacobian, x, steps):
+    """Each entry of jacobian(x, aux) within 1e-6 of central differences of
+    the residual, (residual, aux) being evaluate(x).
 
     The Jacobian is read in natural order (``sys.in_natural_order``).
 
@@ -64,14 +73,13 @@ def assert_entries_match(sys, evaluate, x, steps):
     of the residual sums terms of about that size, each rounded), and by
     no more than 1e-6 of the largest entry of its column.
     """
-    _, J, _ = evaluate(x, True)
-    J = sys.in_natural_order(J).toarray()
+    J = sys.in_natural_order(jacobian(x, evaluate(x)[1])).toarray()
     rounding = np.finfo(float).eps * (np.abs(J) @ np.abs(x))
     for col, h in enumerate(steps):
         hi, lo = x.copy(), x.copy()
         hi[col] += h
         lo[col] -= h
-        fd = (evaluate(hi, False)[0] - evaluate(lo, False)[0]) / (2.0 * h)
+        fd = (evaluate(hi)[0] - evaluate(lo)[0]) / (2.0 * h)
         scale = np.max(np.abs(J[:, col]))
         assert scale > 0.0, col
         bound = np.minimum(1e-6 * np.abs(J[:, col]) + rounding / h, 1e-6 * scale)
@@ -99,7 +107,8 @@ def test_micp_jacobian_matches_central_differences(sides, rate):
     steps = 1e-5 * np.abs(x)
     steps[IP::NVAR] = 0.1 * np.min(np.abs(dpot))
     assert_entries_match(
-        sys, lambda y, want: _eval_system(sys, y, old, DT, control, want), x, steps)
+        sys, lambda y: _eval_system(sys, y, old, DT, control),
+        lambda y, aux: _jacobian_system(sys, y, DT, aux), x, steps)
 
 
 @BOXES
@@ -120,4 +129,5 @@ def test_co2_jacobian_matches_central_differences(sides, rate):
     steps = np.full(NV2 * n, 1e-6)
     steps[0::NV2] = 0.1 * np.min(np.abs(dpot))
     assert_entries_match(
-        sys, lambda y, want: _eval_twophase(sys, y, old, DT, rate, want), x, steps)
+        sys, lambda y: _eval_twophase(sys, y, old, DT, rate),
+        lambda y, aux: _jacobian_twophase(sys, y, DT, aux), x, steps)

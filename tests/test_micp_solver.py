@@ -19,6 +19,7 @@ from micpsim.micp import (
     SolverSettings,
     MicpSystem,
     _eval_system,
+    _jacobian_system,
     assemble_residual,
     make_initial_state,
     permeability_field,
@@ -116,8 +117,8 @@ class TestShearNorm:
         sys = MicpSystem(grid, PARAMS, ROCK)
         state = make_initial_state(grid, PARAMS)
         state.p += np.random.default_rng(0).uniform(0.0, 1e4, grid.n_active)
-        _, _, aux = _eval_system(sys, state.to_vector(), state, 600.0,
-                                 WellControl(rate=1e-5), want_jacobian=False)
+        _, aux = _eval_system(sys, state.to_vector(), state, 600.0,
+                              WellControl(rate=1e-5))
         # the shear norm summed over boolean masks of each axis's faces; the
         # face list holds the interior faces, then the boundary faces
         n, ni = grid.n_active, grid.n_ifaces
@@ -204,9 +205,9 @@ class TestOutOfBoundsJacobian:
                       phi_c=np.array([0.021, 0.02, 0.019])).to_vector()
         control = WellControl(rate=0.0)
         sys = MicpSystem(grid, PARAMS, ROCK)
-        _, J, aux = _eval_system(sys, x, old, 600.0, control)
+        _, aux = _eval_system(sys, x, old, 600.0, control)
         assert np.all(aux["shear"] == 0.0)
-        J = sys.in_natural_order(J).toarray()
+        J = sys.in_natural_order(_jacobian_system(sys, x, 600.0, aux)).toarray()
         checked = 0
         for var in (IM, IO, IU, IB):
             for cell in range(n):
@@ -217,8 +218,8 @@ class TestOutOfBoundsJacobian:
                 hi, lo = x.copy(), x.copy()
                 hi[col] += h
                 lo[col] -= h
-                r_hi, _, _ = _eval_system(sys, hi, old, 600.0, control, False)
-                r_lo, _, _ = _eval_system(sys, lo, old, 600.0, control, False)
+                r_hi, _ = _eval_system(sys, hi, old, 600.0, control)
+                r_lo, _ = _eval_system(sys, lo, old, 600.0, control)
                 fd = (r_hi - r_lo) / (2 * h)
                 err = np.max(np.abs(J[:, col] - fd))
                 assert err <= 1e-6 * np.max(np.abs(J[:, col])), (var, cell)
@@ -389,6 +390,48 @@ class TestSimulateMicp:
                           OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
         assert records == []
 
+    @pytest.mark.parametrize("bad", ["one cell", "NaN pressure"])
+    def test_bad_initial_state_rejected_before_a_step(self, bad):
+        grid = example1_grid(nx=25)
+        state = make_initial_state(grid, PARAMS)
+        if bad == "one cell":
+            state = MicpState(*(values[:1] for values in vars(state).values()))
+        else:
+            state.p[10] = np.nan
+        records = []
+        with pytest.raises(DomainError, match="one finite value per active cell"):
+            simulate_micp(grid, builtin_schedule("ex1"), PARAMS, ROCK, SolverSettings(),
+                          OutputHooks(on_diagnostics=lambda *rec: records.append(rec)),
+                          initial_state=state)
+        assert records == []
+
+    def test_jacobian_pass_runs_once_per_factorization(self, monkeypatch):
+        """Newton builds a Jacobian only for an iterate it factors, never the converged one."""
+        jacobian, step = micp._jacobian_system, micp.solve_timestep
+        built = []  # iterates the Jacobian pass ran on in the current step
+        steps = []  # (those iterates, Newton's result) of each step
+
+        def counted_jacobian(sys, x, dt, aux):
+            built.append(x)
+            return jacobian(sys, x, dt, aux)
+
+        def watched_step(*args):
+            built.clear()
+            state, res = step(*args)
+            steps.append((list(built), res))
+            return state, res
+
+        monkeypatch.setattr(micp, "_jacobian_system", counted_jacobian)
+        monkeypatch.setattr(micp, "solve_timestep", watched_step)
+        schedule = Schedule(periods=builtin_schedule("ex1").periods[:3])
+        report = simulate_micp(example1_grid(nx=25), schedule, PARAMS, ROCK,
+                               SolverSettings())
+        assert len(steps) == report.steps and report.factorizations > 0
+        for iterates, res in steps:
+            assert res.converged
+            assert len(iterates) == res.factorizations
+            assert not any(x is res.x for x in iterates)
+
     def test_hard_failure_carries_last_good_state(self):
         grid = example1_grid(nx=25)
         schedule = builtin_schedule("ex1")
@@ -446,7 +489,8 @@ class TestFactorOrder:
 
     @staticmethod
     def assert_solves(sys, x, old, control, dt=600.0):
-        resid, J, _ = _eval_system(sys, x, old, dt, control)
+        resid, aux = _eval_system(sys, x, old, dt, control)
+        J = _jacobian_system(sys, x, dt, aux)
         b = -resid
         dx = sys.factor(J).solve(b)
         natural = sys.in_natural_order(J)

@@ -24,15 +24,29 @@ from micpsim.stepping import (
 
 
 def _quadratic(target):
-    """x_i^2 = target_i, one unknown per cell, diagonal Jacobian."""
+    """x_i^2 = target_i, one unknown per cell, diagonal Jacobian: (evaluate, jacobian)."""
 
-    def evaluate(x, want_jacobian):
-        resid = x * x - target
-        if not want_jacobian(resid):
-            return resid, None, {"x": x}
-        return resid, sparse.diags(2.0 * x, format="csc"), {"x": x}
+    def evaluate(x):
+        return x * x - target, {"x": x}
 
-    return evaluate
+    def jacobian(x, aux):
+        return sparse.diags(2.0 * x, format="csc")
+
+    return evaluate, jacobian
+
+
+class _CountedScale:
+    """Error scales that count the residual norms taken with them."""
+
+    __array_ufunc__ = None  # so that resid / scale calls __rtruediv__
+
+    def __init__(self, values):
+        self.values = values
+        self.norms = 0
+
+    def __rtruediv__(self, resid):
+        self.norms += 1
+        return resid / self.values
 
 
 class TestNewton:
@@ -43,59 +57,57 @@ class TestNewton:
             factored.append(J)
             return splu(J)
 
-        evaluate = _quadratic(np.array([4.0, 9.0]))
-        res, _ = newton(evaluate, np.array([1.0, 1.0]), np.ones(2),
-                        SolverSettings(newton_rel_tol=1e-12), factor)
+        res, _ = newton(*_quadratic(np.array([4.0, 9.0])), np.array([1.0, 1.0]),
+                        np.ones(2), SolverSettings(newton_rel_tol=1e-12), factor)
         assert res.converged
         assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
         assert len(factored) == res.iterations
 
-    def test_evaluator_that_never_asks_has_every_jacobian_factored(self):
-        target = np.array([4.0, 9.0])
-        evaluated, factored = [], []
-
-        def evaluate(x, want_jacobian):
-            evaluated.append(x)
-            return x * x - target, sparse.diags(2.0 * x, format="csc"), {}
-
-        res, _ = newton(evaluate, np.array([1.0, 1.0]), np.ones(2),
-                        SolverSettings(newton_rel_tol=1e-12),
-                        lambda J: factored.append(J) or splu(J))
-        assert res.converged
-        assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
-        assert res.factorizations == res.iterations == len(factored) > 1
+    def test_one_norm_per_evaluation(self):
+        evaluated = []
+        evaluate, jacobian = _quadratic(np.array([4.0, 9.0]))
+        escale = _CountedScale(np.ones(2))
+        res, _ = newton(lambda x: evaluated.append(x) or evaluate(x), jacobian,
+                        np.array([1.0, 1.0]), escale,
+                        SolverSettings(newton_rel_tol=1e-12), splu,
+                        lu=splu(sparse.diags([4.0, 6.0], format="csc")))
+        assert res.converged and res.iterations > 1
         assert len(evaluated) == res.iterations + 1  # each iterate once
+        assert escale.norms == len(evaluated)
 
     def test_nan_norm_fails(self):
-        res, _ = newton(_quadratic(np.array([4.0])), np.array([np.nan]), np.ones(1),
+        res, _ = newton(*_quadratic(np.array([4.0])), np.array([np.nan]), np.ones(1),
                         SolverSettings(), splu)
         assert not res.converged and res.iterations == 0
 
     def test_iteration_cap_fails(self):
-        res, _ = newton(_quadratic(np.array([4.0])), np.array([100.0]), np.ones(1),
+        res, _ = newton(*_quadratic(np.array([4.0])), np.array([100.0]), np.ones(1),
                         SolverSettings(newton_max_iter=2), splu)
         assert not res.converged and res.iterations == 2
 
     def test_damping_bounds_the_damped_components(self):
         # the first Newton update of x^2 = 4 from x = 1 is +1.5
-        evaluate = _quadratic(np.array([4.0, 4.0]))
-        res, _ = newton(evaluate, np.array([1.0, 1.0]), np.ones(2),
+        res, _ = newton(*_quadratic(np.array([4.0, 4.0])), np.array([1.0, 1.0]), np.ones(2),
                         SolverSettings(newton_max_iter=1), splu,
                         damped=(slice(1, None, 2),), max_step=0.5)
         assert res.x == pytest.approx([1.5, 1.5])
 
 
-def _singular(x, want_jacobian):
-    """x_0 + x_1 = 1 and x_0 + x_1 = 2: a singular 2 x 2 toy system."""
-    resid = np.array([x[0] + x[1] - 1.0, x[0] + x[1] - 2.0])
-    if not want_jacobian(resid):
-        return resid, None, {}
-    return resid, sparse.csc_matrix(np.ones((2, 2))), {}
+def _singular():
+    """x_0 + x_1 = 1 and x_0 + x_1 = 2, a singular 2 x 2 toy system: (evaluate, jacobian)."""
+
+    def evaluate(x):
+        return np.array([x[0] + x[1] - 1.0, x[0] + x[1] - 2.0]), {}
+
+    def jacobian(x, aux):
+        return sparse.csc_matrix(np.ones((2, 2)))
+
+    return evaluate, jacobian
 
 
 class TestSingularJacobian:
     def test_zero_pivot_fails_the_solve(self):
-        res, lu = newton(_singular, np.zeros(2), np.ones(2), SolverSettings(), splu)
+        res, lu = newton(*_singular(), np.zeros(2), np.ones(2), SolverSettings(), splu)
         assert not res.converged
         assert res.iterations == 0 and res.factorizations == 1
         assert lu is None and res.resid_norm == 2.0
@@ -105,7 +117,7 @@ class TestSingularJacobian:
             raise RuntimeError("out of memory")
 
         with pytest.raises(RuntimeError, match="out of memory"):
-            newton(_singular, np.zeros(2), np.ones(2), SolverSettings(), broken)
+            newton(*_singular(), np.zeros(2), np.ones(2), SolverSettings(), broken)
 
     def test_cuts_dt_then_raises_below_dt_min(self):
         settings = SolverSettings(dt_init=1.0, dt_min=0.1, dt_max=8.0)
@@ -113,7 +125,7 @@ class TestSingularJacobian:
 
         def step(state, dt, ctx, guess, carry):
             tried.append(dt)
-            res, _ = newton(_singular, state, np.ones(2), settings, splu)
+            res, _ = newton(*_singular(), state, np.ones(2), settings, splu)
             return state, res
 
         with pytest.raises(ConvergenceError) as exc_info:
@@ -142,7 +154,7 @@ class TestCarriedFactorization:
     def test_root_factorization_needs_no_factor_call(self):
         factored = []
         carried = splu(self.ROOT_JACOBIAN)
-        res, lu = newton(_quadratic(self.TARGET), self.START, np.ones(2), self.SETTINGS,
+        res, lu = newton(*_quadratic(self.TARGET), self.START, np.ones(2), self.SETTINGS,
                          lambda J: factored.append(J) or splu(J), lu=carried)
         assert res.converged
         assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
@@ -152,13 +164,11 @@ class TestCarriedFactorization:
 
     def test_poor_factorization_dropped_after_one_update(self):
         built = []  # Jacobians built, with whether the carried LU was alive
-        evaluate = _quadratic(self.TARGET)
+        evaluate, jacobian = _quadratic(self.TARGET)
 
-        def watched(x, want_jacobian):
-            resid, J, aux = evaluate(x, want_jacobian)
-            if J is not None:
-                built.append(alive() is not None)
-            return resid, J, aux
+        def watched(x, aux):
+            built.append(alive() is not None)
+            return jacobian(x, aux)
 
         def carried():  # updates 10x too short; newton holds the only reference
             nonlocal alive
@@ -169,8 +179,8 @@ class TestCarriedFactorization:
         alive = None
         gc.disable()
         try:
-            res, lu = newton(watched, self.START, np.ones(2), self.SETTINGS, _LU,
-                             lu=carried())
+            res, lu = newton(evaluate, watched, self.START, np.ones(2), self.SETTINGS,
+                             _LU, lu=carried())
         finally:
             gc.enable()
         assert res.converged
@@ -195,18 +205,22 @@ class TestCarriedFactorization:
                 solves[self.index] += 1
                 return super().solve(b)
 
-        evaluate = _quadratic(self.TARGET)
+        evaluate, jacobian = _quadratic(self.TARGET)
 
-        def watched(x, want_jacobian):
-            resid, J, aux = evaluate(x, want_jacobian)
-            trace.append((float(np.max(np.abs(resid))), J is not None,
-                          [i for i, ref in enumerate(refs) if ref() is not None]))
-            return resid, J, aux
+        def watched_evaluate(x):
+            resid, aux = evaluate(x)
+            trace.append((float(np.max(np.abs(resid))), False, None))
+            return resid, aux
+
+        def watched_jacobian(x, aux):
+            trace[-1] = (trace[-1][0], True,
+                         [i for i, ref in enumerate(refs) if ref() is not None])
+            return jacobian(x, aux)
 
         gc.disable()
         try:
-            res, _ = newton(watched, self.FAR, np.ones(2), self.SETTINGS, Counted,
-                            lu=Counted(10.0 * self.ROOT_JACOBIAN))
+            res, _ = newton(watched_evaluate, watched_jacobian, self.FAR, np.ones(2),
+                            self.SETTINGS, Counted, lu=Counted(10.0 * self.ROOT_JACOBIAN))
         finally:
             gc.enable()
         assert res.converged
@@ -222,7 +236,7 @@ class TestCarriedFactorization:
                 assert alive == []
 
     def test_solve_without_lu_factors_at_every_iterate(self):
-        res, _ = newton(_quadratic(self.TARGET), self.FAR, np.ones(2), self.SETTINGS,
+        res, _ = newton(*_quadratic(self.TARGET), self.FAR, np.ones(2), self.SETTINGS,
                         splu)
         assert res.converged
         assert res.factorizations == res.iterations > 1
@@ -233,7 +247,7 @@ def _line(sides):
     domain = DomainSpec(nx=3, ny=1, nz=1, dx=1.0, dy=1.0, dz=1.0)
     res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=0.5,
                         outflow_sides=sides)
-    return AssemblyData(build_domain(domain, None, res, RockLaw()))
+    return AssemblyData(build_domain(domain, None, res, RockLaw()), KineticParams().rho_w)
 
 
 class TestBlockJacobian:
@@ -302,7 +316,7 @@ def _box(sides):
     domain = DomainSpec(nx=3, ny=2, nz=2, dx=1.0, dy=1.0, dz=0.5)
     res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=0.5,
                         outflow_sides=sides)
-    return AssemblyData(build_domain(domain, None, res, RockLaw()))
+    return AssemblyData(build_domain(domain, None, res, RockLaw()), KineticParams().rho_w)
 
 
 def _cells_a(grid):
@@ -431,7 +445,9 @@ def _micp_newton_matrix(grid, rng):
                       ("phi_b", 0.005), ("phi_c", 0.01)):
         getattr(state, name)[:] = rng.uniform(0.0, top, grid.n_active)
     control = WellControl(rate=1e-4, c_m=0.01, c_o=0.04, c_u=30.0)
-    J = micp._eval_system(sys, state.to_vector(), state, 600.0, control)[1]
+    x = state.to_vector()
+    J = micp._jacobian_system(sys, x, 600.0,
+                              micp._eval_system(sys, x, state, 600.0, control)[1])
     return sys, sys.in_natural_order(J)
 
 
@@ -441,7 +457,8 @@ def _co2_newton_matrix(grid, rng):
     state = co2.make_initial_twophase_state(grid, sys.params)
     state.s[:] = rng.uniform(0.0, 1.0, grid.n_active)
     x = np.column_stack((state.p, state.s)).ravel()
-    J = co2._eval_twophase(sys, x, state, 3600.0, 1e-4)[1]
+    J = co2._jacobian_twophase(sys, x, 3600.0,
+                               co2._eval_twophase(sys, x, state, 3600.0, 1e-4)[1])
     return sys, sys.in_natural_order(J)
 
 
@@ -458,7 +475,7 @@ class TestFillOrder:
         reservoir = ReservoirSpec(aquifer_height=40.0, caprock_height=0.0,
                                   well_x=0.5)
         grid = build_domain(domain, None, reservoir, RockLaw())
-        order = AssemblyData(grid).fill_order(nvar, permc_spec)
+        order = AssemblyData(grid, KineticParams().rho_w).fill_order(nvar, permc_spec)
         assert np.array_equal(np.sort(order), np.arange(nvar * grid.n_active))
         sys, J = newton_matrix(grid, np.random.default_rng(0))
         assert np.array_equal(sys.order, order)
