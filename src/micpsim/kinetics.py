@@ -24,9 +24,11 @@ Calcite is a produced phase: R_c carries a positive sign so that the
 biofilm-to-calcite conversion term in R_b and the urea consumption R_u
 stay mutually consistent (R_c = -Y_uc*R_u holds identically).
 
-All functions accept scalars or numpy arrays; the batch oracle at the
-bottom is a deliberately independent plain-float implementation used to
-cross-check the implicit solver.
+The rate laws are written once, in :func:`_rates`, and differentiated
+by complex step (:func:`_rate_jacobian`). All functions accept scalars
+or numpy arrays; the batch oracle at the bottom is a deliberately
+independent plain-float implementation used to cross-check the implicit
+solver and the partials.
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ def reaction_rates(state: CellChemState, params: KineticParams, rock: RockLaw,
 
 
 def _rates(m, o, u, b, c, shear, params: KineticParams, rock: RockLaw):
-    """Core rate evaluation; inputs assumed clipped/valid."""
+    """Core rate evaluation; inputs assumed clipped/valid. Complex-analytic
+    in (m, o, u, b, c) for :func:`_rate_jacobian`: no abs, comparison or
+    real cast on them."""
     p = params
     phi = rock.phi0 - b - c
     M_o = o / (p.k_o + o)
@@ -160,53 +164,48 @@ def _rates(m, o, u, b, c, shear, params: KineticParams, rock: RockLaw):
 
 
 def _rate_jacobian(m, o, u, b, c, shear, params: KineticParams, rock: RockLaw):
-    """Partials of (R_m, R_o, R_u, R_b, R_c) w.r.t. (m, o, u, b, c).
+    """Partials (*shape, 5, 5) of the rates of :func:`_rates` by (m, o, u, b, c).
 
-    Returns a dict keyed by ('R_x', 'var'); entries identically zero are
-    omitted. The shear norm is treated as frozen: its coupling back to the
-    pressure field and, through the permeability, to phi_b and phi_c is
-    dropped from the Newton matrix, not from the residual. The implicit
-    solver also uses these partials, taken at the clipped state, for the
-    linear extension of the rates beyond the physical bounds.
+    Column k is Im R(x + i h e_k) / h with h = 1e-30 (Squire & Trapp 1998),
+    all five from one :func:`_rates` call on a trailing axis: exact to
+    roundoff and exactly 0 where a rate does not depend on a variable.
+    The shear norm is frozen: its coupling to pressure and, through K, to
+    phi_b and phi_c is dropped from the Newton matrix, not the residual.
     """
-    p = params
-    phi = rock.phi0 - b - c
-    M_o = o / (p.k_o + o)
-    dM_o = p.k_o / (p.k_o + o) ** 2
-    M_u = u / (p.k_u + u)
-    dM_u = p.k_u / (p.k_u + u) ** 2
-    growth = p.Y * p.mu * M_o
-    net = growth - p.k_d - p.k_a
-    sp = np.asarray(shear, dtype=float) ** DETACHMENT_EXPONENT
-    det = p.k_str * phi * sp
-    ddet = -p.k_str * sp  # d(det)/d(phi_b) = d(det)/d(phi_c)
+    h = 1e-30
+    x = np.asarray(np.broadcast_arrays(m, o, u, b, c), dtype=float)
+    step = 1j * h * np.eye(5).reshape(5, *(1,) * (x.ndim - 1), 5)
+    with np.errstate(invalid="ignore"):  # complex arithmetic warns on NaN iterates
+        r = _rates(*(x[..., None] + step), np.asarray(shear)[..., None], params, rock)
+    return np.stack(r, axis=-2).imag / h
 
-    R_c = p.rho_b * b * p.Y_uc * p.mu_u * M_u
-    denom = p.rho_c * np.maximum(rock.phi0 - c, 1e-12 * rock.phi0)
-    conv = R_c / denom
 
-    out = {
-        ("R_m", "m"): phi * net,
-        ("R_m", "o"): m * phi * p.Y * p.mu * dM_o,
-        ("R_m", "b"): -m * net + p.rho_b * (det + b * ddet),
-        ("R_m", "c"): -m * net + p.rho_b * b * ddet,
-        ("R_o", "m"): -phi * p.F * p.mu * M_o,
-        ("R_o", "o"): -(m * phi + p.rho_b * b) * p.F * p.mu * dM_o,
-        ("R_o", "b"): (m - p.rho_b) * p.F * p.mu * M_o,
-        ("R_o", "c"): m * p.F * p.mu * M_o,
-        ("R_u", "u"): -p.rho_b * b * p.mu_u * dM_u,
-        ("R_u", "b"): -p.rho_b * p.mu_u * M_u,
-        ("R_c", "u"): p.rho_b * b * p.Y_uc * p.mu_u * dM_u,
-        ("R_c", "b"): p.rho_b * p.Y_uc * p.mu_u * M_u,
-        ("R_b", "m"): phi * p.k_a,
-        ("R_b", "o"): p.rho_b * b * p.Y * p.mu * dM_o,
-        ("R_b", "u"): -p.rho_b * b * p.rho_b * b * p.Y_uc * p.mu_u * dM_u / denom,
-        ("R_b", "b"): (p.rho_b * (growth - p.k_d - conv - det)
-                       + p.rho_b * b * (-p.rho_b * p.Y_uc * p.mu_u * M_u / denom - ddet)
-                       - m * p.k_a),
-        ("R_b", "c"): p.rho_b * b * (-conv / (rock.phi0 - c) - ddet) - m * p.k_a,
-    }
-    return out
+def _oracle_rate_law(params: KineticParams, rock: RockLaw, shear_norm: float):
+    """The rate laws of :func:`batch_oracle` as a function of one cell's state,
+    in plain arithmetic that shares no code with :func:`_rates`: on complex
+    numbers, an independent complex-step reference for :func:`_rate_jacobian`."""
+    rho_b, rho_c = params.rho_b, params.rho_c
+    k_o, k_u = params.k_o, params.k_u
+    mu, mu_u = params.mu, params.mu_u
+    k_a, k_d, k_str = params.k_a, params.k_d, params.k_str
+    F, Y, Y_uc = params.F, params.Y, params.Y_uc
+    phi0 = rock.phi0
+    sp = float(shear_norm) ** DETACHMENT_EXPONENT
+
+    def rates(c_m, c_o, c_u, b, c):
+        phi = phi0 - b - c
+        mon_o = c_o / (k_o + c_o)
+        mon_u = c_u / (k_u + c_u)
+        growth = Y * mu * mon_o
+        det = k_str * phi * sp
+        R_m = c_m * phi * (growth - k_d - k_a) + rho_b * b * det
+        R_o = -(c_m * phi + rho_b * b) * F * mu * mon_o
+        R_u = -rho_b * b * mu_u * mon_u
+        R_c = -Y_uc * R_u
+        R_b = rho_b * b * (growth - k_d - R_c / (rho_c * (phi0 - c)) - det) + c_m * phi * k_a
+        return R_m, R_o, R_u, R_b, R_c
+
+    return rates
 
 
 def batch_oracle(initial: CellChemState, params: KineticParams, rock: RockLaw,
@@ -228,13 +227,8 @@ def batch_oracle(initial: CellChemState, params: KineticParams, rock: RockLaw,
         raise DomainError("duration must be >= 0 and dt_fine > 0")
     initial.validate(rock)
 
-    rho_b, rho_c = params.rho_b, params.rho_c
-    k_o, k_u = params.k_o, params.k_u
-    mu, mu_u = params.mu, params.mu_u
-    k_a, k_d, k_str = params.k_a, params.k_d, params.k_str
-    F, Y, Y_uc = params.F, params.Y, params.Y_uc
-    phi0 = rock.phi0
-    sp = float(shear_norm) ** DETACHMENT_EXPONENT
+    rates = _oracle_rate_law(params, rock, shear_norm)
+    rho_b, rho_c, phi0 = params.rho_b, params.rho_c, rock.phi0
 
     b = float(initial.phi_b)
     c = float(initial.phi_c)
@@ -253,15 +247,7 @@ def batch_oracle(initial: CellChemState, params: KineticParams, rock: RockLaw,
         c_m = m_m / phi
         c_o = m_o / phi
         c_u = m_u / phi
-        mon_o = c_o / (k_o + c_o)
-        mon_u = c_u / (k_u + c_u)
-        growth = Y * mu * mon_o
-        det = k_str * phi * sp
-        R_m = c_m * phi * (growth - k_d - k_a) + rho_b * b * det
-        R_o = -(c_m * phi + rho_b * b) * F * mu * mon_o
-        R_u = -rho_b * b * mu_u * mon_u
-        R_c = -Y_uc * R_u
-        R_b = rho_b * b * (growth - k_d - R_c / (rho_c * (phi0 - c)) - det) + c_m * phi * k_a
+        R_m, R_o, R_u, R_b, R_c = rates(c_m, c_o, c_u, b, c)
 
         m_m = max(m_m + dt * R_m, 0.0)
         m_o = max(m_o + dt * R_o, 0.0)

@@ -29,13 +29,15 @@ residual and an aux of its diagnostics and of the work the Jacobian
 reads, and :func:`_jacobian_system` builds the Newton matrix from that
 aux, only for an iterate that :func:`micpsim.stepping.newton` factors.
 
-Newton uses an analytic Jacobian. Two couplings are dropped from it, not
-from the residual, so the converged state is fully implicit: the
+Newton uses an analytic Jacobian, with the rates' complex-step partials
+(:func:`micpsim.kinetics._rate_jacobian`). Two couplings are dropped from
+it, not from the residual, so the converged state is fully implicit: the
 dependence of the shear norm on pressure and its dependence on phi_b and
 phi_c through K. Apart from those, the columns of out-of-bounds variables
 are exact, and the columns of the in-bounds variables of the same cell
 omit only the second-order cross terms f''(clip) (x - clip) of the
-extension.
+extension. Only the 25 entries of a cell block and the 15 of a face
+block that can be nonzero are gathered (:attr:`MicpSystem.cell_pattern`).
 
 Each Newton matrix is built in one order of the unknowns that the
 system computes when it assembles its first Jacobian: SuperLU's COLAMD
@@ -99,9 +101,6 @@ IP, IM, IO, IU, IB, IC = range(6)
 NVAR = 6
 
 SPECIES = ("m", "o", "u")
-RATES = ("R_m", "R_o", "R_u", "R_b", "R_c")  # order of kinetics._rates
-_RATE_ROW = dict(zip(RATES, (IM, IO, IU, IB, IC)))  # equation of each rate
-_RATE_VAR = dict(zip("moubc", (IM, IO, IU, IB, IC)))  # unknown of each rate argument
 _CONC_FLOOR = {"m": 1e-3, "o": 1e-3, "u": 1e-1}  # kg/m^3, convergence scales
 
 
@@ -157,6 +156,15 @@ class MicpSystem(AssemblyData):
 
     Raises DomainError if ``params`` or ``rock`` fails its validation.
     """
+
+    # entries of the derivative blocks that can be nonzero, the rows of the
+    # equations by the unknowns p m o u b c: a face's fluxes depend on p and,
+    # through K, on phi_b and phi_c, its solute fluxes on the upwind
+    # concentration; a cell adds its storage and the rates' dependences
+    cell_pattern = np.array([list(r) for r in (
+        "100011", "111011", "111011", "100111", "011111", "000111")]) == "1"
+    face_pattern = np.array([list(r) for r in (
+        "100011", "110011", "101011", "100111", "000000", "000000")]) == "1"
 
     def __init__(self, grid: Grid, params: KineticParams, rock: RockLaw):
         params.validate()
@@ -232,23 +240,17 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl):
     v2 = half_v[:, 0] ** 2 + half_v[:, 1] ** 2 + half_v[:, 2] ** 2
     shear = np.sqrt(v2) * mu_w / K
 
-    # reactions at the clipped (physical) state
-    mc = np.maximum(m, 0.0)
-    oc = np.maximum(o, 0.0)
-    uc = np.maximum(u, 0.0)
+    # reactions at the clipped (physical) state, extended linearly beyond it
     bcl = np.clip(b, 0.0, sys.phi0)
-    ccl = np.clip(c, 0.0, sys.phi0 - bcl)
-    rate_args = (mc, oc, uc, bcl, ccl, shear)
-    rates = dict(zip(RATES, _rates(*rate_args, sys.params, sys.rock)))
-    past_clip = {"m": m - mc, "o": o - oc, "u": u - uc, "b": b - bcl, "c": c - ccl}
-    past_clip = {v: d for v, d in past_clip.items() if np.any(d)}
+    clipped = np.array((*np.maximum((m, o, u), 0.0), bcl, np.clip(c, 0.0, sys.phi0 - bcl)))
+    rates = np.array(_rates(*clipped, shear, sys.params, sys.rock))
+    past_clip = np.array((m, o, u, b, c)) - clipped
     jac = None
-    if past_clip:
-        jac = _rate_jacobian(*rate_args, sys.params, sys.rock)
-        for (rname, v), dR in jac.items():
-            if v in past_clip:
-                rates[rname] = rates[rname] + dR * past_clip[v]
-    R_m, R_o, R_u, R_b, R_c = rates.values()
+    if np.any(past_clip):
+        jac = _rate_jacobian(*clipped, shear, sys.params, sys.rock)
+        for v in np.flatnonzero(np.any(past_clip, axis=1)):
+            rates += jac[:, :, v].T * past_clip[v]
+    R_m, R_o, R_u, R_b, R_c = rates
 
     q = sys.well_source(control.rate)  # volumetric source, m^3/s per cell
 
@@ -277,7 +279,7 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl):
         "rates": {"m": R_m, "o": R_o, "u": R_u, "b": R_b, "c": R_c},
         # what the Jacobian pass reads; the rate Jacobian if already taken
         "phi": phi, "T": T, "dK": dK, "dpot": dpot, "w": w, "pin_scale": pin_scale,
-        "rate_args": rate_args, "rate_jac": jac}
+        "clipped": clipped, "rate_jac": jac}
 
 
 def _jacobian_system(sys: MicpSystem, x, dt, aux):
@@ -302,9 +304,8 @@ def _jacobian_system(sys: MicpSystem, x, dt, aux):
     cell[:, IC, IC] = sys.params.rho_c * V / dt
     jac = aux["rate_jac"]
     if jac is None:
-        jac = _rate_jacobian(*aux["rate_args"], sys.params, sys.rock)
-    for (rname, vname), dR in jac.items():
-        cell[:, _RATE_ROW[rname], _RATE_VAR[vname]] -= dR * V
+        jac = _rate_jacobian(*aux["clipped"], aux["shear"], sys.params, sys.rock)
+    cell[:, IM:, IM:] -= jac * V[:, None, None]  # rates and unknowns both run IM..IC
 
     # flux derivatives: w (x) dF/dx, plus F on the upwind cell's own
     # concentration; dT/dK of a ghost (K = 1, d = 0) is 0

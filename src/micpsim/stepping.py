@@ -9,10 +9,10 @@ assemblies read (:class:`AssemblyData`) with the grid's one face list
 of interior faces and of open boundary faces to ghost cells, the
 potential differences across them
 (:meth:`AssemblyData.face_potential_differences`; the transmissibilities
-are :func:`micpsim.grid.transmissibilities`), the well source and
-the closed-domain pressure pin (:meth:`AssemblyData.well_source`,
-:meth:`AssemblyData.pin_pressure`), the sums of face fluxes into cells
-and the scatter of derivative blocks into the Newton matrix
+are :func:`micpsim.grid.transmissibilities`), the well source and the
+closed-domain pressure pin (:meth:`AssemblyData.well_source`,
+:meth:`AssemblyData.pin_pressure`), the face sums and the scatter of the
+block entries a system declares it can make nonzero into the Newton matrix
 (:meth:`AssemblyData.face_sums`, :meth:`AssemblyData.jacobian`) in the
 system's factor order, the LU of such a matrix (:class:`OrderedLU`), the
 Newton loop (:func:`newton`) and adaptive stepping with snapshots and
@@ -95,9 +95,12 @@ class AssemblyData:
     row and column k of a Newton matrix is unknown order[k]. None, as
     here, keeps the natural order; each solver's system computes its own
     once, with :meth:`fill_order` and its own SuperLU ordering.
+    ``cell_pattern`` and ``face_pattern``, boolean nvar x nvar, are the
+    entries of a cell and of a face block that can be nonzero, the only
+    ones :meth:`jacobian` gathers; None, as here, gathers every entry.
     """
 
-    order = None
+    order = cell_pattern = face_pattern = None
 
     def __init__(self, grid, rho_w):
         self.grid = grid
@@ -127,8 +130,10 @@ class AssemblyData:
 
     def with_ghosts(self, values, ghost):
         """Cell values followed by ``ghost``'s, a scalar or one per ghost."""
-        ghost = np.broadcast_to(ghost, (self.n_ghosts, *np.shape(values)[1:]))
-        return np.concatenate((values, ghost))
+        out = np.empty((self.n + self.n_ghosts, *np.shape(values)[1:]),
+                       np.result_type(values, ghost))
+        out[:self.n], out[self.n:] = values, ghost
+        return out
 
     def check_state(self, state):
         """Refuse a state unless each of its arrays is one finite value per cell."""
@@ -198,13 +203,15 @@ class AssemblyData:
         out of its cell a into its cell b; ``face_a[f]`` and ``face_b[f]``
         are its derivatives by the unknowns of a and of b. A ghost has no
         unknowns, so the pair blocks are those of the interior faces.
-        Entries that are exactly zero are not stored, so LU sees only the
+        Only the entries of ``cell_pattern`` and ``face_pattern`` are read,
+        and those that are exactly zero are not stored, so LU sees only the
         numerically nonzero pattern. ``pin_scale`` replaces the row of
         unknown 0 by the pressure pin of a closed domain (:meth:`pin_pressure`).
         """
         nvar = cell.shape[1]
         if nvar not in self._structure:
-            gather, indices, indptr = self._block_structure(nvar, self.order)
+            gather, indices, indptr = self._block_structure(
+                nvar, self.order, self.cell_pattern, self.face_pattern)
             pin = 0 if self.order is None else int(np.flatnonzero(self.order == 0)[0])
             pin_row = np.flatnonzero(indices == pin)
             pin_diag = pin_row[np.searchsorted(pin_row, indptr[pin])]
@@ -228,11 +235,12 @@ class AssemblyData:
         rank = np.argsort(self.order)
         return J[rank][:, rank]
 
-    def _block_structure(self, nvar, order=None):
-        """CSC structure of every entry of every block that :meth:`jacobian` fills.
+    def _block_structure(self, nvar, order=None, cell_pattern=None, face_pattern=None):
+        """CSC structure of the block entries that :meth:`jacobian` fills.
 
         Blocks are cell i at (i, i), then interior face f at (a, b) and at
-        (b, a); unknown ``order[k]`` (natural order if None) goes to row
+        (b, a); the entries of each are those of its pattern (every entry
+        if None); unknown ``order[k]`` (natural order if None) goes to row
         and column k. Returns (gather, indices, indptr): the CSC entry k
         is entry gather[k] of the flattened blocks, in row indices[k]. No
         two blocks share a position.
@@ -244,14 +252,18 @@ class AssemblyData:
         var = np.arange(nvar)
         row = (nvar * brow[:, None, None] + var[:, None]).repeat(nvar, axis=2).ravel()
         col = (nvar * bcol[:, None, None] + var).repeat(nvar, axis=1).ravel()
+        entries = np.flatnonzero(np.concatenate([
+            np.broadcast_to(True if pattern is None else pattern, (count, nvar, nvar))
+            for pattern, count in ((cell_pattern, self.n), (face_pattern, 2 * fa.size))]))
+        row, col = row[entries], col[entries]
         if order is not None:
             rank = np.empty_like(order)
             rank[order] = np.arange(order.size)
             row, col = rank[row], rank[col]
-        gather = np.lexsort((row, col))
+        sort = np.lexsort((row, col))
         indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=nvar * self.n))))
         itype = np.int32 if row.size < 2**31 else np.int64
-        return gather.astype(itype), row[gather].astype(itype), indptr.astype(itype)
+        return entries[sort].astype(itype), row[sort].astype(itype), indptr.astype(itype)
 
     def fill_order(self, nvar, permc_spec):
         """SuperLU's ``permc_spec`` order of the unknowns for the block pattern.

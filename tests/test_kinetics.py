@@ -14,8 +14,8 @@ from micpsim.kinetics import (
     permeability,
     permeability_derivative,
     reaction_rates,
+    _oracle_rate_law,
     _rate_jacobian,
-    _rates,
 )
 from micpsim.params import KineticParams, RockLaw
 
@@ -175,32 +175,49 @@ class TestReactionRates:
 
 
 class TestRateJacobian:
+    # (rate, variable) pairs, both in the order of _rates, that no rate law couples
+    INDEPENDENT = ((0, 2), (1, 2), (2, 0), (2, 1), (2, 4), (4, 0), (4, 1), (4, 4))
+
     @given(valid_states(), st.floats(0.0, 1e6))
     @example(CellChemState(c_o=0.09375, phi_b=0.015625, phi_c=0.015625), 0.5)
     @settings(max_examples=60, deadline=None)
     def test_matches_complex_step(self, state, shear):
-        # Complex-step derivatives (Squire & Trapp 1998) carry no
-        # subtractive cancellation: Im f(x + ih)/h is exact to roundoff
-        # unless h*f' underflows, so derivatives are resolved down to
-        # finfo.tiny/h (2e-278), not down to a cancellation floor.
-        vals = {"m": state.c_m, "o": state.c_o, "u": state.c_u,
-                "b": state.phi_b, "c": min(state.phi_c, ROCK.phi0 - state.phi_b - 1e-4)}
-        vals["c"] = max(vals["c"], 0.0)
-        args = (vals["m"], vals["o"], vals["u"], vals["b"], vals["c"])
+        # The reference is the complex step (Squire & Trapp 1998) of the
+        # batch oracle's own transcription of the rate laws, which shares
+        # no code with _rates. Im f(x + ih)/h carries no subtractive
+        # cancellation: it is exact to roundoff unless h*f' underflows, so
+        # derivatives are resolved down to finfo.tiny/h (2e-278), not down
+        # to a cancellation floor.
+        c = max(min(state.phi_c, ROCK.phi0 - state.phi_b - 1e-4), 0.0)
+        args = (state.c_m, state.c_o, state.c_u, state.phi_b, c)
         jac = _rate_jacobian(*args, shear, PARAMS, ROCK)
-        names = ("R_m", "R_o", "R_u", "R_b", "R_c")
-        order = ("m", "o", "u", "b", "c")
+        assert jac.shape == (5, 5)
+        rates = _oracle_rate_law(PARAMS, ROCK, shear)
         h = 1e-30
         resolved = np.finfo(float).tiny / h
-        for j, var in enumerate(order):
+        for j in range(5):
             z = [complex(a) for a in args]
             z[j] += 1j * h
-            r = _rates(*z, shear, PARAMS, ROCK)
-            for i, rate in enumerate(names):
-                cs = np.imag(r[i]) / h
-                analytic = jac.get((rate, var), 0.0)
-                scale = max(abs(cs), abs(analytic), resolved)
-                assert abs(analytic - cs) <= 1e-10 * scale, (rate, var, analytic, cs)
+            for i, rate in enumerate(rates(*z)):
+                cs = rate.imag / h
+                scale = max(abs(cs), abs(jac[i, j]), resolved)
+                assert abs(jac[i, j] - cs) <= 1e-10 * scale, (i, j, jac[i, j], cs)
+
+    def test_exactly_zero_where_a_rate_does_not_depend(self):
+        # the Newton matrix stores no exact zero, so its fill rests on these
+        rng = np.random.default_rng(3)
+        n = 400
+
+        def draw(top):  # about a third of the entries exactly zero
+            return rng.uniform(0.0, top, n) * (rng.random(n) < 0.7)
+
+        args = (draw(0.1), draw(0.1), draw(400.0), draw(0.05), draw(0.05), draw(1e6))
+        jac = _rate_jacobian(*args, PARAMS, ROCK)
+        assert jac.shape == (n, 5, 5)
+        independent = np.zeros((5, 5), bool)
+        independent[tuple(zip(*self.INDEPENDENT))] = True
+        assert np.all(jac[:, independent] == 0.0)
+        assert np.all(np.any(jac[:, ~independent] != 0.0, axis=0))
 
 
 class TestBatchOracle:

@@ -188,23 +188,60 @@ class TestAssembleResidual:
         assert 1.4 < errs[0] / errs[1] < 3.0
 
 
+def past_clip_iterate():
+    """A closed, hydrostatic 3-cell line, its old state and an iterate with
+    variables past their clips: (system, x, old, control)."""
+    grid = line_grid(nx=3, sides=())  # closed and hydrostatic: no flow
+    n = grid.n_active
+    p = make_initial_state(grid, PARAMS).p
+    old = MicpState(p=p.copy(), c_m=np.full(n, 0.005), c_o=np.full(n, 0.02),
+                    c_u=np.full(n, 50.0), phi_b=np.full(n, 0.01),
+                    phi_c=np.full(n, 0.02))
+    x = MicpState(p=p.copy(), c_m=np.array([0.004, -1e-4, 0.003]),
+                  c_o=np.array([-2e-5, 0.01, -3e-3]),
+                  c_u=np.array([40.0, -0.5, -2.0]),
+                  phi_b=np.array([0.012, -1e-3, -4e-4]),
+                  phi_c=np.array([0.021, 0.02, 0.019])).to_vector()
+    return MicpSystem(grid, PARAMS, ROCK), x, old, WellControl(rate=0.0)
+
+
+def flowing_box():
+    """A 3 x 2 x 2 box open on x+ and y-, with injection, water leaving
+    through some boundary faces and entering through others, and an
+    in-bounds iterate: (system, x, old, control)."""
+    domain = DomainSpec(nx=3, ny=2, nz=2, dx=1.0, dy=1.0, dz=1.0)
+    res = ReservoirSpec(aquifer_height=2.0, caprock_height=0.0, well_x=0.5,
+                        outflow_sides=("x+", "y-"))
+    grid = build_domain(domain, None, res, ROCK)
+    n = grid.n_active
+    rng = np.random.default_rng(7)
+    x_c, y_c, _ = grid.centers.T
+    old = make_initial_state(grid, PARAMS)
+    old.c_u[:] = 40.0
+    old.phi_b[:] = 0.01
+    new = MicpState(p=old.p + 5e3 * (3.0 - x_c) - 2e4 * (y_c < 1.0),
+                    c_m=rng.uniform(2e-3, 1e-2, n), c_o=rng.uniform(5e-3, 3e-2, n),
+                    c_u=rng.uniform(10.0, 60.0, n), phi_b=rng.uniform(5e-3, 2e-2, n),
+                    phi_c=rng.uniform(5e-3, 3e-2, n))
+    return (MicpSystem(grid, PARAMS, ROCK), new.to_vector(), old,
+            WellControl(rate=1e-5, c_m=0.01, c_u=30.0))
+
+
+def closed_pinned_cell():
+    """One closed cell, its pressure pinned: (system, x, old, control)."""
+    state = MicpState(p=np.array([P0 + 1e3]), c_m=np.array([1e-3]),
+                      c_o=np.array([0.01]), c_u=np.array([300.0]),
+                      phi_b=np.array([0.01]), phi_c=np.array([0.002]))
+    return (MicpSystem(closed_cell_grid(), PARAMS, ROCK), state.to_vector(), state,
+            WellControl(rate=0.0))
+
+
 class TestOutOfBoundsJacobian:
     """Columns of out-of-bounds variables are derivatives of the residual."""
 
     def test_columns_match_finite_differences(self):
-        grid = line_grid(nx=3, sides=())  # closed and hydrostatic: no flow
-        n = grid.n_active
-        p = make_initial_state(grid, PARAMS).p
-        old = MicpState(p=p.copy(), c_m=np.full(n, 0.005), c_o=np.full(n, 0.02),
-                        c_u=np.full(n, 50.0), phi_b=np.full(n, 0.01),
-                        phi_c=np.full(n, 0.02))
-        x = MicpState(p=p.copy(), c_m=np.array([0.004, -1e-4, 0.003]),
-                      c_o=np.array([-2e-5, 0.01, -3e-3]),
-                      c_u=np.array([40.0, -0.5, -2.0]),
-                      phi_b=np.array([0.012, -1e-3, -4e-4]),
-                      phi_c=np.array([0.021, 0.02, 0.019])).to_vector()
-        control = WellControl(rate=0.0)
-        sys = MicpSystem(grid, PARAMS, ROCK)
+        sys, x, old, control = past_clip_iterate()
+        n = sys.n
         _, aux = _eval_system(sys, x, old, 600.0, control)
         assert np.all(aux["shear"] == 0.0)
         J = sys.in_natural_order(_jacobian_system(sys, x, 600.0, aux)).toarray()
@@ -225,6 +262,36 @@ class TestOutOfBoundsJacobian:
                 assert err <= 1e-6 * np.max(np.abs(J[:, col])), (var, cell)
                 checked += 1
         assert checked == 7
+
+
+class TestBlockPattern:
+    """The block entries micp declares hold every nonzero one it computes."""
+
+    @staticmethod
+    def unmasked_blocks(sys, x, old, control, dt=600.0):
+        """The cell blocks and the interior faces' blocks, before any gather."""
+        handed = []
+        sys.jacobian = lambda *args: handed.append(args)
+        _jacobian_system(sys, x, dt, _eval_system(sys, x, old, dt, control)[1])
+        cell, face_a, face_b, _ = handed[0]
+        inner = sys.interior
+        return (cell + sys.face_sums(face_a, face_b),
+                np.concatenate((face_b[inner], -face_a[inner])))
+
+    @pytest.mark.parametrize("setup", [past_clip_iterate, flowing_box, closed_pinned_cell])
+    def test_patterns_cover_every_nonzero_entry(self, setup):
+        sys, x, old, control = setup()
+        cells, faces = self.unmasked_blocks(sys, x, old, control)
+        assert not np.any(cells[:, ~sys.cell_pattern])
+        assert not np.any(faces[:, ~sys.face_pattern])
+
+    def test_every_declared_entry_is_reached_in_a_flowing_box(self):
+        sys, *rest = flowing_box()
+        cells, faces = self.unmasked_blocks(sys, *rest)
+        for blocks, pattern, count in ((cells, sys.cell_pattern, 25),
+                                       (faces, sys.face_pattern, 15)):
+            assert pattern.sum() == count
+            assert np.array_equal(np.any(blocks != 0.0, axis=0), pattern)
 
 
 class TestSolveTimestep:
@@ -518,14 +585,9 @@ class TestFactorOrder:
         self.assert_solves(sys, x, old, self.CONTROL)
 
     def test_pin_lands_on_entry_zero_zero(self):
-        grid = closed_cell_grid()
-        sys = MicpSystem(grid, PARAMS, ROCK)
-        state = MicpState(p=np.array([P0 + 1e3]), c_m=np.array([1e-3]),
-                          c_o=np.array([0.01]), c_u=np.array([300.0]),
-                          phi_b=np.array([0.01]), phi_c=np.array([0.002]))
-        natural = self.assert_solves(sys, state.to_vector(), state,
-                                     WellControl(rate=0.0)).toarray()
-        pin_scale = grid.volumes[0] * grid.poro0[0] / (600.0 * 1e5)
+        sys, x, state, control = closed_pinned_cell()
+        natural = self.assert_solves(sys, x, state, control).toarray()
+        pin_scale = sys.V[0] * sys.phi0[0] / (600.0 * 1e5)
         assert natural[0].tolist() == [pin_scale] + [0.0] * (NVAR - 1)
 
     def test_two_systems_on_one_grid_share_the_order(self):
