@@ -16,7 +16,7 @@ Jacobian assembly and adaptive stepping are the shared machinery of
 :mod:`micpsim.stepping`; the transmissibilities and potential
 differences are the reactive solver's too (:func:`micpsim.grid.transmissibilities`,
 :meth:`micpsim.stepping.AssemblyData.face_potential_differences`). :func:`_phase_flux`
-upwinds a phase's flux, for the residual and the leakage diagnostic alike.
+upwinds a phase's flux on every face, once per evaluation.
 As in the reactive solver, each iterate is evaluated in two passes:
 :func:`_eval_twophase` gives the residual and an aux that holds each
 phase's upwinded T lambda, potential differences and upwind cells, and
@@ -46,9 +46,10 @@ factorizations; the predictor alone took 124 and 124, neither 164 and 164.
 
 The headline diagnostic is the normalized leakage flux: the upward CO2
 volumetric flux through a horizontal plane restricted to leak-tagged
-cells, divided by the injection rate. A :class:`TwoPhaseSystem` holds
-one checked K/phi field: a run builds one, :func:`solve_twophase_step`
-takes it, and :func:`leakage_flux` the :func:`leak_plane` of it.
+cells, divided by the injection rate: :func:`leakage_flux` sums the
+accepted step's own CO2 face flux over the :func:`leak_plane`'s faces. A
+:class:`TwoPhaseSystem` holds one checked K/phi field: a run builds one,
+and :func:`solve_twophase_step` takes it.
 """
 
 from __future__ import annotations
@@ -123,17 +124,16 @@ class TwoPhaseSystem(AssemblyData):
         return OrderedLU(splu, J, self.order)
 
 
-def _phase_flux(sys, T, dpot, sat, mu, faces=slice(None)):
-    """Upwinded flux T lambda(s_up) dpot of one phase on the faces ``faces``.
+def _phase_flux(sys, dpot, sat, mu):
+    """Upwinded flux T lambda(s_up) dpot of one phase on every face.
 
-    ``T`` and ``dpot`` are the faces' transmissibilities and the phase's
-    potential differences, ``sat`` its saturation in every cell (and
-    ghost, unless ``faces`` are interior faces only); the
-    mobility sat / mu is taken from the face's cell a where dpot >= 0, else
-    from its cell b. Returns (flux, T lambda, upwind cell) of each face.
+    ``dpot`` is the phase's potential difference on each face, ``sat`` its
+    saturation in every cell and ghost; the mobility sat / mu is taken
+    from the face's cell a where dpot >= 0, else from its cell b. Returns
+    (flux, T lambda, upwind cell) of each face.
     """
-    up = np.where(dpot >= 0.0, sys.fa[faces], sys.fb[faces])
-    T_lam = T * (sat[up] / mu)
+    up = np.where(dpot >= 0.0, sys.fa, sys.fb)
+    T_lam = sys.T * (sat[up] / mu)
     return T_lam * dpot, T_lam, up
 
 
@@ -150,14 +150,14 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate):
     se = np.clip(sys.with_ghosts(s, 0.0), 0.0, 1.0)
     dw = sys.face_potential_differences(p_all, pr.rho_w)
     dc = sys.face_potential_differences(p_all, pr.rho_co2)
-    Fw, T_lam_w, up_w = _phase_flux(sys, sys.T, dw, 1.0 - se, pr.mu_w)
-    Fc, T_lam_c, up_c = _phase_flux(sys, sys.T, dc, se, pr.mu_co2)
+    Fw, T_lam_w, up_w = _phase_flux(sys, dw, 1.0 - se, pr.mu_w)
+    Fc, T_lam_c, up_c = _phase_flux(sys, dc, se, pr.mu_co2)
 
     q_c = sys.well_source(rate)
 
     fluxes = np.stack((Fw, Fc), axis=1)  # one column per equation: JP water, JS CO2
     div = sys.face_sums(fluxes, fluxes)
-    resid = np.zeros(NV2 * n)
+    resid = np.zeros(NV2 * n, dtype=x.dtype)
     resid[JP::NV2] = -sys.phi * (s - old.s) * V / dt + div[:, JP]
     resid[JS::NV2] = sys.phi * (s - old.s) * V / dt + div[:, JS] - q_c
 
@@ -229,28 +229,21 @@ def _extrapolate(prev: TwoPhaseState, last: TwoPhaseState, ratio: float) -> TwoP
                          s=np.clip(last.s + ratio * (last.s - prev.s), 0.0, 1.0))
 
 
-def leakage_flux(plane, state: TwoPhaseState, normalize_by: float) -> float:
+def leakage_flux(plane, Fc, normalize_by: float) -> float:
     """Upward CO2 flux through a :func:`leak_plane`, normalized.
 
-    Sums the positive (upward) CO2 volumetric flux over the plane's faces
-    and divides by ``normalize_by`` (conventionally the CO2 injection
-    rate). The flux on those faces alone is the one :func:`_eval_twophase`
-    puts in the residual.
+    Sums the positive (upward) part of the CO2 face flux ``Fc`` (the aux
+    ``"Fc"`` of :func:`_eval_twophase`) over the plane's faces and divides
+    by ``normalize_by`` (conventionally the CO2 injection rate).
     """
     if not normalize_by > 0.0:
         raise DomainError("normalize_by must be > 0")
-    sys, faces, T = plane
-    pr = sys.params
-    dc = sys.face_potential_differences(state.p, pr.rho_co2, faces)
-    Fc, *_ = _phase_flux(sys, T, dc, np.clip(state.s, 0.0, 1.0), pr.mu_co2, faces)
-    return float(np.sum(np.maximum(Fc, 0.0))) / normalize_by
+    return float(np.sum(np.maximum(Fc[plane], 0.0))) / normalize_by
 
 
-def leak_plane(sys: TwoPhaseSystem, plane_z: float):
-    """The plane of :func:`leakage_flux` at height plane_z: (sys, faces, sys.T[faces]).
-
-    ``faces`` are the vertical faces it cuts that have a leak-tagged cell.
-    """
+def leak_plane(sys: TwoPhaseSystem, plane_z: float) -> np.ndarray:
+    """The faces of :func:`leakage_flux`'s plane at height plane_z: the
+    indices of the vertical faces it cuts that have a leak-tagged cell."""
     grid = sys.grid
     if not 0.0 < plane_z < grid.domain.lz:
         raise GeometryError(f"plane z = {plane_z} m outside the domain")
@@ -264,7 +257,7 @@ def leak_plane(sys: TwoPhaseSystem, plane_z: float):
         raise GeometryError(
             f"plane z = {plane_z} m does not cut any leak-tagged face; "
             "pick a layer interface crossed by the leak")
-    return sys, faces, sys.T[faces]
+    return faces
 
 
 @dataclass(kw_only=True)
@@ -328,10 +321,11 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
 
     def accept(t, dt, st, rep, rate):
         nonlocal produced
-        produced += float(np.sum(np.maximum(rep.aux["Fc"][sys.boundary], 0.0))) * dt
+        Fc = rep.aux["Fc"]  # the step's CO2 flux on every face
+        produced += float(np.sum(np.maximum(Fc[sys.boundary], 0.0))) * dt
         info = {"max_s": float(st.s.max(initial=0.0))}
         if plane is not None:
-            flux = leakage_flux(plane, st, rate if rate > 0.0 else 1.0)
+            flux = leakage_flux(plane, Fc, rate if rate > 0.0 else 1.0)
             series.append((t, flux))
             info["leak_flux"] = flux
         return info

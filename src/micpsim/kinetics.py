@@ -25,7 +25,8 @@ biofilm-to-calcite conversion term in R_b and the urea consumption R_u
 stay mutually consistent (R_c = -Y_uc*R_u holds identically).
 
 The rate laws are written once, in :func:`_rates`, and differentiated
-by complex step (:func:`_rate_jacobian`). All functions accept scalars
+by complex step (:func:`_rate_jacobian`); so is the permeability law, in
+:func:`_permeability`, by the reactive solver. All functions accept scalars
 or numpy arrays; the batch oracle at the bottom is a deliberately
 independent plain-float implementation used to cross-check the implicit
 solver and the partials.
@@ -97,19 +98,15 @@ def permeability(rock: RockLaw, phi, K0=None):
     if np.any(phi < -_EPS) or np.any(phi > rock.phi0 * (1.0 + _EPS)):
         raise DomainError("phi outside [0, phi0]")
     K0 = rock.K0 if K0 is None else np.asarray(K0, dtype=float)
+    return _permeability(rock, phi, K0)[()]
+
+
+def _permeability(rock: RockLaw, phi, K0):
+    """:func:`permeability` unchecked, complex-analytic in phi: the clip
+    reads the real part, so the complex-step slope is 0 at and below phi_crit."""
     x = (phi - rock.phi_crit) / (rock.phi0 - rock.phi_crit)
-    bracket = K0 * np.maximum(x, 0.0) ** rock.eta + rock.K_min
-    return (bracket * K0 / (K0 + rock.K_min))[()]
-
-
-def permeability_derivative(rock: RockLaw, phi, K0=None):
-    """dK/dphi of :func:`permeability`; zero at and below phi_crit."""
-    phi = np.asarray(phi, dtype=float)
-    K0 = rock.K0 if K0 is None else np.asarray(K0, dtype=float)
-    span = rock.phi0 - rock.phi_crit
-    x = (phi - rock.phi_crit) / span
-    slope = K0 * rock.eta / span * np.maximum(x, 0.0) ** (rock.eta - 1.0)
-    return np.where(phi > rock.phi_crit, slope * K0 / (K0 + rock.K_min), 0.0)[()]
+    bracket = K0 * np.where(x.real > 0.0, x, 0.0) ** rock.eta + rock.K_min
+    return bracket * K0 / (K0 + rock.K_min)
 
 
 def monod(c, k_half):

@@ -30,7 +30,9 @@ reads, and :func:`_jacobian_system` builds the Newton matrix from that
 aux, only for an iterate that :func:`micpsim.stepping.newton` factors.
 
 Newton uses an analytic Jacobian, with the rates' complex-step partials
-(:func:`micpsim.kinetics._rate_jacobian`). Two couplings are dropped from
+(:func:`micpsim.kinetics._rate_jacobian`), and with K and dK/dphi from one
+complex-step call of the permeability law at the clipped porosity
+(:func:`micpsim.kinetics._permeability`). Two couplings are dropped from
 it, not from the residual, so the converged state is fully implicit: the
 dependence of the shear norm on pressure and its dependence on phi_b and
 phi_c through K. Apart from those, the columns of out-of-bounds variables
@@ -83,7 +85,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DomainError
 from .grid import Grid, hydrostatic_pressure, transmissibilities
-from .kinetics import _rate_jacobian, _rates, permeability, permeability_derivative
+from .kinetics import _permeability, _rate_jacobian, _rates, permeability
 from .params import KineticParams, RockLaw
 from .schedule import Schedule, WellControl, control_at
 from .stepping import (
@@ -222,8 +224,9 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl):
     phi = sys.phi0 - b - c
     phi_old = sys.phi0 - old.phi_b - old.phi_c
     phi_k = np.clip(phi, 0.0, sys.phi0)
-    dK = np.asarray(permeability_derivative(sys.rock, phi_k, K0=sys.K0))
-    K = permeability(sys.rock, phi_k, K0=sys.K0) + dK * (phi - phi_k)
+    K_k = _permeability(sys.rock, phi_k + 1e-30j, sys.K0)  # complex step
+    dK = K_k.imag / 1e-30
+    K = K_k.real + dK * (phi - phi_k)
 
     # face fluxes; a ghost holds water at rest
     T = transmissibilities(grid, K)

@@ -156,14 +156,14 @@ class AssemblyData:
             q[self.well] = rate * self.well_frac
         return q
 
-    def face_potential_differences(self, p, rho, faces=slice(None)):
-        """(p_a - p_b) - rho g (z_b - z_a) on the faces ``faces``.
+    def face_potential_differences(self, p, rho):
+        """(p_a - p_b) - rho g (z_b - z_a) on every face.
 
         The potential difference that drives a phase of density rho from
         each face's cell a to its cell b. ``p`` holds the ghosts' pressures
-        too (:meth:`with_ghosts`) unless ``faces`` are interior faces only.
+        too (:meth:`with_ghosts`).
         """
-        return (p[self.fa[faces]] - p[self.fb[faces]]) - rho * self.g * self.f_dz[faces]
+        return (p[self.fa] - p[self.fb]) - rho * self.g * self.f_dz
 
     def pin_pressure(self, resid, p0, phi, dt):
         """On a closed domain, replace equation 0 of cell 0 by the pressure pin.
@@ -325,7 +325,8 @@ def newton(evaluate, jacobian, x, escale, settings: SolverSettings, factor,
     aux). Newton takes the scaled norm max |residual / escale| and decides
     from it alone whether to linearize there; only then does it call
     ``jacobian(x, aux)``, with the aux of that evaluation, and factor the
-    matrix it returns with ``factor(J)``. So the Jacobian is built only for
+    matrix it returns with ``factor(J)``, the aux dropped first (a zero
+    pivot reports an empty one). So the Jacobian is built only for
     an iterate that the factorization's ``solve`` is applied to, never for
     the converged one.
     Convergence is a norm < newton_rel_tol; a NaN norm,
@@ -363,12 +364,14 @@ def newton(evaluate, jacobian, x, escale, settings: SolverSettings, factor,
         if not (reuse and rnorm <= _CONTRACTION * last):
             lu = None  # free the old factorization before the Jacobian is built
             factorizations += 1
+            J, aux = jacobian(x, aux), {}  # nor does the aux live on while it factors
             try:
-                lu = factor(jacobian(x, aux))
+                lu = factor(J)
             except RuntimeError as err:  # SuperLU's zero pivot fails the step
                 if str(err) != _SINGULAR:
                     raise
                 return NewtonResult(False, x, iters, rnorm, aux, factorizations), None
+            del J
         delta = lu.solve(-resid)
         dmax = max((np.max(np.abs(delta[s]), initial=0.0) for s in damped),
                    default=0.0)

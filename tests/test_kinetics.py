@@ -12,9 +12,9 @@ from micpsim.kinetics import (
     effective_porosity,
     monod,
     permeability,
-    permeability_derivative,
     reaction_rates,
     _oracle_rate_law,
+    _permeability,
     _rate_jacobian,
 )
 from micpsim.params import KineticParams, RockLaw
@@ -83,12 +83,20 @@ class TestPermeability:
         with pytest.raises(DomainError):
             permeability(ROCK, -0.01)
 
-    def test_derivative_matches_finite_difference(self):
-        for phi in (0.105, 0.12, 0.149):
-            h = 1e-8
-            fd = (permeability(ROCK, phi + h) - permeability(ROCK, phi - h)) / (2 * h)
-            assert permeability_derivative(ROCK, phi) == pytest.approx(fd, rel=1e-6)
-        assert permeability_derivative(ROCK, 0.05) == 0.0
+    def test_complex_step_slope_matches_closed_form(self):
+        # dK/dphi of the law written out, an independent reference
+        span = ROCK.phi0 - ROCK.phi_crit
+        above = np.array([0.105, 0.12, 0.149])
+        x = (above - ROCK.phi_crit) / span
+        slope = (ROCK.K0 * ROCK.eta / span * x ** (ROCK.eta - 1.0)
+                 * ROCK.K0 / (ROCK.K0 + ROCK.K_min))
+        h = 1e-30
+        K = _permeability(ROCK, above + 1j * h, ROCK.K0)
+        assert np.all(np.abs(K.imag / h - slope) <= 1e-14 * slope)
+        assert K.real == pytest.approx(permeability(ROCK, above), rel=1e-15)
+        at_or_below = _permeability(ROCK, np.array([0.0, 0.05, ROCK.phi_crit]) + 1j * h,
+                                    ROCK.K0)
+        assert np.all(at_or_below.imag == 0.0)
 
 
 class TestMonod:

@@ -63,6 +63,32 @@ class TestNewton:
         assert res.x == pytest.approx([2.0, 3.0], rel=1e-12)
         assert len(factored) == res.iterations
 
+    def test_aux_freed_before_factoring(self):
+        class Aux(dict):  # a dict that a weak reference can track
+            pass
+
+        evaluate, jacobian = _quadratic(np.array([4.0, 9.0]))
+        auxes = []
+
+        def tracked(x):
+            resid, aux = evaluate(x)
+            aux = Aux(aux)
+            auxes.append(weakref.ref(aux))
+            return resid, aux
+
+        def factor(J):
+            assert auxes[-1]() is None  # the factored iterate's aux is gone
+            return splu(J)
+
+        gc.disable()
+        try:
+            res, _ = newton(tracked, jacobian, np.array([1.0, 1.0]), np.ones(2),
+                            SolverSettings(newton_rel_tol=1e-12), factor)
+        finally:
+            gc.enable()
+        assert res.converged and res.factorizations == res.iterations > 1
+        assert type(res.aux) is Aux and auxes[-1]() is res.aux  # the root's own
+
     def test_one_norm_per_evaluation(self):
         evaluated = []
         evaluate, jacobian = _quadratic(np.array([4.0, 9.0]))
@@ -107,10 +133,13 @@ def _singular():
 
 class TestSingularJacobian:
     def test_zero_pivot_fails_the_solve(self):
-        res, lu = newton(*_singular(), np.zeros(2), np.ones(2), SolverSettings(), splu)
+        evaluate, jacobian = _singular()
+        res, lu = newton(lambda x: (evaluate(x)[0], {"x": x}), jacobian, np.zeros(2),
+                         np.ones(2), SolverSettings(), splu)
         assert not res.converged
         assert res.iterations == 0 and res.factorizations == 1
         assert lu is None and res.resid_norm == 2.0
+        assert res.aux == {}  # dropped before the factorization
 
     def test_other_factor_errors_propagate(self):
         def broken(J):
