@@ -2,32 +2,33 @@
 
 Runs on a frozen porosity/permeability field (the state the sealing
 treatment left behind, or the untreated rock). Per cell the unknowns are
-(p, s) with s the CO2 saturation; relative permeabilities are linear
-(k_r = s_alpha), capillary pressure is zero so both phases share one
-pressure. Each phase is upwinded by the sign of its own potential
-difference, which keeps saturations in [0, 1] and lets gravity segregate
-the phases. The discretization follows the reactive solver: TPFA,
-backward Euler, analytic Jacobian, constant-pressure hydrostatic
-boundary faces to ghost cells that hold the water column at rest beyond
-them (p_bdry - rho_w g z with the reservoir's datum p_bdry, s = 0;
-:func:`micpsim.grid.hydrostatic_pressure`), pressure pin of a closed
-domain at cell 0's pressure in that column. Newton,
-Jacobian assembly and adaptive stepping are the shared machinery of
+(p, s) with s the CO2 saturation, the fields of :class:`TwoPhaseState`
+in Newton order (:class:`micpsim.stepping.CellState`); relative
+permeabilities are linear (k_r = s_alpha), capillary pressure is zero so
+both phases share one pressure. Each phase is upwinded by the sign of
+its own potential difference, which keeps saturations in [0, 1] and lets
+gravity segregate the phases. The discretization follows the reactive
+solver: TPFA, backward Euler, analytic Jacobian, constant-pressure
+hydrostatic boundary faces to ghost cells that hold the water column at
+rest beyond them (p_bdry - rho_w g z with the reservoir's datum p_bdry,
+s = 0; :func:`micpsim.grid.hydrostatic_pressure`), pressure pin of a
+closed domain at cell 0's pressure in that column. Newton, Jacobian
+assembly and adaptive stepping are the shared machinery of
 :mod:`micpsim.stepping`; the transmissibilities and potential
-differences are the reactive solver's too (:func:`micpsim.grid.transmissibilities`,
-:meth:`micpsim.stepping.AssemblyData.face_potential_differences`). :func:`_phase_flux`
-upwinds a phase's flux on every face, once per evaluation.
-As in the reactive solver, each iterate is evaluated in two passes:
-:func:`_eval_twophase` gives the residual and an aux that holds each
-phase's upwinded T lambda, potential differences and upwind cells, and
-:func:`_jacobian_twophase` builds the Newton matrix from it, only for an
-iterate that Newton factors.
+differences are the reactive solver's too
+(:func:`micpsim.grid.transmissibilities`,
+:meth:`micpsim.stepping.AssemblyData.face_potential_differences`).
+:func:`_phase_flux` upwinds a phase's flux on every face, once per
+evaluation. As in the reactive solver, each iterate is evaluated in two
+passes: :func:`_eval_twophase` gives the residual and an aux that holds
+each phase's upwinded T lambda, potential differences and upwind cells,
+and :func:`_jacobian_twophase` builds the Newton matrix from it, only
+for an iterate that Newton factors.
 
-Each Newton matrix is built in one order of the unknowns that the
-system computes when it assembles its first Jacobian: SuperLU's
-minimum-degree order (``MMD_AT_PLUS_A``) of the pattern of every entry
-of the 2x2 derivative blocks
-(:meth:`micpsim.stepping.AssemblyData.fill_order`). SuperLU factors it
+Each Newton matrix is built in one order of the unknowns, computed once
+per system: SuperLU's minimum-degree order (``MMD_AT_PLUS_A``) of the
+pattern of the 2x2 derivative blocks
+(:attr:`micpsim.stepping.AssemblyData.order`). SuperLU factors it
 in that order (``permc_spec="NATURAL"``,
 :class:`micpsim.stepping.OrderedLU`) with its default pivot threshold;
 on the published ex3 grid COLAMD of the same pattern fills about 50%
@@ -55,7 +56,6 @@ and :func:`solve_twophase_step` takes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -66,6 +66,7 @@ from .params import TwoPhaseParams
 from .stepping import (
     AssemblyData,
     Carry,
+    CellState,
     MarchReport,
     OrderedLU,
     OutputHooks,
@@ -79,12 +80,9 @@ NV2 = 2
 
 
 @dataclass
-class TwoPhaseState:
-    p: np.ndarray  # Pa (shared by both phases)
-    s: np.ndarray  # CO2 saturation
-
-    def copy(self) -> "TwoPhaseState":
-        return TwoPhaseState(self.p.copy(), self.s.copy())
+class TwoPhaseState(CellState):
+    p: np.ndarray  # Pa (shared by both phases), unknown JP
+    s: np.ndarray  # CO2 saturation, unknown JS
 
 
 def make_initial_twophase_state(grid: Grid, params: TwoPhaseParams) -> TwoPhaseState:
@@ -99,6 +97,8 @@ class TwoPhaseSystem(AssemblyData):
     Raises DomainError if ``params`` fails its validation.
     """
 
+    permc_spec = "MMD_AT_PLUS_A"  # of every entry of the 2x2 blocks (AssemblyData.order)
+
     def __init__(self, grid: Grid, perm_field, params: TwoPhaseParams,
                  poro_field=None):
         perm = np.asarray(perm_field, dtype=float)
@@ -109,19 +109,20 @@ class TwoPhaseSystem(AssemblyData):
             if not np.all(np.isfinite(field) & (field > 0.0)):  # NaN fails too
                 raise DomainError(f"{name} must be finite and > 0 in active cells")
         params.validate()
-        super().__init__(grid, params.rho_w)
+        super().__init__(grid, params.rho_w, NV2)
         self.params = params
         self.phi = poro
         self.T = transmissibilities(grid, perm)
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Factor order of the unknowns: MMD of the 2x2-block pattern, once."""
-        return self.fill_order(NV2, "MMD_AT_PLUS_A")
-
     def factor(self, J) -> OrderedLU:
         """LU of the Newton matrix J, built in the system's factor order."""
         return OrderedLU(splu, J, self.order)
+
+    def check_state(self, state: TwoPhaseState):
+        """Refuse also a saturation outside [0, 1]."""
+        super().check_state(state)
+        if not np.all((np.asarray(state.s) >= 0.0) & (np.asarray(state.s) <= 1.0)):
+            raise DomainError("state s must lie in [0, 1]")
 
 
 def _phase_flux(sys, dpot, sat, mu):
@@ -141,8 +142,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate):
     """Residual at x, and the aux of the CO2 flux and the Jacobian's inputs."""
     pr = sys.params
     n = sys.n
-    p = x[JP::NV2]
-    s = x[JS::NV2]
+    p, s = x.reshape(n, NV2).T  # views, in the order JP, JS
     V = sys.V
 
     # beyond the boundary a water column at rest
@@ -207,20 +207,18 @@ def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
     settings.validate()
     escale = np.repeat(sys.phi * sys.V / dt, NV2)  # pin row: |p_0 - p_pin| / 1e5 Pa
 
-    start = state_old if guess is None else guess
-    x = np.empty(NV2 * sys.n)
-    x[JP::NV2] = start.p
-    x[JS::NV2] = start.s
+    x = (state_old if guess is None else guess).to_vector()
     carry = carry or Carry()
     res, carry.lu = newton(
         lambda x: _eval_twophase(sys, x, state_old, dt, rate),
         lambda x, aux: _jacobian_twophase(sys, x, dt, aux),
         x, escale, settings, sys.factor, damped=(slice(JS, None, NV2),), max_step=0.5,
         lu=carry.take())
-    s = res.x[JS::NV2]
-    if not res.converged or np.any(s < -1e-6) or np.any(s > 1.0 + 1e-6):
+    state = TwoPhaseState.from_vector(res.x)
+    if not res.converged or np.any(state.s < -1e-6) or np.any(state.s > 1.0 + 1e-6):
         return state_old, res._replace(converged=False)
-    return TwoPhaseState(p=res.x[JP::NV2].copy(), s=np.clip(s, 0.0, 1.0)), res
+    np.clip(state.s, 0.0, 1.0, out=state.s)
+    return state, res
 
 
 def _extrapolate(prev: TwoPhaseState, last: TwoPhaseState, ratio: float) -> TwoPhaseState:
@@ -291,9 +289,9 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     ``plane_z`` defaults to the lower-aquifer/caprock interface. Returns
     the (t, normalized flux) series sampled at every accepted step. A
     given plane that cuts no leak-tagged face raises GeometryError; the
-    default one leaves the series empty there. An ``initial_state`` with
-    an array that is not one finite value per active cell raises
-    DomainError before the first step.
+    default one leaves the series empty there. An ``initial_state``
+    refused by :meth:`TwoPhaseSystem.check_state` raises DomainError
+    before the first step.
     """
     sys = TwoPhaseSystem(grid, perm_field, params, poro_field)
     sys.check_injection(rate)

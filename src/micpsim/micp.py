@@ -1,8 +1,10 @@
 """Fully implicit solver for coupled water flow, solute transport and
 immobile-phase growth on a structured grid.
 
-Per active cell the unknowns are (p_w, c_m, c_o, c_u, phi_b, phi_c). One
-backward-Euler step solves the coupled residual
+Per active cell the unknowns are (p_w, c_m, c_o, c_u, phi_b, phi_c), the
+fields of :class:`MicpState` in Newton order
+(:class:`micpsim.stepping.CellState`). One backward-Euler step solves the
+coupled residual
 
     water:    (phi^{n+1} - phi^n) V/dt + sum_f F_w - q V             = 0
     solute x: ((c_x phi)^{n+1} - (c_x phi)^n) V/dt + sum_f c_up F_w
@@ -41,14 +43,13 @@ omit only the second-order cross terms f''(clip) (x - clip) of the
 extension. Only the 25 entries of a cell block and the 15 of a face
 block that can be nonzero are gathered (:attr:`MicpSystem.cell_pattern`).
 
-Each Newton matrix is built in one order of the unknowns that the
-system computes when it assembles its first Jacobian: SuperLU's COLAMD
-(Davis, Gilbert, Larimore & Ng 2004) of the pattern of every entry of
-the 6x6 derivative blocks, which holds every matrix the system can
-build (:meth:`micpsim.stepping.AssemblyData.fill_order`). SuperLU
-factors each matrix in that order (``permc_spec="NATURAL"``, supernode
-relaxation off) through :class:`micpsim.stepping.OrderedLU`, as the CO2
-solver does with its own order. Against a fresh COLAMD of each matrix's
+Each Newton matrix is built in one order of the unknowns, computed once
+per system: SuperLU's COLAMD (Davis, Gilbert, Larimore & Ng 2004) of the
+pattern of every entry of the 6x6 derivative blocks
+(:attr:`micpsim.stepping.AssemblyData.order`). SuperLU factors each
+matrix in that order (``permc_spec="NATURAL"``, supernode relaxation
+off) through :class:`micpsim.stepping.OrderedLU`, as the CO2 solver does
+with its own order. Against a fresh COLAMD of each matrix's
 nonzero pattern (on a 2-core x86 box), this cuts factor time by about
 40% on ex1 and on the desk ex3 phase I, with the same steps and
 iterations, and the wall time of the first 15 h of the published ex3
@@ -78,18 +79,18 @@ deterministic: identical inputs produce identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .grid import Grid, hydrostatic_pressure, transmissibilities
-from .kinetics import _permeability, _rate_jacobian, _rates, permeability
+from .kinetics import CellChemState, _permeability, _rate_jacobian, _rates, permeability
 from .params import KineticParams, RockLaw
 from .schedule import Schedule, WellControl, control_at
 from .stepping import (
     AssemblyData,
+    CellState,
     MarchReport,
     OrderedLU,
     OutputHooks,
@@ -107,8 +108,8 @@ _CONC_FLOOR = {"m": 1e-3, "o": 1e-3, "u": 1e-1}  # kg/m^3, convergence scales
 
 
 @dataclass
-class MicpState:
-    """Struct-of-arrays state over the active cells."""
+class MicpState(CellState):
+    """Struct-of-arrays state over the active cells, fields in the order IP..IC."""
 
     p: np.ndarray
     c_m: np.ndarray
@@ -117,31 +118,11 @@ class MicpState:
     phi_b: np.ndarray
     phi_c: np.ndarray
 
-    def copy(self) -> "MicpState":
-        return MicpState(*(getattr(self, f).copy() for f in
-                           ("p", "c_m", "c_o", "c_u", "phi_b", "phi_c")))
-
-    def to_vector(self) -> np.ndarray:
-        n = self.p.size
-        x = np.empty(NVAR * n)
-        for idx, name in ((IP, "p"), (IM, "c_m"), (IO, "c_o"), (IU, "c_u"),
-                          (IB, "phi_b"), (IC, "phi_c")):
-            x[idx::NVAR] = getattr(self, name)
-        return x
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "MicpState":
-        return cls(p=x[IP::NVAR].copy(), c_m=x[IM::NVAR].copy(),
-                   c_o=x[IO::NVAR].copy(), c_u=x[IU::NVAR].copy(),
-                   phi_b=x[IB::NVAR].copy(), phi_c=x[IC::NVAR].copy())
-
 
 def make_initial_state(grid: Grid, params: KineticParams) -> MicpState:
     """Water-filled reservoir in hydrostatic equilibrium with the boundary."""
-    zeros = np.zeros(grid.n_active)
-    return MicpState(p=hydrostatic_pressure(grid, params.rho_w), c_m=zeros.copy(),
-                     c_o=zeros.copy(), c_u=zeros.copy(), phi_b=zeros.copy(),
-                     phi_c=zeros.copy())
+    return MicpState(hydrostatic_pressure(grid, params.rho_w),
+                     *np.zeros((NVAR - 1, grid.n_active)))
 
 
 def porosity_field(grid: Grid, state: MicpState) -> np.ndarray:
@@ -167,11 +148,12 @@ class MicpSystem(AssemblyData):
         "100011", "111011", "111011", "100111", "011111", "000111")]) == "1"
     face_pattern = np.array([list(r) for r in (
         "100011", "110011", "101011", "100111", "000000", "000000")]) == "1"
+    permc_spec = "COLAMD"  # of every entry of the blocks (AssemblyData.order)
 
     def __init__(self, grid: Grid, params: KineticParams, rock: RockLaw):
         params.validate()
         rock.validate()
-        super().__init__(grid, params.rho_w)
+        super().__init__(grid, params.rho_w, NVAR)
         self.params = params
         self.rock = rock
         self.phi0 = grid.poro0
@@ -183,14 +165,18 @@ class MicpSystem(AssemblyData):
         self.axis_area[np.arange(self.fa.size), grid.face_axis] = (
             grid.face_sign * grid.face_area)
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Factor order of the unknowns: COLAMD of the 6x6-block pattern, once."""
-        return self.fill_order(NVAR, "COLAMD")
-
     def factor(self, J) -> OrderedLU:
         """LU of the Newton matrix J, built in the system's factor order."""
         return OrderedLU(splu, J, self.order)
+
+    def check_state(self, state: MicpState):
+        """Refuse also negative solutes and phi_b + phi_c above phi0."""
+        super().check_state(state)
+        try:
+            CellChemState(state.c_m, state.c_o, state.c_u, state.phi_b,
+                          state.phi_c).validate(self.rock)
+        except InvariantError as err:
+            raise DomainError(f"state: {err}") from None
 
     def conc_scales(self, state: MicpState, controls) -> dict[str, float]:
         scales = {}
@@ -211,12 +197,7 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl):
     """
     n = sys.n
     grid = sys.grid
-    p = x[IP::NVAR]
-    m = x[IM::NVAR]
-    o = x[IO::NVAR]
-    u = x[IU::NVAR]
-    b = x[IB::NVAR]
-    c = x[IC::NVAR]
+    p, m, o, u, b, c = x.reshape(n, NVAR).T  # views, in the order IP..IC
 
     V = sys.V
     mu_w = sys.params.mu_w
@@ -332,15 +313,9 @@ def _jacobian_system(sys: MicpSystem, x, dt, aux):
 
 
 def _error_scales(sys: MicpSystem, dt, conc_scales) -> np.ndarray:
-    base = sys.V * sys.phi0 / dt
-    e = np.empty(NVAR * sys.n)
-    e[IP::NVAR] = base  # on a closed domain's pin row: |p0 - p_pin| / 1e5 Pa
-    e[IM::NVAR] = base * conc_scales["m"]
-    e[IO::NVAR] = base * conc_scales["o"]
-    e[IU::NVAR] = base * conc_scales["u"]
-    e[IB::NVAR] = base * sys.params.rho_b
-    e[IC::NVAR] = base * sys.params.rho_c
-    return e
+    base = sys.V * sys.phi0 / dt  # on a closed domain's pin row: |p0 - p_pin| / 1e5 Pa
+    return MicpState(base, *(base * conc_scales[name] for name in SPECIES),
+                     base * sys.params.rho_b, base * sys.params.rho_c).to_vector()
 
 
 def assemble_residual(sys: MicpSystem, state_new: MicpState, state_old: MicpState,
@@ -390,14 +365,11 @@ def solve_timestep(sys: MicpSystem, state_old: MicpState, dt: float,
     if not res.converged:
         return state_old, res
     state = MicpState.from_vector(res.x)
-    for name in SPECIES:
-        arr = getattr(state, f"c_{name}")
-        arr[arr < 0.0] = 0.0
-    b_new = np.clip(state.phi_b, 0.0, sys.phi0)
-    c_new = np.clip(state.phi_c, 0.0, sys.phi0)
-    c_new -= np.maximum(b_new + c_new - sys.phi0, 0.0)
-    state.phi_b[:] = b_new
-    state.phi_c[:] = c_new
+    for conc in (state.c_m, state.c_o, state.c_u):
+        conc[conc < 0.0] = 0.0
+    np.clip(state.phi_b, 0.0, sys.phi0, out=state.phi_b)
+    np.clip(state.phi_c, 0.0, sys.phi0, out=state.phi_c)
+    state.phi_c -= np.maximum(state.phi_b + state.phi_c - sys.phi0, 0.0)
     return state, res
 
 
@@ -453,8 +425,8 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     Adaptive stepping never crosses a period boundary; on Newton failure
     the step is retried with dt * dt_cut until dt_min, then a
     ConvergenceError carrying the last good state is raised. An
-    ``initial_state`` with an array that is not one finite value per
-    active cell raises DomainError before the first step.
+    ``initial_state`` refused by :meth:`MicpSystem.check_state` raises
+    DomainError before the first step.
     """
     sys = MicpSystem(grid, params, rock)
     state = (initial_state.copy() if initial_state is not None
@@ -475,18 +447,18 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     def accept(t, dt, st, res, control):
         """Book the step from Newton's iterate res.x and the clamped state st."""
         nonlocal water_in
-        x, aux = res.x, res.aux
-        phi_conv = np.maximum(sys.phi0 - x[IB::NVAR] - x[IC::NVAR], 0.0)
+        it, aux = MicpState.from_vector(res.x), res.aux  # the iterate, unclamped
+        phi_conv = np.maximum(sys.phi0 - it.phi_b - it.phi_c, 0.0)
         for name, ivar in zip(SPECIES, (IM, IO, IU)):
-            conc = x[ivar::NVAR]
+            conc = getattr(it, f"c_{name}")
             neg = conc < 0.0
             clamped[name] += float(np.sum(-conc[neg] * phi_conv[neg] * sys.V[neg]))
             outflow = float(np.sum(aux["flux"][sys.boundary, ivar]))
             ledgers[name].injected += getattr(control, f"c_{name}") * control.rate * dt
             ledgers[name].produced += outflow * dt
             ledgers[name].reacted += float(np.sum(aux["rates"][name] * sys.V)) * dt
-        for name, ivar, rho in (("b", IB, sys.params.rho_b), ("c", IC, sys.params.rho_c)):
-            moved = np.abs(x[ivar::NVAR] - getattr(st, f"phi_{name}"))
+        for name, rho in (("b", sys.params.rho_b), ("c", sys.params.rho_c)):
+            moved = np.abs(getattr(it, f"phi_{name}") - getattr(st, f"phi_{name}"))
             clamped[name] += float(np.sum(moved * sys.V) * rho)
         water_in += control.rate * dt
         return {"max_phi_c": float(st.phi_c.max(initial=0.0)),

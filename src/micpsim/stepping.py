@@ -4,7 +4,8 @@ The solvers supply only their physics, as callables: the residual pass
 (residual and aux at an iterate), the Jacobian pass (the Newton matrix
 from that aux), the finish of a converged step, and the booking of an
 accepted one. This module owns the rest, the decision when to build and
-factor a Jacobian among it (:func:`newton`): the grid data both
+factor a Jacobian among it (:func:`newton`): the layout of a state's
+unknowns in the Newton vector (:class:`CellState`), the grid data both
 assemblies read (:class:`AssemblyData`) with the grid's one face list
 of interior faces and of open boundary faces to ghost cells, the
 potential differences across them
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,8 +80,29 @@ class OutputHooks:
     on_diagnostics: object = None  # fn(t, dict), once per accepted step
 
 
+@dataclass
+class CellState:
+    """A solver's state: one array over the active cells per unknown.
+
+    A solver's state class declares its unknowns as its fields, in Newton
+    order: field v of cell i is entry nvar * i + v of the Newton vector,
+    nvar being the number of fields.
+    """
+
+    def copy(self):
+        return type(self)(*(getattr(self, f.name).copy() for f in fields(self)))
+
+    def to_vector(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float).T.ravel()
+
+    @classmethod
+    def from_vector(cls, x: np.ndarray):
+        nvar = len(fields(cls))
+        return cls(*(x[v::nvar].copy() for v in range(nvar)))
+
+
 class AssemblyData:
-    """Grid arrays read by every residual assembly.
+    """Grid arrays read by every residual assembly of ``nvar`` unknowns per cell.
 
     The faces are the grid's one list (:class:`micpsim.grid.Grid`),
     interior faces first: open boundary face k joins its cell (a) to
@@ -91,19 +114,18 @@ class AssemblyData:
     density ``rho_w`` at rest (:func:`micpsim.grid.hydrostatic_pressure`):
     the ghosts' pressures, and cell 0's, where a closed domain is pinned.
 
-    ``order`` lists the unknowns in the order their system factors them:
-    row and column k of a Newton matrix is unknown order[k]. None, as
-    here, keeps the natural order; each solver's system computes its own
-    once, with :meth:`fill_order` and its own SuperLU ordering.
-    ``cell_pattern`` and ``face_pattern``, boolean nvar x nvar, are the
-    entries of a cell and of a face block that can be nonzero, the only
-    ones :meth:`jacobian` gathers; None, as here, gathers every entry.
+    A system declares its layout beside its physics: ``cell_pattern`` and
+    ``face_pattern``, boolean nvar x nvar, are the entries of a cell and
+    of a face block that can be nonzero, the only ones :meth:`jacobian`
+    gathers, and ``permc_spec`` is the SuperLU ordering of :attr:`order`.
+    None, as here, gathers every entry and keeps the natural order.
     """
 
-    order = cell_pattern = face_pattern = None
+    permc_spec = cell_pattern = face_pattern = None
 
-    def __init__(self, grid, rho_w):
+    def __init__(self, grid, rho_w, nvar):
         self.grid = grid
+        self.nvar = nvar
         column = hydrostatic_pressure(grid, rho_w)  # water at rest
         self.p_ghost, self.p_pin = column[grid.bface_cell], column[0]
         self.n = grid.n_active
@@ -126,7 +148,6 @@ class AssemblyData:
         self._incidence = tuple(
             sparse.csr_matrix((np.ones(cols.size), (cells, cols)), shape=(self.n, faces.size))
             for cells, cols in ((self.fa, faces), (self.fb[inner], inner)))
-        self._structure = {}  # nvar -> _block_structure in self.order, pin entries
 
     def with_ghosts(self, values, ghost):
         """Cell values followed by ``ghost``'s, a scalar or one per ghost."""
@@ -208,22 +229,14 @@ class AssemblyData:
         numerically nonzero pattern. ``pin_scale`` replaces the row of
         unknown 0 by the pressure pin of a closed domain (:meth:`pin_pressure`).
         """
-        nvar = cell.shape[1]
-        if nvar not in self._structure:
-            gather, indices, indptr = self._block_structure(
-                nvar, self.order, self.cell_pattern, self.face_pattern)
-            pin = 0 if self.order is None else int(np.flatnonzero(self.order == 0)[0])
-            pin_row = np.flatnonzero(indices == pin)
-            pin_diag = pin_row[np.searchsorted(pin_row, indptr[pin])]
-            self._structure[nvar] = gather, indices, indptr, pin_row, pin_diag
-        gather, indices, indptr, pin_row, pin_diag = self._structure[nvar]
+        gather, indices, indptr, pin_row, pin_diag = self._structure
         blocks = np.concatenate((cell + self.face_sums(face_a, face_b),
                                  face_b[self.interior], -face_a[self.interior]))
         data = blocks.ravel()[gather]
         if pin_scale is not None:
             data[pin_row] = 0.0
             data[pin_diag] = pin_scale
-        size = nvar * self.n
+        size = self.nvar * self.n
         J = sparse.csc_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
         J.eliminate_zeros()
         return J
@@ -235,7 +248,17 @@ class AssemblyData:
         rank = np.argsort(self.order)
         return J[rank][:, rank]
 
-    def _block_structure(self, nvar, order=None, cell_pattern=None, face_pattern=None):
+    @cached_property
+    def _structure(self):
+        """The declared patterns' :meth:`_block_structure`, and the pin row's entries."""
+        gather, indices, indptr = self._block_structure(
+            self.order, self.cell_pattern, self.face_pattern)
+        pin = 0 if self.order is None else int(np.flatnonzero(self.order == 0)[0])
+        pin_row = np.flatnonzero(indices == pin)
+        pin_diag = pin_row[np.searchsorted(pin_row, indptr[pin])]
+        return gather, indices, indptr, pin_row, pin_diag
+
+    def _block_structure(self, order=None, cell_pattern=None, face_pattern=None):
         """CSC structure of the block entries that :meth:`jacobian` fills.
 
         Blocks are cell i at (i, i), then interior face f at (a, b) and at
@@ -245,6 +268,7 @@ class AssemblyData:
         is entry gather[k] of the flattened blocks, in row indices[k]. No
         two blocks share a position.
         """
+        nvar = self.nvar
         cells = np.arange(self.n)
         fa, fb = self.fa[self.interior], self.fb[self.interior]
         brow = np.concatenate((cells, fa, fb))
@@ -265,22 +289,28 @@ class AssemblyData:
         itype = np.int32 if row.size < 2**31 else np.int64
         return entries[sort].astype(itype), row[sort].astype(itype), indptr.astype(itype)
 
-    def fill_order(self, nvar, permc_spec):
-        """SuperLU's ``permc_spec`` order of the unknowns for the block pattern.
+    @cached_property
+    def order(self):
+        """The unknowns in the order the system factors them, computed once.
 
-        The pattern holds every entry of every nvar x nvar derivative block,
-        so every matrix the system can build. SuperLU orders it inside an
-        incomplete LU whose factors may not outgrow the pattern
-        (fill_factor=1), so the pattern is never factored in full: on the
-        published ex3 grid a full LU of the 6x6-block pattern fills 26.8M
-        entries. Each column's diagonal dominates it, so no pivot is zero.
+        Row and column k of a Newton matrix is unknown order[k]; None keeps
+        the natural order. It is SuperLU's ``permc_spec`` order of every
+        entry of every block, not of the declared patterns: ordered from
+        micp's patterns, ex1 fills 9,548 entries, not 8,862, and the desk
+        ex3 phase I fills 1% less but factors no faster. SuperLU
+        orders it inside an incomplete LU that may not outgrow the pattern
+        (fill_factor=1): on the published ex3 grid a full LU of the
+        6x6-block pattern fills 26.8M entries. Each column's diagonal
+        dominates it, so no pivot is zero.
         """
-        _, indices, indptr = self._block_structure(nvar)
-        size = nvar * self.n
+        if self.permc_spec is None:
+            return None
+        _, indices, indptr = self._block_structure()
+        size = self.nvar * self.n
         col = np.repeat(np.arange(size), np.diff(indptr))
         data = np.where(indices == col, float(size), 1.0)
         pattern = sparse.csc_matrix((data, indices, indptr), shape=(size, size))
-        ilu = spilu(pattern, permc_spec=permc_spec, drop_tol=1.0, fill_factor=1.0)
+        ilu = spilu(pattern, permc_spec=self.permc_spec, drop_tol=1.0, fill_factor=1.0)
         return np.argsort(ilu.perm_c)
 
 
@@ -288,7 +318,7 @@ class OrderedLU:
     """SuperLU factors of a Newton matrix built in its system's factor order.
 
     ``J`` comes from :meth:`AssemblyData.jacobian` already in the order
-    ``order`` (:meth:`AssemblyData.fill_order`), so SuperLU factors it in
+    ``order`` (:attr:`AssemblyData.order`), so SuperLU factors it in
     that order (``permc_spec = "NATURAL"``) with its default pivoting;
     :meth:`solve` takes and returns natural order. ``relax=1`` turns off
     supernode relaxation, which only pads the factors with explicit zeros;

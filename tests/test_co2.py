@@ -7,7 +7,6 @@ from scipy.sparse.linalg import splu
 
 from micpsim import co2
 from micpsim.co2 import (
-    NV2,
     TwoPhaseState,
     TwoPhaseSystem,
     _eval_twophase,
@@ -269,9 +268,7 @@ class TestBuoyancy:
 
 def co2_flux(sys, state):
     """The CO2 flux on every face that the residual holds at ``state``."""
-    x = np.empty(NV2 * sys.n)
-    x[0::NV2], x[1::NV2] = state.p, state.s
-    _, aux = _eval_twophase(sys, x, state, 3600.0, 0.0)
+    _, aux = _eval_twophase(sys, state.to_vector(), state, 3600.0, 0.0)
     return aux["Fc"]
 
 
@@ -405,6 +402,26 @@ class TestSimulateCo2:
                          sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
         assert records == []
 
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_saturation_outside_the_unit_interval_rejected_before_a_step(self, value):
+        grid = line_grid(nx=10)
+        state = make_initial_twophase_state(grid, TP)
+        state.s[4] = value
+        records = []
+        with pytest.raises(DomainError, match="state s must lie in \\[0, 1\\]"):
+            simulate_co2(grid, grid.perm0, 1e-5, 3 * 3600.0, SolverSettings(), TP,
+                         initial_state=state,
+                         sinks=OutputHooks(on_diagnostics=lambda *rec: records.append(rec)))
+        assert records == []
+
+    def test_final_state_accepted_as_initial_state(self):
+        grid = line_grid(nx=10)
+        first = simulate_co2(grid, grid.perm0, 1e-4, 6 * 3600.0, SolverSettings(), TP)
+        assert first.state.s.max() > 0.0
+        again = simulate_co2(grid, grid.perm0, 1e-4, 6 * 3600.0, SolverSettings(), TP,
+                             initial_state=first.state)
+        assert again.steps > 0 and again.in_place_volume > first.in_place_volume
+
     def test_jacobian_pass_runs_once_per_factorization(self, monkeypatch):
         """Newton builds a Jacobian only for an iterate it factors, never the
         converged one, also while a carried factorization is kept."""
@@ -534,7 +551,7 @@ class TestFactor:
         sys = TwoPhaseSystem(grid, grid.perm0, TP)
         old = make_initial_twophase_state(grid, TP)
         J = _newton_matrix(sys, rep.state, old)
-        b = -_eval_twophase(sys, _vector(rep.state), old, 3600.0, 1e-5)[0]
+        b = -_eval_twophase(sys, rep.state.to_vector(), old, 3600.0, 1e-5)[0]
         x = sys.factor(J).solve(b)
         assert (np.linalg.norm(sys.in_natural_order(J) @ x - b)
                 < 1e-12 * np.linalg.norm(b))
@@ -564,15 +581,8 @@ def system_at_scale():
                                make_initial_twophase_state(grid, TP))
 
 
-def _vector(state):
-    x = np.empty(NV2 * state.p.size)
-    x[0::NV2] = state.p
-    x[1::NV2] = state.s
-    return x
-
-
 def _newton_matrix(sys, state, old):
-    x = _vector(state)
+    x = state.to_vector()
     return _jacobian_twophase(sys, x, 3600.0, _eval_twophase(sys, x, old, 3600.0, 1e-5)[1])
 
 

@@ -15,7 +15,7 @@ upwind direction.
 import numpy as np
 import pytest
 
-from micpsim.co2 import NV2, TwoPhaseState, TwoPhaseSystem, _eval_twophase, _jacobian_twophase
+from micpsim.co2 import TwoPhaseState, TwoPhaseSystem, _eval_twophase, _jacobian_twophase
 from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
 from micpsim.micp import (
     IP,
@@ -144,9 +144,7 @@ def test_co2_jacobian_matches_complex_step(sides, rate):
     p = perturbed_pressure(grid, rng, params.rho_w)
     s = rng.uniform(0.05, 0.95, n)
     old = TwoPhaseState(p=p.copy(), s=0.9 * s)
-    x = np.empty(NV2 * n)
-    x[0::NV2] = p
-    x[1::NV2] = s
+    x = TwoPhaseState(p=p, s=s).to_vector()
     for rho in (params.rho_w, params.rho_co2):
         potential_differences(sys, p, params.rho_w, rho)  # both ghost upwind paths
     assert_entries_match_complex_step(

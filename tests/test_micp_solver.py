@@ -472,6 +472,30 @@ class TestSimulateMicp:
                           initial_state=state)
         assert records == []
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("c_u", -5.0, "c_u must be >= 0"),
+        ("phi_b", 0.5, "phi_b \\+ phi_c exceeds"),
+    ])
+    def test_impossible_initial_state_rejected_before_a_step(self, field, value, message):
+        grid = example1_grid(nx=25)
+        state = make_initial_state(grid, PARAMS)
+        getattr(state, field)[10] = value
+        records = []
+        with pytest.raises(DomainError, match=message):
+            simulate_micp(grid, builtin_schedule("ex1"), PARAMS, ROCK, SolverSettings(),
+                          OutputHooks(on_diagnostics=lambda *rec: records.append(rec)),
+                          initial_state=state)
+        assert records == []
+
+    def test_final_state_accepted_as_initial_state(self):
+        grid = example1_grid(nx=25)
+        schedule = Schedule(periods=builtin_schedule("ex1").periods[:2])
+        first = simulate_micp(grid, schedule, PARAMS, ROCK, SolverSettings())
+        assert first.state.phi_b.max() > 0.0
+        again = simulate_micp(grid, schedule, PARAMS, ROCK, SolverSettings(),
+                              initial_state=first.state)
+        assert again.steps > 0 and again.state.phi_b.max() > first.state.phi_b.max()
+
     def test_jacobian_pass_runs_once_per_factorization(self, monkeypatch):
         """Newton builds a Jacobian only for an iterate it factors, never the converged one."""
         jacobian, step = micp._jacobian_system, micp.solve_timestep

@@ -1,14 +1,18 @@
 import gc
 import time
 import weakref
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from micpsim import co2, micp
+from micpsim import co2, micp, stepping
 from micpsim.errors import ConvergenceError, DomainError
 from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
 from micpsim.params import KineticParams, RockLaw, TwoPhaseParams
@@ -271,12 +275,49 @@ class TestCarriedFactorization:
         assert res.factorizations == res.iterations > 1
 
 
+@st.composite
+def _cell_states(draw, cls):
+    """A ``cls`` over 1 to 12 cells with any float64 values, NaN, inf and -0 too."""
+    values = hnp.arrays(np.float64, draw(st.integers(1, 12)))
+    return cls(*(draw(values) for _ in fields(cls)))
+
+
+class TestCellState:
+    """Each solver's state declares its Newton unknowns once, as its fields."""
+
+    @given(st.sampled_from([micp.MicpState, co2.TwoPhaseState]).flatmap(_cell_states))
+    def test_vector_round_trip_is_bitwise(self, state):
+        names = [f.name for f in fields(state)]
+        x = state.to_vector()
+        assert x.shape == (len(names) * state.p.size,)
+        back = type(state).from_vector(x)
+        copied = state.copy()
+        for v, name in enumerate(names):  # unknown v of cell i is x[nvar * i + v]
+            bits = getattr(state, name).tobytes()
+            assert x.reshape(-1, len(names))[:, v].tobytes() == bits
+            for other in (back, copied):
+                assert getattr(other, name).tobytes() == bits
+                assert not np.shares_memory(getattr(other, name), x)
+                assert not np.shares_memory(getattr(other, name), getattr(state, name))
+        assert type(back) is type(copied) is type(state)
+
+    def test_fields_are_in_the_index_order(self):
+        micp_index = {"p": micp.IP, "c_m": micp.IM, "c_o": micp.IO, "c_u": micp.IU,
+                      "phi_b": micp.IB, "phi_c": micp.IC}
+        co2_index = {"p": co2.JP, "s": co2.JS}
+        for cls, index, nvar in ((micp.MicpState, micp_index, micp.NVAR),
+                                 (co2.TwoPhaseState, co2_index, co2.NV2)):
+            assert [f.name for f in fields(cls)] == sorted(index, key=index.get)
+            assert sorted(index.values()) == list(range(nvar))
+
+
 def _line(sides):
-    """Three cells in a row: faces (0, 1) and (1, 2), then boundary faces on ``sides``."""
+    """Three cells in a row: faces (0, 1) and (1, 2), then boundary faces on ``sides``;
+    two unknowns per cell."""
     domain = DomainSpec(nx=3, ny=1, nz=1, dx=1.0, dy=1.0, dz=1.0)
     res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=0.5,
                         outflow_sides=sides)
-    return AssemblyData(build_domain(domain, None, res, RockLaw()), KineticParams().rho_w)
+    return AssemblyData(build_domain(domain, None, res, RockLaw()), KineticParams().rho_w, 2)
 
 
 class TestBlockJacobian:
@@ -340,12 +381,13 @@ class TestBlockJacobian:
         assert blocks[2].tolist() == [[0.0, 0.0], [-4.0, 0.0]]
 
 
-def _box(sides):
+def _box(sides, nvar=2):
     """3 x 2 x 2 cells, 20 interior faces, boundary faces on ``sides``."""
     domain = DomainSpec(nx=3, ny=2, nz=2, dx=1.0, dy=1.0, dz=0.5)
     res = ReservoirSpec(aquifer_height=1.0, caprock_height=0.0, well_x=0.5,
                         outflow_sides=sides)
-    return AssemblyData(build_domain(domain, None, res, RockLaw()), KineticParams().rho_w)
+    return AssemblyData(build_domain(domain, None, res, RockLaw()), KineticParams().rho_w,
+                        nvar)
 
 
 def _cells_a(grid):
@@ -421,7 +463,7 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("nvar", [2, 6])
     @pytest.mark.parametrize("pin_scale", [None, 7.0])
     def test_jacobian_matches_coo_reference(self, sides, nvar, pin_scale):
-        data = _box(sides)
+        data = _box(sides, nvar)
         assert data.grid.n_ifaces == 20 and data.closed == (sides == ())
         assert data.fa.size == _cells_a(data.grid).size == (30 if sides else 20)
         for seed in range(3):
@@ -438,8 +480,8 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("sides", [("x+", "y-"), ()])
     @pytest.mark.parametrize("pin_scale", [None, 7.0])
     def test_jacobian_in_factor_order_is_the_permuted_reference(self, sides, pin_scale):
-        data = _box(sides)
         nvar = 6
+        data = _box(sides, nvar)
         data.order = np.random.default_rng(4).permutation(nvar * data.n)
         assert data.order[0] != 0  # the pin row is not row 0
         blocks = self.blocks(data, nvar, 0)
@@ -485,14 +527,20 @@ def _co2_newton_matrix(grid, rng):
     sys = co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams())
     state = co2.make_initial_twophase_state(grid, sys.params)
     state.s[:] = rng.uniform(0.0, 1.0, grid.n_active)
-    x = np.column_stack((state.p, state.s)).ravel()
+    x = state.to_vector()
     J = co2._jacobian_twophase(sys, x, 3600.0,
                                co2._eval_twophase(sys, x, state, 3600.0, 1e-4)[1])
     return sys, sys.in_natural_order(J)
 
 
+def _square_grid(side):
+    domain = DomainSpec(nx=side, ny=1, nz=side, dx=1.0, dy=1.0, dz=1.0)
+    reservoir = ReservoirSpec(aquifer_height=float(side), caprock_height=0.0, well_x=0.5)
+    return build_domain(domain, None, reservoir, RockLaw())
+
+
 class TestFillOrder:
-    """Each solver's SuperLU ordering of its block pattern, through one helper."""
+    """Each solver's SuperLU ordering of its block pattern, through one property."""
 
     @pytest.mark.parametrize("nvar, permc_spec, newton_matrix, bound", [
         (6, "COLAMD", _micp_newton_matrix, 1.0),
@@ -500,19 +548,42 @@ class TestFillOrder:
     ], ids=["micp", "co2"])
     def test_permutation_with_less_fill_than_the_natural_order(
             self, nvar, permc_spec, newton_matrix, bound):
-        domain = DomainSpec(nx=40, ny=1, nz=40, dx=1.0, dy=1.0, dz=1.0)
-        reservoir = ReservoirSpec(aquifer_height=40.0, caprock_height=0.0,
-                                  well_x=0.5)
-        grid = build_domain(domain, None, reservoir, RockLaw())
-        order = AssemblyData(grid, KineticParams().rho_w).fill_order(nvar, permc_spec)
+        grid = _square_grid(40)
+        # the natural order unless the system declares a permc_spec
+        assert AssemblyData(grid, KineticParams().rho_w, nvar).order is None
+        data = AssemblyData(grid, KineticParams().rho_w, nvar)
+        data.permc_spec = permc_spec
+        order = data.order
         assert np.array_equal(np.sort(order), np.arange(nvar * grid.n_active))
         sys, J = newton_matrix(grid, np.random.default_rng(0))
+        assert (sys.nvar, sys.permc_spec) == (nvar, permc_spec)
         assert np.array_equal(sys.order, order)
 
         def fill(perm):
             return splu(J[perm][:, perm], permc_spec="NATURAL").nnz
 
         assert fill(order) < bound * fill(np.arange(J.shape[0]))
+
+    @pytest.mark.parametrize("newton_matrix", [_micp_newton_matrix, _co2_newton_matrix],
+                             ids=["micp", "co2"])
+    def test_order_and_structure_computed_once_per_system(self, newton_matrix, monkeypatch):
+        calls = []
+        structure, ilu = AssemblyData._block_structure, stepping.spilu
+        monkeypatch.setattr(AssemblyData, "_block_structure",
+                            lambda data, *args: calls.append(args) or structure(data, *args))
+        monkeypatch.setattr(stepping, "spilu",
+                            lambda *args, **kw: calls.append("spilu") or ilu(*args, **kw))
+        rng = np.random.default_rng(1)
+        sys, J = newton_matrix(_square_grid(5), rng)
+        for _ in range(2):
+            blocks = [rng.standard_normal((count, sys.nvar, sys.nvar))
+                      for count in (sys.n, sys.fa.size, sys.fa.size)]
+            sys.jacobian(*blocks)
+        # the full pattern once for the order, the declared one once in that order
+        assert calls[0] == () and calls[1] == "spilu"
+        assert len(calls) == 3
+        assert all(a is b for a, b in zip(calls[2], (sys.order, sys.cell_pattern,
+                                                      sys.face_pattern), strict=True))
 
 
 def _scripted_step(fails_at=(), iterations=1, factorizations=1):
