@@ -56,12 +56,12 @@ from .schedule import (
     builtin_schedule,
     control_at,
 )
-from .stepping import OutputHooks, SolverSettings
+from .stepping import Ledger, OutputHooks, SolverSettings
 from .vtkio import read_snapshot_field, write_snapshot, write_timeseries
 
 __all__ = [
     "CellChemState", "Co2Report", "DomainSpec", "Grid", "KineticParams",
-    "LeakSpec", "MicpState", "MicpSystem", "OutputHooks", "Period",
+    "LeakSpec", "Ledger", "MicpState", "MicpSystem", "OutputHooks", "Period",
     "ReactionRates", "Region", "ReservoirSpec", "RockLaw", "RunReport",
     "Schedule", "SimulationConfig", "SlugType", "SolverSettings",
     "TwoPhaseParams", "TwoPhaseState", "TwoPhaseSystem", "WellControl",

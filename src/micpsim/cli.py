@@ -148,7 +148,7 @@ def _treat(cfg: SimulationConfig, grid: Grid, out_dir: Path) -> RunReport:
         worst = max(worst, L.relative_closure_error)
         print(f"ledger {name}: injected={L.injected:.6e} kg "
               f"produced={L.produced:.6e} kg reacted={L.reacted:.6e} kg "
-              f"in-place={L.final_mass - L.initial_mass:+.6e} kg "
+              f"in-place={L.final - L.initial:+.6e} kg "
               f"closure={L.relative_closure_error:.3e}")
     clamp_total = sum(report.clamped.values())
     print(f"ledger closure worst: {worst:.3e} relative; "
@@ -179,10 +179,10 @@ def _assess(cfg: SimulationConfig, grid: Grid, out_dir: Path, perm, poro,
     if "vtk" in cfg.outputs.formats:
         write_snapshot(grid, fields(report.state), report.t,
                        out_dir / f"co2_final_{label}.vtk")
-    print(f"co2 assessment ({label}): injected={report.injected_volume:.6e} m^3 "
-          f"produced={report.produced_volume:.6e} m^3 "
-          f"in-place={report.in_place_volume:.6e} m^3 "
-          f"closure={report.volume_closure_error:.3e}")
+    L = report.volume
+    print(f"co2 assessment ({label}): injected={L.injected:.6e} m^3 "
+          f"produced={L.produced:.6e} m^3 in-place={L.final:.6e} m^3 "
+          f"closure={L.relative_closure_error:.3e}")
     print(f"peak normalized leakage flux: {report.peak_flux:.6g} "
           f"({report.steps} steps, {report.newton_iterations} Newton iterations, "
           f"{report.factorizations} factorizations, {report.dt_failures} dt cuts, "

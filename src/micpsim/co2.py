@@ -67,6 +67,7 @@ from .stepping import (
     AssemblyData,
     Carry,
     CellState,
+    Ledger,
     MarchReport,
     OrderedLU,
     OutputHooks,
@@ -202,8 +203,8 @@ def solve_twophase_step(sys: TwoPhaseSystem, state_old: TwoPhaseState,
     (``state_old`` if None) with the factorization it takes out of
     ``carry``, where it leaves its last one.
     """
-    if not dt > 0.0:
-        raise DomainError("dt must be > 0")
+    if not 0.0 < dt < np.inf:  # NaN fails too
+        raise DomainError("dt must be > 0 and finite")
     settings.validate()
     escale = np.repeat(sys.phi * sys.V / dt, NV2)  # pin row: |p_0 - p_pin| / 1e5 Pa
 
@@ -260,19 +261,11 @@ def leak_plane(sys: TwoPhaseSystem, plane_z: float) -> np.ndarray:
 
 @dataclass(kw_only=True)
 class Co2Report(MarchReport):
-    """The assessment's run report with its leak-flux series and volume balance."""
+    """The assessment's run report with its leak-flux series and the
+    :class:`Ledger` of the CO2 volume, in m^3 (``reacted`` = 0)."""
 
     series: list  # (t, normalized upward leak flux)
-    injected_volume: float
-    produced_volume: float
-    in_place_volume: float  # at the end
-    initial_volume: float  # in place at the start
-
-    @property
-    def volume_closure_error(self) -> float:
-        scale = max(self.injected_volume, self.in_place_volume, self.initial_volume, 1e-30)
-        return abs(self.injected_volume - self.produced_volume
-                   - (self.in_place_volume - self.initial_volume)) / scale
+    volume: Ledger
 
     @property
     def peak_flux(self) -> float:
@@ -290,10 +283,13 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
     the (t, normalized flux) series sampled at every accepted step. A
     given plane that cuts no leak-tagged face raises GeometryError; the
     default one leaves the series empty there. An ``initial_state``
-    refused by :meth:`TwoPhaseSystem.check_state` raises DomainError
-    before the first step.
+    refused by :meth:`TwoPhaseSystem.check_state`, or a negative or
+    non-finite ``rate``, raises DomainError before the first step.
     """
     sys = TwoPhaseSystem(grid, perm_field, params, poro_field)
+    if not 0.0 <= rate < np.inf:  # NaN fails too
+        raise DomainError(f"injection period (0, {duration}] s: the well rate "
+                          "must be >= 0 and finite")
     sys.check_injection(rate)
     plane_given = plane_z is not None
     if plane_z is None:
@@ -328,9 +324,8 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
             info["leak_flux"] = flux
         return info
 
-    initial = float(np.sum(sys.phi * state.s * sys.V))
     run = march(state, [(duration, rate)], settings, step, accept, sinks, _extrapolate)
-    in_place = float(np.sum(sys.phi * run.state.s * sys.V))
-    return Co2Report(**vars(run), series=series, injected_volume=rate * run.t,
-                     produced_volume=produced, in_place_volume=in_place,
-                     initial_volume=initial)
+    volume = Ledger(injected=rate * run.t, produced=produced,
+                    initial=float(np.sum(sys.phi * state.s * sys.V)),
+                    final=float(np.sum(sys.phi * run.state.s * sys.V)))
+    return Co2Report(**vars(run), series=series, volume=volume)

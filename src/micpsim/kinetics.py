@@ -47,6 +47,12 @@ DETACHMENT_EXPONENT = 0.58
 _EPS = 1e-12
 
 
+def _finite_nonnegative(x) -> bool:
+    """Whether every entry of x is finite and >= 0; NaN fails."""
+    x = np.asarray(x)
+    return bool(np.all((x >= 0.0) & (x < np.inf)))
+
+
 @dataclass(frozen=True)
 class CellChemState:
     """Chemical state of one cell (or arrays of cells)."""
@@ -59,8 +65,8 @@ class CellChemState:
 
     def validate(self, rock: RockLaw) -> None:
         for name in ("c_m", "c_o", "c_u", "phi_b", "phi_c"):
-            if np.any(np.asarray(getattr(self, name)) < 0.0):
-                raise InvariantError(f"CellChemState.{name} must be >= 0")
+            if not _finite_nonnegative(getattr(self, name)):
+                raise InvariantError(f"CellChemState.{name} must be >= 0 and finite")
         if np.any(np.asarray(self.phi_b) + np.asarray(self.phi_c) > rock.phi0 * (1.0 + _EPS)):
             raise InvariantError("phi_b + phi_c exceeds the initial porosity phi0")
 
@@ -80,10 +86,7 @@ def effective_porosity(rock: RockLaw, phi_b, phi_c):
     """Porosity left after biofilm and calcite filled part of the pores."""
     phi_b = np.asarray(phi_b, dtype=float)
     phi_c = np.asarray(phi_c, dtype=float)
-    if np.any(phi_b < 0.0) or np.any(phi_c < 0.0):
-        raise InvariantError("volume fractions must be >= 0")
-    if np.any(phi_b + phi_c > rock.phi0 * (1.0 + _EPS)):
-        raise InvariantError("phi_b + phi_c exceeds phi0")
+    CellChemState(phi_b=phi_b, phi_c=phi_c).validate(rock)
     phi = rock.phi0 - phi_b - phi_c
     return np.maximum(phi, 0.0)[()]
 
@@ -95,7 +98,7 @@ def permeability(rock: RockLaw, phi, K0=None):
     initial field for heterogeneous grids (leak vs. aquifer).
     """
     phi = np.asarray(phi, dtype=float)
-    if np.any(phi < -_EPS) or np.any(phi > rock.phi0 * (1.0 + _EPS)):
+    if not np.all((phi >= -_EPS) & (phi <= rock.phi0 * (1.0 + _EPS))):  # NaN fails too
         raise DomainError("phi outside [0, phi0]")
     K0 = rock.K0 if K0 is None else np.asarray(K0, dtype=float)
     return _permeability(rock, phi, K0)[()]
@@ -112,9 +115,9 @@ def _permeability(rock: RockLaw, phi, K0):
 def monod(c, k_half):
     """Saturation factor c/(k_half + c) in [0, 1)."""
     c = np.asarray(c, dtype=float)
-    if np.any(c < 0.0):
-        raise DomainError("concentration must be >= 0")
-    if np.any(np.asarray(k_half) <= 0.0):
+    if not _finite_nonnegative(c):
+        raise DomainError("concentration must be >= 0 and finite")
+    if not np.all(np.asarray(k_half) > 0.0):  # NaN fails too
         raise DomainError("half-velocity coefficient must be > 0")
     return (c / (k_half + c))[()]
 
@@ -126,8 +129,8 @@ def reaction_rates(state: CellChemState, params: KineticParams, rock: RockLaw,
     ``shear_norm`` is ||grad p_w - rho_w g|| in Pa/m, evaluated at the cell.
     """
     state.validate(rock)
-    if np.any(np.asarray(shear_norm) < 0.0):
-        raise DomainError("shear_norm must be >= 0")
+    if not _finite_nonnegative(shear_norm):
+        raise DomainError("shear_norm must be >= 0 and finite")
     if np.any(np.asarray(state.phi_c) >= rock.phi0):
         raise DomainError("phi_c >= phi0 makes the calcite conversion term singular")
     r = _rates(np.asarray(state.c_m, dtype=float), np.asarray(state.c_o, dtype=float),
@@ -220,8 +223,8 @@ def batch_oracle(initial: CellChemState, params: KineticParams, rock: RockLaw,
     default parameters). ``shear_norm`` is held constant, which is exact
     for a closed cell with no flow (0) and lets tests exercise detachment.
     """
-    if duration < 0.0 or dt_fine <= 0.0:
-        raise DomainError("duration must be >= 0 and dt_fine > 0")
+    if not (0.0 <= duration < np.inf and 0.0 < dt_fine < np.inf):  # NaN fails too
+        raise DomainError("duration must be >= 0 and dt_fine > 0, both finite")
     initial.validate(rock)
 
     rates = _oracle_rate_law(params, rock, shear_norm)

@@ -87,10 +87,11 @@ from .errors import DomainError, InvariantError
 from .grid import Grid, hydrostatic_pressure, transmissibilities
 from .kinetics import CellChemState, _permeability, _rate_jacobian, _rates, permeability
 from .params import KineticParams, RockLaw
-from .schedule import Schedule, WellControl, control_at
+from .schedule import Schedule, WellControl, control_at, well_problems
 from .stepping import (
     AssemblyData,
     CellState,
+    Ledger,
     MarchReport,
     OrderedLU,
     OutputHooks,
@@ -325,8 +326,8 @@ def assemble_residual(sys: MicpSystem, state_new: MicpState, state_old: MicpStat
     The Jacobian has unknown v of cell i in row and column 6 i + v, as
     the residual.
     """
-    if not dt > 0.0:
-        raise DomainError("dt must be > 0")
+    if not 0.0 < dt < np.inf:  # NaN fails too
+        raise DomainError("dt must be > 0 and finite")
     x = state_new.to_vector()
     resid, aux = _eval_system(sys, x, state_old, dt, control)
     return resid, sys.in_natural_order(_jacobian_system(sys, x, dt, aux))
@@ -349,8 +350,8 @@ def solve_timestep(sys: MicpSystem, state_old: MicpState, dt: float,
     [0, phi0] with phi_b + phi_c <= phi0. ``conc_scales`` defaults to
     ``sys.conc_scales`` of state_old and control.
     """
-    if not dt > 0.0:
-        raise DomainError("dt must be > 0")
+    if not 0.0 < dt < np.inf:  # NaN fails too
+        raise DomainError("dt must be > 0 and finite")
     settings.validate()
     if conc_scales is None:
         conc_scales = sys.conc_scales(state_old, [control])
@@ -373,29 +374,10 @@ def solve_timestep(sys: MicpSystem, state_old: MicpState, dt: float,
     return state, res
 
 
-@dataclass
-class SpeciesLedger:
-    injected: float = 0.0
-    produced: float = 0.0
-    reacted: float = 0.0
-    initial_mass: float = 0.0
-    final_mass: float = 0.0
-
-    @property
-    def closure_error(self) -> float:
-        return (self.final_mass - self.initial_mass
-                - self.injected + self.produced - self.reacted)
-
-    @property
-    def relative_closure_error(self) -> float:
-        scale = max(abs(self.injected), abs(self.initial_mass),
-                    abs(self.final_mass), abs(self.reacted), 1e-30)
-        return abs(self.closure_error) / scale
-
-
 @dataclass(kw_only=True)
 class RunReport(MarchReport):
-    """The treatment's run report with its species ledgers and clamped mass."""
+    """The treatment's run report with its clamped mass and one :class:`Ledger`
+    per solute, in kg."""
 
     species: dict
     clamped: dict
@@ -425,19 +407,22 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
     Adaptive stepping never crosses a period boundary; on Newton failure
     the step is retried with dt * dt_cut until dt_min, then a
     ConvergenceError carrying the last good state is raised. An
-    ``initial_state`` refused by :meth:`MicpSystem.check_state` raises
-    DomainError before the first step.
+    ``initial_state`` refused by :meth:`MicpSystem.check_state`, or a
+    period with a negative or non-finite well rate or injected
+    concentration, raises DomainError before the first step.
     """
     sys = MicpSystem(grid, params, rock)
     state = (initial_state.copy() if initial_state is not None
              else make_initial_state(grid, params))
     sys.check_state(state)
-    sys.check_injection(max((p.rate for p in schedule.periods), default=0.0))
+    for i, p in enumerate(schedule.periods):
+        if problems := well_problems(i, p):
+            raise DomainError("; ".join(problems))
+        sys.check_injection(p.rate)
     controls = [control_at(schedule, p.end_time) for p in schedule.periods]
     conc_scales = sys.conc_scales(state, controls)
 
-    ledgers = {name: SpeciesLedger(**{"initial_mass": m})
-               for name, m in _solute_mass(sys, state).items()}
+    ledgers = {name: Ledger(initial=m) for name, m in _solute_mass(sys, state).items()}
     clamped = {k: 0.0 for k in ("m", "o", "u", "b", "c")}
     water_in = 0.0
 
@@ -466,8 +451,7 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
 
     intervals = [(p.end_time, c) for p, c in zip(schedule.periods, controls)]
     run = march(state, intervals, settings, step, accept, sinks)
-    final_mass = _solute_mass(sys, run.state)
-    for name in SPECIES:
-        ledgers[name].final_mass = final_mass[name]
+    for name, m in _solute_mass(sys, run.state).items():
+        ledgers[name].final = m
     return RunReport(**vars(run), species=ledgers, clamped=clamped,
                      water_injected=water_in)

@@ -22,6 +22,7 @@ oxygen, 300 kg/m^3 urea.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,6 +121,16 @@ def control_at(schedule: Schedule, t: float) -> WellControl:
     raise DomainError(f"t = {t} s not covered by any period")  # pragma: no cover
 
 
+def well_problems(i: int, p: Period) -> list[str]:
+    """What is wrong with period i's well rate and injected concentrations,
+    each of which must be finite and >= 0 (NaN fails)."""
+    return [f"period {i}: {what}" for holds, what in (
+        (0.0 <= p.rate < math.inf, "negative or non-finite rate"),
+        (all(0.0 <= c < math.inf for c in (p.c_m, p.c_o, p.c_u)),
+         "negative or non-finite injected concentration"),
+    ) if not holds]
+
+
 def validate(schedule: Schedule) -> list[str]:
     """Collect invariant violations; an empty list means the schedule is ok."""
     problems: list[str] = []
@@ -127,14 +138,11 @@ def validate(schedule: Schedule) -> list[str]:
         return ["schedule has no periods"]
     prev = 0.0
     for i, p in enumerate(schedule.periods):
-        if p.end_time <= prev:
+        if not p.end_time > prev:  # NaN fails too
             problems.append(f"period {i}: non-monotone times "
                             f"({p.end_time} s after {prev} s)")
         prev = p.end_time
-        if p.rate < 0.0:
-            problems.append(f"period {i}: negative rate")
-        if min(p.c_m, p.c_o, p.c_u) < 0.0:
-            problems.append(f"period {i}: negative injected concentration")
+        problems += well_problems(i, p)
         if p.label is SlugType.NO_FLOW and p.rate != 0.0:
             problems.append(f"period {i}: no-flow period with nonzero rate")
         if p.label is SlugType.MICROBIAL and not (p.c_m > 0.0 and p.c_u == 0.0):

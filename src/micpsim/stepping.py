@@ -20,7 +20,8 @@ Newton loop (:func:`newton`) and adaptive stepping with snapshots and
 diagnostics (:func:`march`), which alone keeps what passes from step to
 step: the predictor's last two states and the carried factorization.
 :func:`march` returns the run report (:class:`MarchReport`) that both
-solvers' reports extend with their own results.
+solvers' reports extend with their own results, among them the balance
+of each conserved quantity (:class:`Ledger`).
 """
 
 from __future__ import annotations
@@ -437,13 +438,37 @@ class MarchReport:
     wall_time: float = 0.0  # s from entering march to its return
 
 
+@dataclass
+class Ledger:
+    """A run's balance of one conserved quantity: what the well injected,
+    the open boundary produced and the reactions made, and what was in
+    place at the start (``initial``) and at the end (``final``)."""
+
+    injected: float = 0.0
+    produced: float = 0.0
+    reacted: float = 0.0
+    initial: float = 0.0
+    final: float = 0.0
+
+    @property
+    def closure_error(self) -> float:
+        return self.final - self.initial - self.injected + self.produced - self.reacted
+
+    @property
+    def relative_closure_error(self) -> float:
+        scale = max(abs(self.injected), abs(self.initial), abs(self.final),
+                    abs(self.reacted), 1e-30)
+        return abs(self.closure_error) / scale
+
+
 def march(state, intervals, settings: SolverSettings, step, accept,
           sinks: OutputHooks | None = None, predict=None) -> MarchReport:
     """Advance ``state`` from t = 0 across consecutive intervals.
 
     ``intervals`` lists (t_end, ctx) pairs, ctx being the interval's well
-    control or rate; an end before 0 or before the previous end raises
-    DomainError before the first step (equal ends are empty intervals).
+    control or rate; an end before 0, before the previous end or not
+    finite raises DomainError before the first step (equal ends are empty
+    intervals).
     Each interval starts at dt_init and ends exactly on t_end.
 
     ``step(state, dt, ctx, guess, carry)`` returns (new_state, report), the
@@ -475,8 +500,9 @@ def march(state, intervals, settings: SolverSettings, step, accept,
         raise DomainError("snapshot_cadence must be >= 0")
     intervals = list(intervals)
     ends = [0.0] + [t_end for t_end, _ in intervals]
-    if not all(b >= a for a, b in zip(ends, ends[1:])):  # NaN fails too
-        raise DomainError(f"interval ends must not decrease from t = 0: {ends[1:]}")
+    if not all(a <= b < math.inf for a, b in zip(ends, ends[1:])):  # NaN fails too
+        raise DomainError(f"interval ends must be finite and not decrease from t = 0: "
+                          f"{ends[1:]}")
     run = MarchReport(state)
     prev = dt_prev = None  # the accepted state before run.state, the dt between
     carry = Carry()

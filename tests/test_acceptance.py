@@ -212,8 +212,8 @@ class TestCriterion6Example3Sealing:
 class TestCriterion7TwoPhaseSanity:
     def test_volume_balance_and_bounds(self, ex3_results):
         _, _, _, untreated, treated, _ = ex3_results
-        assert untreated.volume_closure_error < 1e-6
-        assert treated.volume_closure_error < 1e-6
+        assert untreated.volume.relative_closure_error < 1e-6
+        assert treated.volume.relative_closure_error < 1e-6
         for rep in (untreated, treated):
             assert np.all(rep.state.s >= 0.0)
             assert np.all(rep.state.s <= 1.0)

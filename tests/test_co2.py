@@ -245,7 +245,7 @@ class TestFrontPosition:
         crossing = np.interp(0.5, s[::-1], x[::-1])
         expected = rate * T / (ROCK.phi0 * 1.0)
         assert abs(crossing - expected) / expected < 0.05
-        assert rep.volume_closure_error < 1e-6
+        assert rep.volume.relative_closure_error < 1e-6
 
 
 class TestBuoyancy:
@@ -352,7 +352,13 @@ class TestSimulateCo2:
         grid = conduit_grid()
         rep = simulate_co2(grid, grid.perm0, 1e-5, 0.0, SolverSettings(), TP)
         assert rep.series == []
-        assert rep.injected_volume == 0.0
+        assert rep.volume.injected == 0.0
+
+    @pytest.mark.parametrize("rate", [-1e-5, np.nan, np.inf])
+    def test_bad_rate_raises_before_the_first_step(self, rate):
+        grid = conduit_grid()
+        with pytest.raises(DomainError, match="injection period .* well rate"):
+            simulate_co2(grid, grid.perm0, rate, 3600.0, SolverSettings(), TP)
 
     def test_negative_duration_raises(self):
         grid = conduit_grid()
@@ -420,7 +426,7 @@ class TestSimulateCo2:
         assert first.state.s.max() > 0.0
         again = simulate_co2(grid, grid.perm0, 1e-4, 6 * 3600.0, SolverSettings(), TP,
                              initial_state=first.state)
-        assert again.steps > 0 and again.in_place_volume > first.in_place_volume
+        assert again.steps > 0 and again.volume.final > first.volume.final
 
     def test_jacobian_pass_runs_once_per_factorization(self, monkeypatch):
         """Newton builds a Jacobian only for an iterate it factors, never the
@@ -459,9 +465,9 @@ class TestSimulateCo2:
         start.s[:10] = 0.3
         rep = simulate_co2(grid, grid.perm0, rate, 86400.0, SolverSettings(), TP,
                            initial_state=start)
-        assert rep.initial_volume == pytest.approx(10 * 0.3 * cfg.rock.phi0, rel=1e-12)
-        assert rep.in_place_volume > 0.0
-        assert rep.volume_closure_error < 1e-9
+        assert rep.volume.initial == pytest.approx(10 * 0.3 * cfg.rock.phi0, rel=1e-12)
+        assert rep.volume.final > 0.0
+        assert rep.volume.relative_closure_error < 1e-9
 
     def test_datum_shifts_the_pressure_and_nothing_else(self):
         runs = []
@@ -482,8 +488,8 @@ class TestSimulateCo2:
         grid = line_grid(nx=40)
         settings = SolverSettings(newton_rel_tol=1e-10)
         rep = simulate_co2(grid, grid.perm0, 2.31e-4, 40000.0, settings, TP)
-        assert rep.volume_closure_error < 1e-6
-        assert rep.produced_volume >= 0.0
+        assert rep.volume.relative_closure_error < 1e-6
+        assert rep.volume.produced >= 0.0
 
     def test_monotone_treatment_response(self):
         # a pointwise-lower permeability field must not leak more

@@ -62,7 +62,7 @@ def test_urea_tracer_conserved_and_front_at_plug_flow():
     urea = rep.species["u"]
     assert urea.reacted == 0.0
     assert urea.produced < 1e-12 * urea.injected  # upwind diffusion's far tail
-    assert urea.final_mass == pytest.approx(Q_EX1 * t * c_inj, rel=1e-12)
+    assert urea.final == pytest.approx(Q_EX1 * t * c_inj, rel=1e-12)
     c, x = rep.state.c_u, grid.centers[:, 0]
     i = np.flatnonzero(c < 0.5 * c_inj)[0]  # first cell past the front
     front = x[i - 1] + (c[i - 1] - 0.5 * c_inj) / (c[i - 1] - c[i]) * (x[i] - x[i - 1])

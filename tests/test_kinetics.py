@@ -49,6 +49,13 @@ class TestEffectivePorosity:
         with pytest.raises(InvariantError):
             effective_porosity(ROCK, 0.1, 0.1)
 
+    @pytest.mark.parametrize("phi_b, phi_c", [
+        (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (-0.01, 0.0),
+        (np.array([0.01, np.nan]), 0.0)])
+    def test_invalid_fraction_raises(self, phi_b, phi_c):
+        with pytest.raises(InvariantError, match="must be >= 0 and finite"):
+            effective_porosity(ROCK, phi_b, phi_c)
+
 
 class TestPermeability:
     def test_clean_rock_is_exactly_k0(self):
@@ -83,6 +90,11 @@ class TestPermeability:
         with pytest.raises(DomainError):
             permeability(ROCK, -0.01)
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf, np.array([0.12, np.nan])])
+    def test_non_finite_raises(self, phi):
+        with pytest.raises(DomainError, match="phi outside"):
+            permeability(ROCK, phi)
+
     def test_complex_step_slope_matches_closed_form(self):
         # dK/dphi of the law written out, an independent reference
         span = ROCK.phi0 - ROCK.phi_crit
@@ -112,6 +124,13 @@ class TestMonod:
     def test_negative_raises(self):
         with pytest.raises(DomainError):
             monod(-1.0, 1.0)
+
+    @pytest.mark.parametrize("c, k_half, message", [
+        (np.nan, 1.0, "concentration"), (np.inf, 1.0, "concentration"),
+        (np.array([1.0, np.nan]), 1.0, "concentration"), (1.0, np.nan, "half-velocity")])
+    def test_non_finite_raises(self, c, k_half, message):
+        with pytest.raises(DomainError, match=message):
+            monod(c, k_half)
 
 
 class TestReactionRates:
@@ -152,6 +171,16 @@ class TestReactionRates:
     def test_singular_calcite_guarded(self):
         with pytest.raises(DomainError):
             reaction_rates(CellChemState(phi_c=0.15), PARAMS, ROCK)
+
+    @pytest.mark.parametrize("state, shear, error", [
+        (CellChemState(c_m=np.nan), 0.0, InvariantError),
+        (CellChemState(c_u=np.inf), 0.0, InvariantError),
+        (CellChemState(phi_b=np.array([0.01, np.nan])), 0.0, InvariantError),
+        (CellChemState(), np.nan, DomainError),
+        (CellChemState(), np.inf, DomainError)])
+    def test_non_finite_raises(self, state, shear, error):
+        with pytest.raises(error, match="must be >= 0 and finite"):
+            reaction_rates(state, PARAMS, ROCK, shear_norm=shear)
 
     @given(valid_states(), st.floats(0.0, 1e7))
     @settings(max_examples=200)
@@ -229,6 +258,13 @@ class TestRateJacobian:
 
 
 class TestBatchOracle:
+    @pytest.mark.parametrize("duration, dt_fine", [
+        (np.inf, 1.0), (np.nan, 1.0), (10.0, np.inf), (10.0, np.nan), (-1.0, 1.0),
+        (10.0, 0.0)])
+    def test_bad_times_raise(self, duration, dt_fine):
+        with pytest.raises(DomainError, match="duration must be >= 0"):
+            batch_oracle(CellChemState(), PARAMS, ROCK, duration, dt_fine)
+
     def test_zero_duration_is_identity(self):
         state = CellChemState(c_m=0.01, c_u=4.0, phi_b=0.02)
         out = batch_oracle(state, PARAMS, ROCK, 0.0, 1.0)

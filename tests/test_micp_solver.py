@@ -375,6 +375,17 @@ class TestSimulateMicp:
         assert np.all(report.state.phi_c == 0.0)
         assert all(L.injected == 0.0 for L in report.species.values())
 
+    @pytest.mark.parametrize("field, value", [
+        ("rate", -2.31e-5), ("rate", np.nan), ("rate", np.inf), ("c_m", -0.01),
+        ("c_m", np.nan)])
+    def test_bad_period_raises_before_the_first_step(self, field, value):
+        # a negative rate withdrew through the well and a NaN one failed
+        # every step down to dt_min
+        period = replace(builtin_schedule("ex1").periods[0], **{field: value})
+        with pytest.raises(DomainError, match="period 0: negative or non-finite"):
+            simulate_micp(example1_grid(), Schedule(periods=(period,)), PARAMS, ROCK,
+                          SolverSettings())
+
     def test_example1_quick_run(self):
         grid = example1_grid(nx=25)
         schedule = builtin_schedule("ex1")

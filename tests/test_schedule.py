@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +130,17 @@ class TestValidate:
 
     def test_empty(self):
         assert validate(Schedule(periods=())) == ["schedule has no periods"]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rate", math.nan, "negative or non-finite rate"),
+        ("rate", math.inf, "negative or non-finite rate"),
+        ("rate", -1e-5, "negative or non-finite rate"),
+        ("c_m", math.nan, "non-finite injected concentration"),
+        ("c_u", math.inf, "non-finite injected concentration"),
+        ("end_time", math.nan, "non-monotone"),
+    ])
+    def test_bad_period_value(self, field, value, message):
+        periods = list(builtin_schedule("ex2").periods)
+        periods[0] = replace(periods[0], **{field: value})
+        problems = validate(Schedule(periods=tuple(periods)))
+        assert any(p.startswith("period 0") and message in p for p in problems), problems

@@ -657,7 +657,8 @@ class TestMarch:
 
     @pytest.mark.parametrize("intervals", [
         [(-3600.0, None)], [(10.0, "a"), (5.0, "b")], [(float("nan"), None)],
-    ], ids=["before_zero", "decreasing", "nan"])
+        [(10.0, "a"), (float("inf"), "b")],
+    ], ids=["before_zero", "decreasing", "nan", "infinite"])
     def test_time_running_backwards_rejected_before_a_step(self, intervals):
         def step(state, dt, ctx, guess, carry):
             raise AssertionError("march stepped on intervals that run backwards")
@@ -723,21 +724,21 @@ class TestMarch:
         assert all(guess is None for guess, _ in handed)
 
 
-def _micp_step(settings, sides=("x+",), rate=1e-5):
-    """One 600 s micp step with well rate ``rate`` (m^3/s) in _line(sides)."""
+def _micp_step(settings, sides=("x+",), rate=1e-5, dt=600.0):
+    """One micp step of dt s with well rate ``rate`` (m^3/s) in _line(sides)."""
     grid = _line(sides).grid
     params = KineticParams()
     state = micp.make_initial_state(grid, params)
-    return micp.solve_timestep(micp.MicpSystem(grid, params, RockLaw()), state, 600.0,
+    return micp.solve_timestep(micp.MicpSystem(grid, params, RockLaw()), state, dt,
                                WellControl(rate=rate), settings)
 
 
-def _co2_step(settings, sides=("x+",), rate=1e-5):
-    """One 600 s co2 step with well rate ``rate`` (m^3/s) in _line(sides)."""
+def _co2_step(settings, sides=("x+",), rate=1e-5, dt=600.0):
+    """One co2 step of dt s with well rate ``rate`` (m^3/s) in _line(sides)."""
     grid = _line(sides).grid
     state = co2.make_initial_twophase_state(grid, TwoPhaseParams())
     return co2.solve_twophase_step(co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams()),
-                                   state, 600.0, rate, settings)
+                                   state, dt, rate, settings)
 
 
 class TestStepSettings:
@@ -754,6 +755,13 @@ class TestStepSettings:
     def test_invalid_settings_raise(self, step, bad, message):
         with pytest.raises(DomainError, match=message):
             step(SolverSettings(**bad))
+
+    @pytest.mark.parametrize("step", [_micp_step, _co2_step], ids=["micp", "co2"])
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_invalid_dt_raises(self, step, dt):
+        # an infinite dt would zero every error scale of Newton's norm
+        with pytest.raises(DomainError, match="dt must be > 0 and finite"):
+            step(SolverSettings(), dt=dt)
 
 
 def _closed_column():
@@ -797,3 +805,16 @@ class TestStepWell:
         # with no open boundary nothing can replace the withdrawn fluid
         with pytest.raises(DomainError, match="no open boundary"):
             step(SolverSettings(), sides=(), rate=-1e-5)
+
+
+class TestLedger:
+    def test_closure_books_every_term_once(self):
+        ledger = stepping.Ledger(injected=3.0, produced=1.0, reacted=-0.5,
+                                 initial=2.0, final=3.5)
+        assert ledger.closure_error == 0.0
+        ledger.final = 3.0
+        assert ledger.closure_error == -0.5
+        assert ledger.relative_closure_error == 0.5 / 3.0  # of the largest term
+
+    def test_empty_ledger_closes(self):
+        assert stepping.Ledger().relative_closure_error == 0.0
