@@ -12,7 +12,14 @@ solver: TPFA, backward Euler, analytic Jacobian, constant-pressure
 hydrostatic boundary faces to ghost cells that hold the water column at
 rest beyond them (p_bdry - rho_w g z with the reservoir's datum p_bdry,
 s = 0; :func:`micpsim.grid.hydrostatic_pressure`), pressure pin of a
-closed domain at cell 0's pressure in that column. Newton, Jacobian
+closed domain at cell 0's pressure in that column. What each equation
+conserves, the water and the CO2 volume phi (1 - s) and phi s per bulk
+volume, is written once (:meth:`TwoPhaseSystem.accumulation`): the storage
+term, its block of the Newton matrix, the exact complex-step derivative,
+and the volume ledger's amounts in place all read it
+(:meth:`micpsim.stepping.AssemblyData.storage`,
+:meth:`micpsim.stepping.AssemblyData.storage_jacobian`,
+:meth:`micpsim.stepping.AssemblyData.in_place`). Newton, Jacobian
 assembly and adaptive stepping are the shared machinery of
 :mod:`micpsim.stepping`; the transmissibilities and potential
 differences are the reactive solver's too
@@ -119,6 +126,12 @@ class TwoPhaseSystem(AssemblyData):
         """LU of the Newton matrix J, built in the system's factor order."""
         return OrderedLU(splu, J, self.order)
 
+    def accumulation(self, unknowns):
+        """(phi (1 - s), phi s): the water and the CO2 volume per bulk volume
+        (:meth:`micpsim.stepping.AssemblyData.accumulation`)."""
+        _, s = unknowns
+        return np.array((self.phi * (1.0 - s), self.phi * s))
+
     def check_state(self, state: TwoPhaseState):
         """Refuse also a saturation outside [0, 1]."""
         super().check_state(state)
@@ -142,9 +155,7 @@ def _phase_flux(sys, dpot, sat, mu):
 def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate):
     """Residual at x, and the aux of the CO2 flux and the Jacobian's inputs."""
     pr = sys.params
-    n = sys.n
-    p, s = x.reshape(n, NV2).T  # views, in the order JP, JS
-    V = sys.V
+    p, s = x.reshape(sys.n, NV2).T  # views, in the order JP, JS
 
     # beyond the boundary a water column at rest
     p_all = sys.with_ghosts(p, sys.p_ghost)
@@ -158,9 +169,8 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate):
 
     fluxes = np.stack((Fw, Fc), axis=1)  # one column per equation: JP water, JS CO2
     div = sys.face_sums(fluxes, fluxes)
-    resid = np.zeros(NV2 * n, dtype=x.dtype)
-    resid[JP::NV2] = -sys.phi * (s - old.s) * V / dt + div[:, JP]
-    resid[JS::NV2] = sys.phi * (s - old.s) * V / dt + div[:, JS] - q_c
+    resid = (sys.storage(x, old, dt) + div).ravel()
+    resid[JS::NV2] -= q_c
 
     pin_scale = sys.pin_pressure(resid, p[0], sys.phi, dt)
 
@@ -173,9 +183,7 @@ def _eval_twophase(sys, x, old: TwoPhaseState, dt, rate):
 def _jacobian_twophase(sys, x, dt, aux):
     """Newton matrix at x from :func:`_eval_twophase`'s aux there, in factor order."""
     pr = sys.params
-    cell = np.zeros((sys.n, NV2, NV2))
-    cell[:, JP, JS] = -sys.phi * sys.V / dt
-    cell[:, JS, JS] = sys.phi * sys.V / dt
+    cell = sys.storage_jacobian(x, dt)
 
     s_all = sys.with_ghosts(x[JS::NV2], 0.0)
     in_bounds = (s_all >= 0.0) & (s_all <= 1.0)
@@ -326,6 +334,6 @@ def simulate_co2(grid: Grid, perm_field, rate: float, duration: float,
 
     run = march(state, [(duration, rate)], settings, step, accept, sinks, _extrapolate)
     volume = Ledger(injected=rate * run.t, produced=produced,
-                    initial=float(np.sum(sys.phi * state.s * sys.V)),
-                    final=float(np.sum(sys.phi * run.state.s * sys.V)))
+                    initial=float(sys.in_place(state)[JS]),
+                    final=float(sys.in_place(run.state)[JS]))
     return Co2Report(**vars(run), series=series, volume=volume)

@@ -26,6 +26,14 @@ Within the bounds nothing changes; across them the residual is
 continuously differentiable, so Newton converges from out-of-bounds
 iterates instead of creeping along a flat clipped residual.
 
+What each equation conserves is written once, in
+:meth:`MicpSystem.accumulation`: (phi, c_m phi, c_o phi, c_u phi,
+rho_b phi_b, rho_c phi_c) per bulk volume. The storage terms above are its
+change times V/dt (:meth:`micpsim.stepping.AssemblyData.storage`), their
+block of the Newton matrix is its exact complex-step derivative
+(:meth:`micpsim.stepping.AssemblyData.storage_jacobian`), and the solute
+ledgers sum it over the cells (:meth:`micpsim.stepping.AssemblyData.in_place`).
+
 Each iterate is evaluated in two passes: :func:`_eval_system` gives the
 residual and an aux of its diagnostics and of the work the Jacobian
 reads, and :func:`_jacobian_system` builds the Newton matrix from that
@@ -87,7 +95,7 @@ from .errors import DomainError, InvariantError
 from .grid import Grid, hydrostatic_pressure, transmissibilities
 from .kinetics import CellChemState, _permeability, _rate_jacobian, _rates, permeability
 from .params import KineticParams, RockLaw
-from .schedule import Schedule, WellControl, control_at, well_problems
+from .schedule import Schedule, WellControl, well_problems
 from .stepping import (
     AssemblyData,
     CellState,
@@ -170,6 +178,15 @@ class MicpSystem(AssemblyData):
         """LU of the Newton matrix J, built in the system's factor order."""
         return OrderedLU(splu, J, self.order)
 
+    def accumulation(self, unknowns):
+        """(phi, c_m phi, c_o phi, c_u phi, rho_b phi_b, rho_c phi_c), phi = phi0 -
+        phi_b - phi_c: the water volume, the solutes' masses and the immobile
+        masses per bulk volume (:meth:`micpsim.stepping.AssemblyData.accumulation`)."""
+        _, m, o, u, b, c = unknowns
+        phi = self.phi0 - b - c
+        return np.array((phi, m * phi, o * phi, u * phi,
+                         self.params.rho_b * b, self.params.rho_c * c))
+
     def check_state(self, state: MicpState):
         """Refuse also negative solutes and phi_b + phi_c above phi0."""
         super().check_state(state)
@@ -200,11 +217,9 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl):
     grid = sys.grid
     p, m, o, u, b, c = x.reshape(n, NVAR).T  # views, in the order IP..IC
 
-    V = sys.V
     mu_w = sys.params.mu_w
 
     phi = sys.phi0 - b - c
-    phi_old = sys.phi0 - old.phi_b - old.phi_c
     phi_k = np.clip(phi, 0.0, sys.phi0)
     K_k = _permeability(sys.rock, phi_k + 1e-30j, sys.K0)  # complex step
     dK = K_k.imag / 1e-30
@@ -235,35 +250,29 @@ def _eval_system(sys: MicpSystem, x, old: MicpState, dt, control: WellControl):
         jac = _rate_jacobian(*clipped, shear, sys.params, sys.rock)
         for v in np.flatnonzero(np.any(past_clip, axis=1)):
             rates += jac[:, :, v].T * past_clip[v]
-    R_m, R_o, R_u, R_b, R_c = rates
 
     q = sys.well_source(control.rate)  # volumetric source, m^3/s per cell
 
     # face flux vectors w F, w = (1, c_up, 0, 0): water F and solute c_up F
-    solutes = ((IM, m, old.c_m, control.c_m, R_m), (IO, o, old.c_o, control.c_o, R_o),
-               (IU, u, old.c_u, control.c_u, R_u))
     w = np.zeros((F.size, NVAR))
     w[:, IP] = 1.0
-    for ivar, cv, *_ in solutes:
-        w[:, ivar] = sys.with_ghosts(cv, 0.0)[upw]
+    w[:, IM:IB] = sys.with_ghosts(x.reshape(n, NVAR)[:, IM:IB], 0.0)[upw]
     flux = w * F[:, None]
     div = sys.face_sums(flux, flux)
 
-    resid = np.zeros(NVAR * n)
-    resid[IP::NVAR] = (phi - phi_old) * V / dt + div[:, IP] - q
-    for ivar, cv, cv_old, c_inj, R in solutes:
-        resid[ivar::NVAR] = ((cv * phi - cv_old * phi_old) * V / dt
-                             + div[:, ivar] - c_inj * q - R * V)
-    resid[IB::NVAR] = sys.params.rho_b * (b - old.phi_b) * V / dt - R_b * V
-    resid[IC::NVAR] = sys.params.rho_c * (c - old.phi_c) * V / dt - R_c * V
+    # storage + outflow - the well's water and solutes - the reactions
+    resid = sys.storage(x, old, dt) + div - np.outer(
+        q, (1.0, control.c_m, control.c_o, control.c_u, 0.0, 0.0))
+    resid[:, IM:] -= rates.T * sys.V[:, None]
+    resid = resid.ravel()
 
     pin_scale = sys.pin_pressure(resid, p[0], sys.phi0, dt)
 
     return resid, {
         "F": F, "flux": flux, "shear": shear, "K": K,
-        "rates": {"m": R_m, "o": R_o, "u": R_u, "b": R_b, "c": R_c},
+        "rates": dict(zip((*SPECIES, "b", "c"), rates)),
         # what the Jacobian pass reads; the rate Jacobian if already taken
-        "phi": phi, "T": T, "dK": dK, "dpot": dpot, "w": w, "pin_scale": pin_scale,
+        "T": T, "dK": dK, "dpot": dpot, "w": w, "pin_scale": pin_scale,
         "clipped": clipped, "rate_jac": jac}
 
 
@@ -274,19 +283,12 @@ def _jacobian_system(sys: MicpSystem, x, dt, aux):
     already computed; the rate Jacobian is taken here unless the residual
     took it.
     """
-    n = sys.n
     V = sys.V
     mu_w = sys.params.mu_w
-    phi, T, F, dpot, w = aux["phi"], aux["T"], aux["F"], aux["dpot"], aux["w"]
+    T, F, dpot, w = aux["T"], aux["F"], aux["dpot"], aux["w"]
 
     # storage and reaction derivatives of each cell
-    cell = np.zeros((n, NVAR, NVAR))
-    cell[:, IP, IB] = cell[:, IP, IC] = -V / dt
-    for ivar in (IM, IO, IU):
-        cell[:, ivar, ivar] = phi * V / dt
-        cell[:, ivar, IB] = cell[:, ivar, IC] = -x[ivar::NVAR] * V / dt
-    cell[:, IB, IB] = sys.params.rho_b * V / dt
-    cell[:, IC, IC] = sys.params.rho_c * V / dt
+    cell = sys.storage_jacobian(x, dt)
     jac = aux["rate_jac"]
     if jac is None:
         jac = _rate_jacobian(*aux["clipped"], aux["shear"], sys.params, sys.rock)
@@ -392,12 +394,6 @@ class RunReport(MarchReport):
         return float(np.min(K[cells] / grid.perm0[cells]))
 
 
-def _solute_mass(sys: MicpSystem, state: MicpState) -> dict[str, float]:
-    phi = sys.phi0 - state.phi_b - state.phi_c
-    return {name: float(np.sum(getattr(state, f"c_{name}") * phi * sys.V))
-            for name in SPECIES}
-
-
 def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
                   rock: RockLaw, settings: SolverSettings,
                   sinks: OutputHooks | None = None,
@@ -419,10 +415,11 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
         if problems := well_problems(i, p):
             raise DomainError("; ".join(problems))
         sys.check_injection(p.rate)
-    controls = [control_at(schedule, p.end_time) for p in schedule.periods]
+    controls = [p.control for p in schedule.periods]
     conc_scales = sys.conc_scales(state, controls)
 
-    ledgers = {name: Ledger(initial=m) for name, m in _solute_mass(sys, state).items()}
+    ledgers = {name: Ledger(initial=float(m))
+               for name, m in zip(SPECIES, sys.in_place(state)[IM:IB])}
     clamped = {k: 0.0 for k in ("m", "o", "u", "b", "c")}
     water_in = 0.0
 
@@ -451,7 +448,7 @@ def simulate_micp(grid: Grid, schedule: Schedule, params: KineticParams,
 
     intervals = [(p.end_time, c) for p, c in zip(schedule.periods, controls)]
     run = march(state, intervals, settings, step, accept, sinks)
-    for name, m in _solute_mass(sys, run.state).items():
-        ledgers[name].final = m
+    for name, m in zip(SPECIES, sys.in_place(run.state)[IM:IB]):
+        ledgers[name].final = float(m)
     return RunReport(**vars(run), species=ledgers, clamped=clamped,
                      water_injected=water_in)

@@ -54,6 +54,11 @@ class Period:
     c_u: float  # injected urea concentration, kg/m^3
     label: SlugType
 
+    @property
+    def control(self) -> WellControl:
+        """The well control of the period: its rate and injected concentrations."""
+        return WellControl(rate=self.rate, c_m=self.c_m, c_o=self.c_o, c_u=self.c_u)
+
 
 @dataclass(frozen=True)
 class WellControl:
@@ -116,7 +121,7 @@ def control_at(schedule: Schedule, t: float) -> WellControl:
     prev_end = 0.0
     for p in schedule.periods:
         if prev_end < t <= p.end_time or (t == 0.0 and prev_end == 0.0):
-            return WellControl(rate=p.rate, c_m=p.c_m, c_o=p.c_o, c_u=p.c_u)
+            return p.control
         prev_end = p.end_time
     raise DomainError(f"t = {t} s not covered by any period")  # pragma: no cover
 

@@ -10,7 +10,11 @@ assemblies read (:class:`AssemblyData`) with the grid's one face list
 of interior faces and of open boundary faces to ghost cells, the
 potential differences across them
 (:meth:`AssemblyData.face_potential_differences`; the transmissibilities
-are :func:`micpsim.grid.transmissibilities`), the well source and the
+are :func:`micpsim.grid.transmissibilities`), the storage term, its Newton
+block and the amounts in place, all from the one
+:meth:`AssemblyData.accumulation` a system defines
+(:meth:`AssemblyData.storage`, :meth:`AssemblyData.storage_jacobian`,
+:meth:`AssemblyData.in_place`), the well source and the
 closed-domain pressure pin (:meth:`AssemblyData.well_source`,
 :meth:`AssemblyData.pin_pressure`), the face sums and the scatter of the
 block entries a system declares it can make nonzero into the Newton matrix
@@ -90,11 +94,15 @@ class CellState:
     nvar being the number of fields.
     """
 
+    def unknowns(self) -> list:
+        """The state's arrays in Newton order."""
+        return [getattr(self, f.name) for f in fields(self)]
+
     def copy(self):
-        return type(self)(*(getattr(self, f.name).copy() for f in fields(self)))
+        return type(self)(*(values.copy() for values in self.unknowns()))
 
     def to_vector(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float).T.ravel()
+        return np.array(self.unknowns(), dtype=float).T.ravel()
 
     @classmethod
     def from_vector(cls, x: np.ndarray):
@@ -166,9 +174,48 @@ class AssemblyData:
                     f"state {name} must hold one finite value per active cell")
 
     def check_injection(self, rate):
-        """Refuse a well rate on a closed domain: its pin replaces a water equation."""
+        """Refuse a negative or non-finite well rate, and any well rate on a
+        closed domain: its pin replaces a water equation."""
         if self.closed and rate != 0.0:
             raise DomainError("a domain with no open boundary takes no well rate")
+        if not 0.0 <= rate < math.inf:  # NaN fails too
+            raise DomainError(f"the well rate must be >= 0 and finite, not {rate}")
+
+    def accumulation(self, unknowns):
+        """What each equation conserves, per bulk volume: one row per equation.
+
+        ``unknowns`` are the nvar arrays of the unknowns in Newton order, of
+        any one shape that ends in the cells. A system writes its amounts
+        here and nowhere else: :meth:`storage`, :meth:`storage_jacobian` and
+        :meth:`in_place` read them. They must be complex-analytic in the
+        unknowns (:meth:`storage_jacobian`).
+        """
+        raise NotImplementedError
+
+    def storage(self, x, old, dt):
+        """The storage term (A(x) - A(old)) V / dt at the Newton vector x, A
+        being :meth:`accumulation` and ``old`` a state: shape (cells, nvar)."""
+        change = (self.accumulation(x.reshape(self.n, self.nvar).T)
+                  - self.accumulation(old.unknowns()))
+        return (change * self.V / dt).T
+
+    def storage_jacobian(self, x, dt):
+        """Cell blocks (cells, nvar, nvar) of the derivatives of :meth:`storage` at x.
+
+        Column k is Im A(x + i h e_k) / h V / dt, all nvar perturbations in
+        one :meth:`accumulation` call on a leading axis. h is a power of two,
+        so where A is multilinear in the unknowns, as in both solvers, each
+        partial is the product of unknowns that one would write by hand, bit
+        for bit.
+        """
+        h = 2.0 ** -60
+        step = 1j * h * np.eye(self.nvar)[..., None]  # (unknown, perturbation, 1)
+        dA = self.accumulation(x.reshape(self.n, self.nvar).T[:, None] + step).imag / h
+        return dA.transpose(2, 0, 1) * self.V[:, None, None] / dt
+
+    def in_place(self, state):
+        """Each equation's amount in place in ``state``, summed over the cells."""
+        return np.sum(self.accumulation(state.unknowns()) * self.V, axis=1)
 
     def well_source(self, rate):
         """Per-cell injection, rate split over the well cells by volume."""

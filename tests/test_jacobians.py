@@ -15,10 +15,23 @@ upwind direction.
 import numpy as np
 import pytest
 
-from micpsim.co2 import TwoPhaseState, TwoPhaseSystem, _eval_twophase, _jacobian_twophase
+from micpsim.co2 import (
+    JP,
+    JS,
+    NV2,
+    TwoPhaseState,
+    TwoPhaseSystem,
+    _eval_twophase,
+    _jacobian_twophase,
+)
 from micpsim.grid import DomainSpec, ReservoirSpec, build_domain
 from micpsim.micp import (
+    IB,
+    IC,
+    IM,
+    IO,
     IP,
+    IU,
     NVAR,
     MicpState,
     MicpSystem,
@@ -150,3 +163,49 @@ def test_co2_jacobian_matches_complex_step(sides, rate):
     assert_entries_match_complex_step(
         sys, lambda y: _eval_twophase(sys, y, old, DT, rate),
         lambda y, aux: _jacobian_twophase(sys, y, DT, aux), x)
+
+
+# The storage blocks as written out by hand, entry by entry: the references
+# for the complex-step derivative of each system's accumulation.
+
+def micp_storage_by_hand(sys, x, dt):
+    V = sys.V
+    phi = sys.phi0 - x[IB::NVAR] - x[IC::NVAR]
+    cell = np.zeros((sys.n, NVAR, NVAR))
+    cell[:, IP, IB] = cell[:, IP, IC] = -V / dt
+    for ivar in (IM, IO, IU):
+        cell[:, ivar, ivar] = phi * V / dt
+        cell[:, ivar, IB] = cell[:, ivar, IC] = -x[ivar::NVAR] * V / dt
+    cell[:, IB, IB] = sys.params.rho_b * V / dt
+    cell[:, IC, IC] = sys.params.rho_c * V / dt
+    return cell
+
+
+def co2_storage_by_hand(sys, x, dt):
+    cell = np.zeros((sys.n, NV2, NV2))
+    cell[:, JP, JS] = -sys.phi * sys.V / dt
+    cell[:, JS, JS] = sys.phi * sys.V / dt
+    return cell
+
+
+def test_micp_storage_jacobian_is_the_hand_written_one_exactly():
+    # negative solutes and phi_b + phi_c above phi0, as Newton iterates may hold
+    grid = box(("x+",))
+    n = grid.n_active
+    rng = np.random.default_rng(3)
+    sys = MicpSystem(grid, KineticParams(), ROCK)
+    x = MicpState(*rng.normal(0.0, 1.0, (NVAR - 2, n)), *rng.uniform(-0.1, 0.3, (2, n)))
+    assert np.any(x.phi_b + x.phi_c > sys.phi0) and np.any(x.c_m < 0.0)
+    x = x.to_vector()
+    # equal values (a zero may carry either sign; the Newton matrix stores none)
+    assert np.array_equal(sys.storage_jacobian(x, DT), micp_storage_by_hand(sys, x, DT))
+
+
+def test_co2_storage_jacobian_is_the_hand_written_one_exactly():
+    grid = box(("x+",))
+    n = grid.n_active
+    rng = np.random.default_rng(5)
+    sys = TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams(),
+                         grid.poro0 * rng.uniform(0.5, 1.5, n))
+    x = TwoPhaseState(p=rng.normal(P0, 1e4, n), s=rng.uniform(-0.2, 1.2, n)).to_vector()
+    assert np.array_equal(sys.storage_jacobian(x, DT), co2_storage_by_hand(sys, x, DT))

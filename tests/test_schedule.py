@@ -96,6 +96,12 @@ class TestControlAt:
         c = control_at(self.s, t)
         assert c == control_at(self.s, end)
 
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_each_period_gives_its_own_control(self, name):
+        s = builtin_schedule(name)
+        for p in s.periods:
+            assert p.control == control_at(s, p.end_time)
+
 
 class TestValidate:
     def test_decreasing_times(self):

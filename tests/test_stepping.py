@@ -806,6 +806,49 @@ class TestStepWell:
         with pytest.raises(DomainError, match="no open boundary"):
             step(SolverSettings(), sides=(), rate=-1e-5)
 
+    @pytest.mark.parametrize("step", [_micp_step, _co2_step], ids=["micp", "co2"])
+    @pytest.mark.parametrize("rate", [-1e-5, np.nan, np.inf])
+    def test_negative_or_non_finite_rate_raises(self, step, rate):
+        # a negative rate would withdraw each solute at the injected
+        # concentration, not the resident one
+        with pytest.raises(DomainError, match="well rate must be >= 0 and finite"):
+            step(SolverSettings(), rate=rate)
+
+    def test_assemble_residual_refuses_a_negative_rate(self):
+        grid = _line(("x+",)).grid
+        params = KineticParams()
+        state = micp.make_initial_state(grid, params)
+        with pytest.raises(DomainError, match="well rate must be >= 0 and finite"):
+            micp.assemble_residual(micp.MicpSystem(grid, params, RockLaw()), state, state,
+                                   600.0, WellControl(rate=-1e-5))
+
+
+class TestInPlace:
+    """The ledgers' totals are the amounts of ``accumulation`` summed over the cells."""
+
+    def test_micp_solute_masses_and_volumes(self):
+        grid = _box(("x+",)).grid
+        params = KineticParams()
+        sys = micp.MicpSystem(grid, params, RockLaw())
+        rng = np.random.default_rng(0)
+        state = micp.MicpState(*rng.uniform(size=(micp.NVAR, grid.n_active)))
+        V = grid.volumes
+        phi = grid.poro0 - state.phi_b - state.phi_c
+        want = [np.sum(phi * V), *(np.sum(c * phi * V) for c in
+                                   (state.c_m, state.c_o, state.c_u)),
+                params.rho_b * np.sum(state.phi_b * V), params.rho_c * np.sum(state.phi_c * V)]
+        np.testing.assert_allclose(sys.in_place(state), want, rtol=1e-14, atol=0.0)
+
+    def test_co2_water_and_co2_volumes(self):
+        grid = _box(("x+",)).grid
+        rng = np.random.default_rng(1)
+        phi = grid.poro0 * rng.uniform(0.5, 1.5, grid.n_active)
+        sys = co2.TwoPhaseSystem(grid, grid.perm0, TwoPhaseParams(), phi)
+        state = co2.TwoPhaseState(*rng.uniform(size=(co2.NV2, grid.n_active)))
+        V = grid.volumes
+        want = [np.sum(phi * (1.0 - state.s) * V), np.sum(phi * state.s * V)]
+        np.testing.assert_allclose(sys.in_place(state), want, rtol=1e-14, atol=0.0)
+
 
 class TestLedger:
     def test_closure_books_every_term_once(self):
